@@ -54,10 +54,6 @@ def param_to_point(t: Fraction | int) -> Point:
     return Point(x, abs(x) - 1)
 
 
-def normalize_param(t: Fraction | int) -> Fraction:
-    return as_rational(t) % 8
-
-
 def sweep_ccw(t_from: Fraction, t_to: Fraction) -> Fraction:
     """Counterclockwise arc length from one parameter to another, in [0, 8)."""
     return (as_rational(t_to) - as_rational(t_from)) % 8

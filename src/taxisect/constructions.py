@@ -28,8 +28,8 @@ Every construction returns a trace: the full list of compass and straightedge
 steps, each recording its inputs, its produced primitive, and the incidence
 claims it relies on.  ``verify_trace`` replays a trace with kernel operations
 only and checks that every recorded output and claim reproduces exactly, so a
-trace is a machine-checkable certificate independent of the code that built
-it.
+trace is a machine-checkable certificate independent of the choices that built
+it: which corner, which crossing, how far the chain walks.
 """
 
 from __future__ import annotations
@@ -37,25 +37,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .angles import Angle, direction_to_param, measure_angle, param_to_point
 from .kernel import (
     CircleVertex,
+    CoincidentLinesError,
     Direction,
     GeometryError,
     Line,
     OnePoint,
     Point,
     Ray,
+    Segment,
     TaxicabCircle,
     circle_vertex,
     intersect_line_circle,
     intersect_lines,
     line_through,
+    point_on_circle,
     points_of,
     taxicab_distance,
 )
+from .numeric import as_rational
 
 
 class ConstructionError(GeometryError):
@@ -97,10 +101,24 @@ class StepKind(Enum):
 class OnLineClaim:
     line_step: int
 
+    def refs(self) -> tuple[int, ...]:
+        return (self.line_step,)
+
+    def holds(self, subject: Point, outputs: Sequence[Primitive]) -> bool:
+        line = outputs[self.line_step]
+        return isinstance(line, Line) and line.contains(subject)
+
 
 @dataclass(frozen=True)
 class OnCircleClaim:
     circle_step: int
+
+    def refs(self) -> tuple[int, ...]:
+        return (self.circle_step,)
+
+    def holds(self, subject: Point, outputs: Sequence[Primitive]) -> bool:
+        circle = outputs[self.circle_step]
+        return isinstance(circle, TaxicabCircle) and point_on_circle(circle, subject)
 
 
 @dataclass(frozen=True)
@@ -108,11 +126,30 @@ class BetweenClaim:
     p_step: int
     q_step: int
 
+    def refs(self) -> tuple[int, ...]:
+        return (self.p_step, self.q_step)
+
+    def holds(self, subject: Point, outputs: Sequence[Primitive]) -> bool:
+        p = outputs[self.p_step]
+        q = outputs[self.q_step]
+        if not (isinstance(p, Point) and isinstance(q, Point)):
+            return False
+        if subject in (p, q) or p == q:
+            return subject in (p, q)
+        return Segment(p, q).contains(subject)
+
 
 @dataclass(frozen=True)
 class DistanceClaim:
     from_step: int
     value: Fraction
+
+    def refs(self) -> tuple[int, ...]:
+        return (self.from_step,)
+
+    def holds(self, subject: Point, outputs: Sequence[Primitive]) -> bool:
+        anchor = outputs[self.from_step]
+        return isinstance(anchor, Point) and taxicab_distance(anchor, subject) == self.value
 
 
 Claim = Union[OnLineClaim, OnCircleClaim, BetweenClaim, DistanceClaim]
@@ -177,103 +214,65 @@ def _expect(condition: bool, message: str) -> None:
         raise MalformedTraceError(message)
 
 
-def _replay_step(step: TraceStep, outputs: list[Primitive]) -> Primitive | None:
-    """Recompute a step's output from earlier outputs; None when the step
-    cannot be replayed (reported as a failure, not an exception)."""
+def _input(outputs: Sequence[Primitive], ref: int, want: type, name: str) -> Primitive:
+    out = outputs[ref]
+    if not isinstance(out, want):
+        raise MalformedTraceError(f"step input {ref} is not a {name}")
+    return out
 
-    def point_at(ref: int) -> Point:
-        out = outputs[ref]
-        _expect(isinstance(out, Point), f"step input {ref} is not a point")
-        return out  # type: ignore[return-value]
 
-    def line_at(ref: int) -> Line:
-        out = outputs[ref]
-        _expect(isinstance(out, Line), f"step input {ref} is not a line")
-        return out  # type: ignore[return-value]
+def _step_yields(
+    kind: StepKind,
+    inputs: tuple[int, ...],
+    outputs: Sequence[Primitive],
+    radius: Fraction | None = None,
+    vertex: CircleVertex | None = None,
+) -> tuple[Primitive, ...]:
+    """What a computed step yields from the outputs of the steps before it;
+    the one definition of each step kind, for builder and verifier alike.
 
-    def circle_at(ref: int) -> TaxicabCircle:
-        out = outputs[ref]
-        _expect(isinstance(out, TaxicabCircle), f"step input {ref} is not a circle")
-        return out  # type: ignore[return-value]
-
-    if step.kind is StepKind.PLACE_POINT:
-        _expect(not step.inputs, "place-point takes no inputs")
-        return step.output
-    if step.kind is StepKind.DRAW_CIRCLE:
-        _expect(len(step.inputs) in (1, 3), "draw-circle takes 1 or 3 inputs")
-        center = point_at(step.inputs[0])
-        if len(step.inputs) == 3:
-            radius = taxicab_distance(point_at(step.inputs[1]), point_at(step.inputs[2]))
+    Intersect-line-circle yields every crossing point in the kernel's order,
+    for the caller to pick from; the other kinds yield their one output.  A
+    step that cannot be carried out yields nothing.  A wrong number or kind
+    of inputs raises :class:`MalformedTraceError`.
+    """
+    if kind is StepKind.DRAW_CIRCLE:
+        _expect(len(inputs) in (1, 3), "draw-circle takes 1 or 3 inputs")
+        center = _input(outputs, inputs[0], Point, "point")
+        if len(inputs) == 3:
+            radius = taxicab_distance(
+                _input(outputs, inputs[1], Point, "point"), _input(outputs, inputs[2], Point, "point")
+            )
         else:
-            _expect(step.radius is not None, "draw-circle needs a radius")
-            radius = step.radius
-        if radius <= 0:
-            return None
-        return TaxicabCircle(center, radius)
-    if step.kind is StepKind.DRAW_LINE:
-        _expect(len(step.inputs) == 2, "draw-line takes 2 inputs")
-        p = point_at(step.inputs[0])
-        q = point_at(step.inputs[1])
-        if p == q:
-            return None
-        return line_through(p, q)
-    if step.kind is StepKind.INTERSECT_LINE_CIRCLE:
-        _expect(len(step.inputs) == 2, "intersect-line-circle takes 2 inputs")
-        _expect(step.pick is not None, "intersect-line-circle needs a pick index")
-        candidates = points_of(intersect_line_circle(line_at(step.inputs[0]), circle_at(step.inputs[1])))
-        if step.pick >= len(candidates):
-            return None
-        return candidates[step.pick]
-    if step.kind is StepKind.INTERSECT_LINES:
-        _expect(len(step.inputs) == 2, "intersect-lines takes 2 inputs")
-        hit = intersect_lines(line_at(step.inputs[0]), line_at(step.inputs[1]))
-        if not isinstance(hit, OnePoint):
-            return None
-        return hit.point
-    if step.kind is StepKind.TAKE_CIRCLE_VERTEX:
-        _expect(len(step.inputs) == 1, "take-circle-vertex takes 1 input")
-        _expect(step.vertex is not None, "take-circle-vertex needs a vertex name")
-        return circle_vertex(circle_at(step.inputs[0]), step.vertex)
-    if step.kind is StepKind.MARK_RESULT:
-        _expect(len(step.inputs) == 1, "mark-result takes 1 input")
-        return point_at(step.inputs[0])
-    raise MalformedTraceError(f"unknown step kind {step.kind!r}")
-
-
-def _claim_holds(claim: Claim, subject: Primitive, outputs: list[Primitive]) -> bool:
-    from .kernel import Segment, point_on_circle
-
-    assert isinstance(subject, Point), "claims attach to point outputs"
-    if isinstance(claim, OnLineClaim):
-        line = outputs[claim.line_step]
-        return isinstance(line, Line) and line.contains(subject)
-    if isinstance(claim, OnCircleClaim):
-        circle = outputs[claim.circle_step]
-        return isinstance(circle, TaxicabCircle) and point_on_circle(circle, subject)
-    if isinstance(claim, BetweenClaim):
-        p = outputs[claim.p_step]
-        q = outputs[claim.q_step]
-        if not (isinstance(p, Point) and isinstance(q, Point)):
-            return False
-        if subject in (p, q) or p == q:
-            return subject in (p, q)
-        return Segment(p, q).contains(subject)
-    if isinstance(claim, DistanceClaim):
-        anchor = outputs[claim.from_step]
-        return isinstance(anchor, Point) and taxicab_distance(anchor, subject) == claim.value
-    raise MalformedTraceError(f"unknown claim {claim!r}")
-
-
-def _claim_refs(claim: Claim) -> tuple[int, ...]:
-    if isinstance(claim, OnLineClaim):
-        return (claim.line_step,)
-    if isinstance(claim, OnCircleClaim):
-        return (claim.circle_step,)
-    if isinstance(claim, BetweenClaim):
-        return (claim.p_step, claim.q_step)
-    if isinstance(claim, DistanceClaim):
-        return (claim.from_step,)
-    raise MalformedTraceError(f"unknown claim {claim!r}")
+            _expect(radius is not None, "draw-circle needs a radius")
+        return (TaxicabCircle(center, radius),) if radius > 0 else ()
+    if kind is StepKind.DRAW_LINE:
+        _expect(len(inputs) == 2, "draw-line takes 2 inputs")
+        p = _input(outputs, inputs[0], Point, "point")
+        q = _input(outputs, inputs[1], Point, "point")
+        return (line_through(p, q),) if p != q else ()
+    if kind is StepKind.INTERSECT_LINE_CIRCLE:
+        _expect(len(inputs) == 2, "intersect-line-circle takes 2 inputs")
+        line = _input(outputs, inputs[0], Line, "line")
+        circle = _input(outputs, inputs[1], TaxicabCircle, "circle")
+        return points_of(intersect_line_circle(line, circle))
+    if kind is StepKind.INTERSECT_LINES:
+        _expect(len(inputs) == 2, "intersect-lines takes 2 inputs")
+        first = _input(outputs, inputs[0], Line, "line")
+        second = _input(outputs, inputs[1], Line, "line")
+        try:
+            hit = intersect_lines(first, second)
+        except CoincidentLinesError:
+            return ()
+        return (hit.point,) if isinstance(hit, OnePoint) else ()
+    if kind is StepKind.TAKE_CIRCLE_VERTEX:
+        _expect(len(inputs) == 1, "take-circle-vertex takes 1 input")
+        _expect(vertex is not None, "take-circle-vertex needs a vertex name")
+        return (circle_vertex(_input(outputs, inputs[0], TaxicabCircle, "circle"), vertex),)
+    if kind is StepKind.MARK_RESULT:
+        _expect(len(inputs) == 1, "mark-result takes 1 input")
+        return (_input(outputs, inputs[0], Point, "point"),)
+    raise MalformedTraceError(f"unknown step kind {kind!r}")
 
 
 def verify_trace(trace: ConstructionTrace) -> VerificationReport:
@@ -287,9 +286,22 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     """
     outputs: list[Primitive] = []
     for index, step in enumerate(trace.steps):
-        for ref in step.inputs + tuple(r for claim in step.claims for r in _claim_refs(claim)):
-            _expect(0 <= ref < index, f"step {index} references step {ref}")
-        replayed = _replay_step(step, outputs)
+        refs = list(step.inputs)
+        for claim in step.claims:
+            if not isinstance(claim, Claim):
+                raise MalformedTraceError(f"unknown claim {claim!r}")
+            refs += claim.refs()
+        for ref in refs:
+            if not 0 <= ref < index:
+                raise MalformedTraceError(f"step {index} references step {ref}")
+        if step.kind is StepKind.PLACE_POINT:
+            _expect(not step.inputs, "place-point takes no inputs")
+            replayed = step.output
+        else:
+            yielded = _step_yields(step.kind, step.inputs, outputs, step.radius, step.vertex)
+            pick = step.pick if step.kind is StepKind.INTERSECT_LINE_CIRCLE else 0
+            _expect(pick is not None, "intersect-line-circle needs a pick index")
+            replayed = yielded[pick] if pick < len(yielded) else None
         if replayed is None:
             return VerificationReport(False, index, StepFailure(index, "step does not replay"))
         if replayed != step.output:
@@ -297,7 +309,10 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
                 False, index, StepFailure(index, "recorded output differs from replay")
             )
         for claim in step.claims:
-            if not _claim_holds(claim, step.output, outputs):
+            # Claims are only defined on points; a claim on any other output
+            # is not yet reported as a malformed trace.
+            assert isinstance(step.output, Point), "claims attach to point outputs"
+            if not claim.holds(step.output, outputs):
                 return VerificationReport(
                     False, index, StepFailure(index, f"claim {claim!r} does not hold")
                 )
@@ -311,51 +326,51 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
 
 
 class _TraceBuilder:
+    """Records steps whose outputs come from :func:`_step_yields`; the
+    builder itself makes only the choices: which corner, which crossing."""
+
     def __init__(self) -> None:
         self._steps: list[TraceStep] = []
-
-    def output(self, ref: int) -> Primitive:
-        return self._steps[ref].output
+        self._outputs: list[Primitive] = []
 
     def point(self, ref: int) -> Point:
-        out = self.output(ref)
-        assert isinstance(out, Point)
-        return out
+        return _input(self._outputs, ref, Point, "point")
 
     def _push(self, step: TraceStep) -> int:
         self._steps.append(step)
+        self._outputs.append(step.output)
         return len(self._steps) - 1
+
+    def _add(
+        self,
+        kind: StepKind,
+        inputs: tuple[int, ...],
+        claims: tuple[Claim, ...] = (),
+        label: str | None = None,
+        choose: Callable[[tuple[Point, ...]], Point] | None = None,
+        vertex: CircleVertex | None = None,
+        radius: Fraction | None = None,
+    ) -> int:
+        yielded = _step_yields(kind, inputs, self._outputs, radius, vertex)
+        if not yielded:
+            raise ConstructionError(f"the {kind.value} step cannot be carried out")
+        output = yielded[0] if choose is None else choose(yielded)
+        pick = None if choose is None else yielded.index(output)
+        step = TraceStep(kind, inputs, output, claims, label, pick=pick, vertex=vertex, radius=radius)
+        return self._push(step)
 
     def place_point(self, p: Point, label: str | None = None) -> int:
         return self._push(TraceStep(StepKind.PLACE_POINT, (), p, label=label))
 
     def draw_line(self, p_ref: int, q_ref: int) -> int:
-        line = line_through(self.point(p_ref), self.point(q_ref))
-        return self._push(TraceStep(StepKind.DRAW_LINE, (p_ref, q_ref), line))
+        return self._add(StepKind.DRAW_LINE, (p_ref, q_ref))
 
-    def draw_circle_spanned(self, center_ref: int, span: tuple[int, int]) -> int:
-        radius = taxicab_distance(self.point(span[0]), self.point(span[1]))
-        circle = TaxicabCircle(self.point(center_ref), radius)
-        return self._push(TraceStep(StepKind.DRAW_CIRCLE, (center_ref, *span), circle))
+    def draw_circle(self, center_ref: int, span: tuple[int, ...] = (), radius: Fraction | None = None) -> int:
+        return self._add(StepKind.DRAW_CIRCLE, (center_ref, *span), radius=radius)
 
-    def draw_circle_fixed(self, center_ref: int, radius: Fraction) -> int:
-        circle = TaxicabCircle(self.point(center_ref), radius)
-        return self._push(TraceStep(StepKind.DRAW_CIRCLE, (center_ref,), circle, radius=radius))
-
-    def take_vertex(self, circle_ref: int, which: CircleVertex, label: str | None = None) -> int:
-        circle = self.output(circle_ref)
-        assert isinstance(circle, TaxicabCircle)
-        p = circle_vertex(circle, which)
-        return self._push(
-            TraceStep(
-                StepKind.TAKE_CIRCLE_VERTEX,
-                (circle_ref,),
-                p,
-                claims=(OnCircleClaim(circle_ref),),
-                label=label,
-                vertex=which,
-            )
-        )
+    def take_vertex(self, circle_ref: int, which: CircleVertex) -> int:
+        claims = (OnCircleClaim(circle_ref),)
+        return self._add(StepKind.TAKE_CIRCLE_VERTEX, (circle_ref,), claims, vertex=which)
 
     def intersect_with_circle(
         self,
@@ -364,45 +379,15 @@ class _TraceBuilder:
         choose: Callable[[tuple[Point, ...]], Point],
         label: str | None = None,
     ) -> int:
-        line = self.output(line_ref)
-        circle = self.output(circle_ref)
-        assert isinstance(line, Line) and isinstance(circle, TaxicabCircle)
-        candidates = points_of(intersect_line_circle(line, circle))
-        if not candidates:
-            raise ConstructionError("expected the line to cross the circle")
-        chosen = choose(candidates)
-        return self._push(
-            TraceStep(
-                StepKind.INTERSECT_LINE_CIRCLE,
-                (line_ref, circle_ref),
-                chosen,
-                claims=(OnLineClaim(line_ref), OnCircleClaim(circle_ref)),
-                label=label,
-                pick=candidates.index(chosen),
-            )
-        )
+        claims = (OnLineClaim(line_ref), OnCircleClaim(circle_ref))
+        return self._add(StepKind.INTERSECT_LINE_CIRCLE, (line_ref, circle_ref), claims, label, choose)
 
-    def intersect_two_lines(self, first_ref: int, second_ref: int, label: str | None = None) -> int:
-        first = self.output(first_ref)
-        second = self.output(second_ref)
-        assert isinstance(first, Line) and isinstance(second, Line)
-        hit = intersect_lines(first, second)
-        if not isinstance(hit, OnePoint):
-            raise ConstructionError("expected the lines to cross in one point")
-        return self._push(
-            TraceStep(
-                StepKind.INTERSECT_LINES,
-                (first_ref, second_ref),
-                hit.point,
-                claims=(OnLineClaim(first_ref), OnLineClaim(second_ref)),
-                label=label,
-            )
-        )
+    def intersect_two_lines(self, first_ref: int, second_ref: int) -> int:
+        claims = (OnLineClaim(first_ref), OnLineClaim(second_ref))
+        return self._add(StepKind.INTERSECT_LINES, (first_ref, second_ref), claims)
 
     def mark_result(self, point_ref: int, claims: tuple[Claim, ...], label: str | None = None) -> int:
-        return self._push(
-            TraceStep(StepKind.MARK_RESULT, (point_ref,), self.point(point_ref), claims=claims, label=label)
-        )
+        return self._add(StepKind.MARK_RESULT, (point_ref,), claims, label)
 
     def build(self, result_ref: int) -> ConstructionTrace:
         return ConstructionTrace(tuple(self._steps), result_ref)
@@ -450,8 +435,8 @@ def _append_nsect(
     length = taxicab_distance(a, b)
 
     base_ref = builder.draw_line(a_ref, b_ref)
-    circle_b = builder.draw_circle_spanned(b_ref, (a_ref, b_ref))
-    circle_a = builder.draw_circle_spanned(a_ref, (a_ref, b_ref))
+    circle_b = builder.draw_circle(b_ref, span=(a_ref, b_ref))
+    circle_a = builder.draw_circle(a_ref, span=(a_ref, b_ref))
 
     if n == 2:
         low = builder.take_vertex(circle_a, low_corner)
@@ -465,7 +450,7 @@ def _append_nsect(
                 return max(candidates, key=lambda p: (taxicab_distance(anchor, p), p.x, p.y))
 
             next_center = builder.intersect_with_circle(base_ref, last_circle, outward)
-            last_circle = builder.draw_circle_spanned(next_center, (a_ref, b_ref))
+            last_circle = builder.draw_circle(next_center, span=(a_ref, b_ref))
         low = builder.take_vertex(last_circle, low_corner)
         toward_b = builder.draw_line(low, b_ref)
         low_point = builder.point(low)
@@ -486,6 +471,13 @@ def _append_nsect(
     return builder.mark_result(c_ref, claims, label=mark_label)
 
 
+def _check_part_count(n: int, what: str) -> None:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ConstructionError(f"{what} needs an integer n, got n = {n!r}")
+    if n < 2:
+        raise ConstructionError(f"{what} needs n >= 2, got n = {n}")
+
+
 def nsect_segment(a: Point, b: Point, n: int) -> tuple[Point, ConstructionTrace]:
     """Split segment AB at taxicab distance d_t(A, B) / n from A.
 
@@ -494,8 +486,7 @@ def nsect_segment(a: Point, b: Point, n: int) -> tuple[Point, ConstructionTrace]
     the construction, then checked against the parametric form; a mismatch
     raises :class:`PostconditionError` with the trace attached.
     """
-    if n < 2:
-        raise ConstructionError(f"segment sectioning needs n >= 2, got n = {n}")
+    _check_part_count(n, "segment sectioning")
     if a == b:
         raise ConstructionError("cannot section a degenerate segment")
     builder = _TraceBuilder()
@@ -525,9 +516,8 @@ def section_angle(
     that marks every division point of the chord by repeated segment
     sectioning; otherwise it is None.
     """
-    if n < 2:
-        raise ConstructionError(f"angle sectioning needs n >= 2, got n = {n}")
-    radius = Fraction(radius)
+    _check_part_count(n, "angle sectioning")
+    radius = as_rational(radius)
     if radius <= 0:
         raise ConstructionError("sectioning circle radius must be positive")
     if measure_angle(angle) == 0:
@@ -574,7 +564,7 @@ def _chord_trace(
     h2 = vertex + second_side.scaled(reach / second_side.taxicab_length())
     h1_ref = builder.place_point(h1)
     h2_ref = builder.place_point(h2)
-    circle_ref = builder.draw_circle_fixed(v_ref, radius)
+    circle_ref = builder.draw_circle(v_ref, radius=radius)
 
     def crossing(side: Direction) -> Callable[[tuple[Point, ...]], Point]:
         ray = Ray(vertex, side)

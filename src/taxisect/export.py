@@ -15,7 +15,6 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from typing import Union
-from xml.sax.saxutils import escape
 
 from .constructions import ConstructionTrace, StepKind, verify_trace
 from .kernel import (
@@ -161,6 +160,11 @@ def regroup(scene: Scene, group: str) -> tuple[SceneItem, ...]:
 
 # ---------------------------------------------------------------------------
 # SVG emission
+
+def escape(text: str) -> str:
+    """``xml.sax.saxutils.escape`` (``&``, ``<``, ``>``) without that module's import cost."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
 
 _CANVAS_WIDTH = Fraction(560)
 

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 from . import constructions, kernel
 from .angles import Angle, direction_to_param, measure_angle
@@ -36,7 +36,6 @@ from .kernel import (
     CircleVertex,
     Direction,
     Line,
-    OnePoint,
     OverlapSegment,
     Point,
     Ray,
@@ -196,24 +195,6 @@ class Script:
 
 _KEYWORDS = {"assert_eq", "render", "dump"}
 
-# name -> accepted argument counts
-_BUILTIN_ARITY = {
-    "point": (2,),
-    "dir": (2,),
-    "segment": (2,),
-    "ray": (2,),
-    "line_through": (2,),
-    "circle": (2,),
-    "tdist": (2,),
-    "edist2": (2,),
-    "intersect": (2, 3),
-    "vertex": (2,),
-    "nsect": (3,),
-    "section": (4, 5),
-    "measure": (3,),
-    "param": (1,),
-}
-
 
 class _Parser:
     def __init__(self, tokens: list[_Token]) -> None:
@@ -260,7 +241,7 @@ class _Parser:
             return Dump(loc)
         name = self._next()
         self._expect("=")
-        if name.text in _BUILTIN_ARITY:
+        if name.text in _BUILTINS:
             raise TaxiSyntaxError(f"cannot bind built-in name {name.text!r}", name.line, name.col)
         expr = self._expr()
         if isinstance(expr, NameRef) and self._peek().kind == "(":
@@ -289,7 +270,7 @@ class _Parser:
             self._next()
             if token.text in _KEYWORDS:
                 raise TaxiSyntaxError(f"{token.text!r} is a keyword", token.line, token.col)
-            if token.text in _BUILTIN_ARITY:
+            if token.text in _BUILTINS:
                 return self._call(token)
             if self._peek().kind == "(" and self._tokens[self._pos + 1].kind in ("IDENT", "STRING"):
                 # looks like foo(A, ...): a call to something we do not know,
@@ -311,8 +292,6 @@ class _Parser:
         return RationalLit(text, Loc(head.line, head.col))
 
     def _call(self, name: _Token) -> Call:
-        if name.text not in _BUILTIN_ARITY:
-            raise TaxiSyntaxError(f"unknown function {name.text!r}", name.line, name.col)
         self._expect("(")
         args: list[Expr] = []
         if self._peek().kind != ")":
@@ -321,8 +300,9 @@ class _Parser:
                 self._next()
                 args.append(self._expr())
         self._expect(")")
-        if len(args) not in _BUILTIN_ARITY[name.text]:
-            expected = " or ".join(str(k) for k in _BUILTIN_ARITY[name.text])
+        arities = _BUILTINS[name.text].arities
+        if len(args) not in arities:
+            expected = " or ".join(map(str, arities))
             raise TaxiSyntaxError(
                 f"{name.text} takes {expected} arguments, got {len(args)}", name.line, name.col
             )
@@ -507,138 +487,116 @@ class _Executor:
             return self._call(expr)
         raise TypeError(f"unknown expression {expr!r}")
 
-    def _arg(self, expr: Expr, want: type | tuple[type, ...], what: str) -> Value:
+    def _arg(self, expr: Expr, param: _Param) -> object:
+        """Evaluate one builtin argument and check it against its parameter."""
+        kind, what, loc = param.kind, param.what, expr.loc
+        if kind is CircleVertex:
+            if not isinstance(expr, StringLit):
+                raise TaxiRuntimeError(f"{what} must be a quoted string", loc.line, loc.col)
+            try:
+                return CircleVertex(expr.value)
+            except ValueError:
+                raise TaxiRuntimeError(
+                    f'{what} must be "N", "S", "E", or "W", got "{expr.value}"', loc.line, loc.col
+                ) from None
         value = self._eval(expr)
-        if isinstance(want, tuple):
-            ok = isinstance(value, want)
-            names = " or ".join(_TYPE_NAMES[t] for t in want)
-        else:
-            ok = isinstance(value, want)
-            names = _TYPE_NAMES[want]
-        if not ok:
-            raise TaxiRuntimeError(
-                f"{what} must be a {names}, got {_type_name(value)}",
-                expr.loc.line,
-                expr.loc.col,
-            )
+        want = Fraction if kind is int else kind
+        if not isinstance(value, want):
+            names = " or ".join(map(_TYPE_NAMES.get, want)) if isinstance(want, tuple) else _TYPE_NAMES[want]
+            raise TaxiRuntimeError(f"{what} must be a {names}, got {_type_name(value)}", loc.line, loc.col)
+        if kind is int:
+            if value.denominator != 1:
+                raise TaxiRuntimeError(f"{what} must be an integer, got {value}", loc.line, loc.col)
+            return int(value)
         return value
 
-    def _string_arg(self, expr: Expr, what: str) -> str:
-        if not isinstance(expr, StringLit):
-            raise TaxiRuntimeError(f"{what} must be a quoted string", expr.loc.line, expr.loc.col)
-        return expr.value
-
-    def _int_arg(self, expr: Expr, what: str) -> int:
-        value = self._arg(expr, Fraction, what)
-        assert isinstance(value, Fraction)
-        if value.denominator != 1:
-            raise TaxiRuntimeError(f"{what} must be an integer, got {value}", expr.loc.line, expr.loc.col)
-        return int(value)
-
     def _call(self, call: Call) -> Value:
-        loc = call.loc
-        name = call.func
-        args = call.args
+        builtin = _BUILTINS[call.func]
+        values = list(map(self._arg, call.args, builtin.params))
+        values += [param.default for param in builtin.params[len(values):]]
         try:
-            if name == "point":
-                return Point(self._arg(args[0], Fraction, "x"), self._arg(args[1], Fraction, "y"))
-            if name == "dir":
-                return Direction(self._arg(args[0], Fraction, "dx"), self._arg(args[1], Fraction, "dy"))
-            if name == "segment":
-                return Segment(self._arg(args[0], Point, "endpoint"), self._arg(args[1], Point, "endpoint"))
-            if name == "ray":
-                return Ray(self._arg(args[0], Point, "origin"), self._arg(args[1], Direction, "direction"))
-            if name == "line_through":
-                return kernel.line_through(
-                    self._arg(args[0], Point, "point"), self._arg(args[1], Point, "point")
-                )
-            if name == "circle":
-                return TaxicabCircle(self._arg(args[0], Point, "center"), self._arg(args[1], Fraction, "radius"))
-            if name == "tdist":
-                return kernel.taxicab_distance(
-                    self._arg(args[0], Point, "point"), self._arg(args[1], Point, "point")
-                )
-            if name == "edist2":
-                return kernel.euclidean_distance_squared(
-                    self._arg(args[0], Point, "point"), self._arg(args[1], Point, "point")
-                )
-            if name == "intersect":
-                return self._intersect(call)
-            if name == "vertex":
-                circle = self._arg(args[0], TaxicabCircle, "circle")
-                letter = self._string_arg(args[1], "vertex name")
-                try:
-                    which = CircleVertex(letter)
-                except ValueError:
-                    raise TaxiRuntimeError(
-                        f'vertex name must be "N", "S", "E", or "W", got "{letter}"',
-                        args[1].loc.line,
-                        args[1].loc.col,
-                    ) from None
-                return kernel.circle_vertex(circle, which)
-            if name == "nsect":
-                a = self._arg(args[0], Point, "endpoint")
-                b = self._arg(args[1], Point, "endpoint")
-                parts = self._int_arg(args[2], "part count")
-                point, _ = constructions.nsect_segment(a, b, parts)
-                return point
-            if name == "section":
-                vertex = self._arg(args[0], Point, "vertex")
-                d1 = self._arg(args[1], Direction, "side")
-                d2 = self._arg(args[2], Direction, "side")
-                parts = self._int_arg(args[3], "part count")
-                radius = self._arg(args[4], Fraction, "radius") if len(args) == 5 else Fraction(1)
-                rays, _ = constructions.section_angle(Angle(vertex, d1, d2), parts, radius)
-                return rays
-            if name == "measure":
-                vertex = self._arg(args[0], Point, "vertex")
-                d1 = self._arg(args[1], Direction, "side")
-                d2 = self._arg(args[2], Direction, "side")
-                return measure_angle(Angle(vertex, d1, d2))
-            if name == "param":
-                return direction_to_param(self._arg(args[0], Direction, "direction"))
-        except ScriptError:
-            raise
+            return builtin.impl(*values)
         except (kernel.GeometryError, ZeroDivisionError) as exc:
-            raise TaxiRuntimeError(str(exc), loc.line, loc.col) from exc
-        raise TypeError(f"unhandled builtin {name!r}")
+            raise TaxiRuntimeError(str(exc), call.loc.line, call.loc.col) from exc
 
-    def _intersect(self, call: Call) -> Value:
-        first = self._arg(call.args[0], (Line, Ray), "first operand")
-        second = self._arg(call.args[1], (Line, TaxicabCircle), "second operand")
-        loc = call.loc
-        if isinstance(first, Ray):
-            if not isinstance(second, TaxicabCircle):
-                raise TaxiRuntimeError("a ray can only be intersected with a circle", loc.line, loc.col)
-            result = kernel.intersect_ray_circle(first, second)
-        elif isinstance(second, Line):
-            result = kernel.intersect_lines(first, second)
-        else:
-            result = kernel.intersect_line_circle(first, second)
-        if isinstance(result, OverlapSegment):
-            raise TaxiRuntimeError(
-                "intersection is a whole segment, not a point", loc.line, loc.col
-            )
-        points = kernel.points_of(result)
-        if len(call.args) == 3:
-            index = self._int_arg(call.args[2], "intersection index")
-        elif len(points) == 1:
-            index = 0
-        elif not points:
-            raise TaxiRuntimeError("intersection is empty", loc.line, loc.col)
-        else:
-            raise TaxiRuntimeError(
-                "intersection has two points; select one with intersect(a, b, index)",
-                loc.line,
-                loc.col,
-            )
-        if not 0 <= index < len(points):
-            raise TaxiRuntimeError(
-                f"intersection index {index} out of range for {len(points)} point(s)",
-                loc.line,
-                loc.col,
-            )
-        return points[index]
+
+def _intersect(first: Line | Ray, second: Line | TaxicabCircle, index: int | None) -> Point:
+    if isinstance(first, Ray):
+        if not isinstance(second, TaxicabCircle):
+            raise kernel.GeometryError("a ray can only be intersected with a circle")
+        result = kernel.intersect_ray_circle(first, second)
+    elif isinstance(second, Line):
+        result = kernel.intersect_lines(first, second)
+    else:
+        result = kernel.intersect_line_circle(first, second)
+    if isinstance(result, OverlapSegment):
+        raise kernel.GeometryError("intersection is a whole segment, not a point")
+    points = kernel.points_of(result)
+    if index is None:
+        if not points:
+            raise kernel.GeometryError("intersection is empty")
+        if len(points) == 2:
+            raise kernel.GeometryError("intersection has two points; select one with intersect(a, b, index)")
+        index = 0
+    if not 0 <= index < len(points):
+        raise kernel.GeometryError(f"intersection index {index} out of range for {len(points)} point(s)")
+    return points[index]
+
+
+_REQUIRED = object()
+
+
+class _Param(NamedTuple):
+    """One builtin parameter.  ``kind`` is a value type or a tuple of them,
+    ``int`` for a rational that must be an integer, or ``CircleVertex`` for
+    a quoted vertex name; ``what`` names the parameter in error messages."""
+
+    kind: type | tuple[type, ...]
+    what: str
+    default: object = _REQUIRED
+
+
+class _Builtin:
+    def __init__(self, impl: Callable[..., Value], *params: _Param) -> None:
+        self.impl = impl
+        self.params = params
+        self.arities = range(sum(param.default is _REQUIRED for param in params), len(params) + 1)
+
+
+_POINT = _Param(Point, "point")
+_ENDPOINT = _Param(Point, "endpoint")
+_VERTEX = _Param(Point, "vertex")
+_SIDE = _Param(Direction, "side")
+_PARTS = _Param(int, "part count")
+
+# The one definition of each builtin, read by the parser (argument counts), the
+# executor (argument types, dispatch) and the test of the README's table.
+_BUILTINS = {
+    "point": _Builtin(Point, _Param(Fraction, "x"), _Param(Fraction, "y")),
+    "dir": _Builtin(Direction, _Param(Fraction, "dx"), _Param(Fraction, "dy")),
+    "segment": _Builtin(Segment, _ENDPOINT, _ENDPOINT),
+    "ray": _Builtin(Ray, _Param(Point, "origin"), _Param(Direction, "direction")),
+    "line_through": _Builtin(kernel.line_through, _POINT, _POINT),
+    "circle": _Builtin(TaxicabCircle, _Param(Point, "center"), _Param(Fraction, "radius")),
+    "tdist": _Builtin(kernel.taxicab_distance, _POINT, _POINT),
+    "edist2": _Builtin(kernel.euclidean_distance_squared, _POINT, _POINT),
+    "intersect": _Builtin(
+        _intersect,
+        _Param((Line, Ray), "first operand"),
+        _Param((Line, TaxicabCircle), "second operand"),
+        _Param(int, "intersection index", None),
+    ),
+    "vertex": _Builtin(
+        kernel.circle_vertex, _Param(TaxicabCircle, "circle"), _Param(CircleVertex, "vertex name")
+    ),
+    "nsect": _Builtin(lambda a, b, n: constructions.nsect_segment(a, b, n)[0], _ENDPOINT, _ENDPOINT, _PARTS),
+    "section": _Builtin(
+        lambda v, d1, d2, n, radius: constructions.section_angle(Angle(v, d1, d2), n, radius)[0],
+        _VERTEX, _SIDE, _SIDE, _PARTS, _Param(Fraction, "radius", Fraction(1)),
+    ),
+    "measure": _Builtin(lambda v, d1, d2: measure_angle(Angle(v, d1, d2)), _VERTEX, _SIDE, _SIDE),
+    "param": _Builtin(direction_to_param, _Param(Direction, "direction")),
+}
 
 
 def execute(script: Script, output_root: Path | None = None) -> ExecutionResult:

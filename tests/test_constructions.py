@@ -8,14 +8,26 @@ from taxisect.angles import Angle, direction_to_param, measure_angle, measure_be
 from taxisect.constructions import (
     ConstructionError,
     ConstructionTrace,
+    DistanceClaim,
     MalformedTraceError,
+    OnLineClaim,
+    StepFailure,
     StepKind,
     last_circle_south_vertex,
     nsect_segment,
     section_angle,
     verify_trace,
 )
-from taxisect.kernel import Direction, Line, Point, Ray, TaxicabCircle, point_on_circle, taxicab_distance
+from taxisect.kernel import (
+    CircleVertex,
+    Direction,
+    Line,
+    Point,
+    Ray,
+    TaxicabCircle,
+    point_on_circle,
+    taxicab_distance,
+)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=40)
 points = st.builds(Point, rationals, rationals)
@@ -79,6 +91,12 @@ def test_nsect_rejects_bad_input():
         nsect_segment(pt(0, 0), pt(1, 1), 1)
     with pytest.raises(ConstructionError):
         nsect_segment(pt(2, 2), pt(2, 2), 3)
+
+
+@pytest.mark.parametrize("n", [F(5, 2), 3.0, True, "3"])
+def test_nsect_rejects_non_integer_parts(n):
+    with pytest.raises(ConstructionError):
+        nsect_segment(pt(0, 0), pt(3, 3), n)
 
 
 def test_circle_count_grows_with_n():
@@ -224,6 +242,127 @@ def test_result_must_be_a_mark():
         verify_trace(dataclasses.replace(trace, result=0))
 
 
+def test_coincident_lines_do_not_replay():
+    _, trace = nsect_segment(pt(0, 0), pt(3, 3), 2)
+    assert trace.steps[8].kind is StepKind.INTERSECT_LINES
+    steps = list(trace.steps)
+    steps[8] = dataclasses.replace(steps[8], inputs=(7, 7))
+    report = verify_trace(dataclasses.replace(trace, steps=tuple(steps)))
+    assert not report.ok
+    assert report.failure == StepFailure(8, "step does not replay")
+
+
+# Genuine traces to tamper with: segment n-sections with and without the
+# circle chain, and an angle-section chord trace.
+TAMPER_TRACES = {
+    "nsect2": nsect_segment(pt(0, 0), pt(3, 3), 2)[1],
+    "nsect3": nsect_segment(pt(F(-1, 2), 1), pt(2, F(-3, 4)), 3)[1],
+    "nsect5": nsect_segment(pt(1, 1), pt(1, 4), 5)[1],
+    "chord": section_angle(Angle(pt(2, -1), Direction(F(1), F(0)), Direction(F(1), F(1))), 3)[1],
+}
+
+_OPPOSITE = {
+    CircleVertex.NORTH: CircleVertex.SOUTH,
+    CircleVertex.SOUTH: CircleVertex.NORTH,
+    CircleVertex.EAST: CircleVertex.WEST,
+    CircleVertex.WEST: CircleVertex.EAST,
+}
+
+
+def _bump_distance(step, index, steps):
+    claims = tuple(
+        dataclasses.replace(c, value=c.value + 1) if isinstance(c, DistanceClaim) else c
+        for c in step.claims
+    )
+    return dataclasses.replace(step, claims=claims)
+
+
+# name -> (kind of the first step it changes, change(step, index, steps))
+TAMPERS = {
+    "shift-output": (
+        StepKind.INTERSECT_LINES,
+        lambda s, i, steps: dataclasses.replace(s, output=Point(s.output.x + 1, s.output.y)),
+    ),
+    "flip-pick": (
+        StepKind.INTERSECT_LINE_CIRCLE,
+        lambda s, i, steps: dataclasses.replace(s, pick=1 - s.pick),
+    ),
+    "swap-vertex": (
+        StepKind.TAKE_CIRCLE_VERTEX,
+        lambda s, i, steps: dataclasses.replace(s, vertex=_OPPOSITE[s.vertex]),
+    ),
+    "bump-distance-claim": (StepKind.MARK_RESULT, _bump_distance),
+    "self-reference": (
+        StepKind.DRAW_LINE,
+        lambda s, i, steps: dataclasses.replace(s, inputs=(s.inputs[0], i)),
+    ),
+    "grow-circle": (
+        StepKind.DRAW_CIRCLE,
+        lambda s, i, steps: dataclasses.replace(
+            s, output=TaxicabCircle(s.output.center, s.output.radius + 1)
+        ),
+    ),
+    "move-mark": (StepKind.MARK_RESULT, lambda s, i, steps: dataclasses.replace(s, output=steps[0].output)),
+    "line-as-crossing": (
+        StepKind.DRAW_LINE,
+        lambda s, i, steps: dataclasses.replace(s, kind=StepKind.INTERSECT_LINES),
+    ),
+    "line-with-itself": (
+        StepKind.INTERSECT_LINES,
+        lambda s, i, steps: dataclasses.replace(s, inputs=(s.inputs[0], s.inputs[0])),
+    ),
+}
+
+# Forgeries the verifier does not catch yet; strict, so a fix shows up here.
+OPEN_FORGERIES = {
+    "place-circle": (
+        StepKind.DRAW_CIRCLE,
+        lambda s, i, steps: dataclasses.replace(s, kind=StepKind.PLACE_POINT, inputs=(), radius=None),
+    ),
+    "pick-alias": (
+        StepKind.INTERSECT_LINE_CIRCLE,
+        lambda s, i, steps: dataclasses.replace(s, pick=s.pick - 2),
+    ),
+    "claim-on-circle": (
+        StepKind.DRAW_CIRCLE,
+        lambda s, i, steps: dataclasses.replace(s, claims=(OnLineClaim(i - 1),)),
+    ),
+}
+
+
+def _tamper_cases(tampers, marks=()):
+    return [
+        pytest.param(trace_name, name, id=f"{trace_name}-{name}", marks=marks)
+        for trace_name, trace in TAMPER_TRACES.items()
+        for name, (kind, _) in tampers.items()
+        if any(step.kind is kind for step in trace.steps)
+    ]
+
+
+def _assert_tamper_caught(trace: ConstructionTrace, kind: StepKind, change) -> None:
+    index = next(i for i, step in enumerate(trace.steps) if step.kind is kind)
+    steps = list(trace.steps)
+    steps[index] = change(steps[index], index, steps)
+    try:
+        report = verify_trace(ConstructionTrace(tuple(steps), trace.result))
+    except MalformedTraceError:
+        return
+    assert not report.ok
+
+
+@pytest.mark.parametrize("trace_name, tamper", _tamper_cases(TAMPERS))
+def test_tampered_trace_is_caught(trace_name, tamper):
+    _assert_tamper_caught(TAMPER_TRACES[trace_name], *TAMPERS[tamper])
+
+
+@pytest.mark.parametrize(
+    "trace_name, tamper",
+    _tamper_cases(OPEN_FORGERIES, pytest.mark.xfail(strict=True, reason="verifier does not catch it yet")),
+)
+def test_open_forgery_is_caught(trace_name, tamper):
+    _assert_tamper_caught(TAMPER_TRACES[trace_name], *OPEN_FORGERIES[tamper])
+
+
 # --------------------------------------------------------- angle sectioning
 
 
@@ -279,6 +418,21 @@ def test_section_rejects_bad_input():
         section_angle(Angle(ORIGIN, d(1, 0), d(0, 1)), 1)
     with pytest.raises(ConstructionError):
         section_angle(Angle(ORIGIN, d(1, 0), d(0, 1)), 2, radius=0)
+
+
+@pytest.mark.parametrize("n", [F(5, 2), 3.0, True, "3"])
+def test_section_rejects_non_integer_parts(n):
+    with pytest.raises(ConstructionError):
+        section_angle(Angle(ORIGIN, d(1, 0), d(0, 1)), n)
+
+
+def test_section_radius_is_exact():
+    angle = Angle(ORIGIN, d(1, 0), d(1, 1))
+    with pytest.raises(TypeError):
+        section_angle(angle, 2, radius=0.1)
+    _, trace = section_angle(angle, 2, radius="1/10")
+    assert trace is not None
+    assert drawn_circles(trace)[0].radius == F(1, 10)
 
 
 def test_section_radius_does_not_change_rays():

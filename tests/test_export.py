@@ -1,7 +1,12 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
+from xml.sax.saxutils import escape as sax_escape
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +18,7 @@ from taxisect.constructions import (
     OnLineClaim,
     nsect_segment,
 )
+import taxisect
 from taxisect.export import (
     Dash,
     GeometryError,
@@ -200,6 +206,27 @@ def test_groups_become_g_elements():
 def test_label_text_is_escaped():
     svg = emit_svg(Scene((SceneItem(pt(0, 0), label="a<b&c"),)))
     assert "a&lt;b&amp;c" in svg
+
+
+def test_label_and_group_escape_matches_saxutils():
+    text = "x > y & a < b &amp;"
+    svg = emit_svg(Scene((SceneItem(pt(0, 0), label=text, group=text),)))
+    assert f'<g id="{sax_escape(text)}">' in svg
+    assert f">{sax_escape(text)}</text>" in svg
+
+
+def test_import_leaves_xml_sax_out():
+    source_root = Path(taxisect.__file__).resolve().parents[1]
+    code = "import sys, taxisect.cli; print(sorted(m for m in sys.modules if m.startswith('xml.sax')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(source_root)},
+        timeout=60,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_svg_deterministic_across_fresh_builds():

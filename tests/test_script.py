@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from taxisect import script
 from taxisect.export import emit_json, emit_svg
 from taxisect.kernel import Point, Ray
 from taxisect.script import (
@@ -237,3 +239,11 @@ def test_execution_is_deterministic(tmp_path):
     assert first.failures == second.failures
     assert emit_json(first.env) == emit_json(second.env)
     assert emit_svg(first.scene) == emit_svg(second.scene)
+
+
+def test_readme_builtin_table_matches_the_script_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented: dict[str, set[int]] = {}
+    for name, counts in re.findall(r"^\| `(\w+)\([^`]*\)` \| ([\d or]+) \|", readme, re.MULTILINE):
+        documented.setdefault(name, set()).update(int(k) for k in counts.split(" or "))
+    assert documented == {name: set(b.arities) for name, b in script._BUILTINS.items()}
