@@ -214,6 +214,10 @@ def _expect(condition: bool, message: str) -> None:
         raise MalformedTraceError(message)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _input(outputs: Sequence[Primitive], ref: int, want: type, name: str) -> Primitive:
     out = outputs[ref]
     if not isinstance(out, want):
@@ -244,7 +248,8 @@ def _step_yields(
                 _input(outputs, inputs[1], Point, "point"), _input(outputs, inputs[2], Point, "point")
             )
         else:
-            _expect(radius is not None, "draw-circle needs a radius")
+            exact = _is_int(radius) or isinstance(radius, Fraction)
+            _expect(exact, "draw-circle needs an integer or Fraction radius")
         return (TaxicabCircle(center, radius),) if radius > 0 else ()
     if kind is StepKind.DRAW_LINE:
         _expect(len(inputs) == 2, "draw-line takes 2 inputs")
@@ -267,7 +272,7 @@ def _step_yields(
         return (hit.point,) if isinstance(hit, OnePoint) else ()
     if kind is StepKind.TAKE_CIRCLE_VERTEX:
         _expect(len(inputs) == 1, "take-circle-vertex takes 1 input")
-        _expect(vertex is not None, "take-circle-vertex needs a vertex name")
+        _expect(isinstance(vertex, CircleVertex), "take-circle-vertex needs a vertex name")
         return (circle_vertex(_input(outputs, inputs[0], TaxicabCircle, "circle"), vertex),)
     if kind is StepKind.MARK_RESULT:
         _expect(len(inputs) == 1, "mark-result takes 1 input")
@@ -292,6 +297,7 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
                 raise MalformedTraceError(f"unknown claim {claim!r}")
             refs += claim.refs()
         for ref in refs:
+            _expect(_is_int(ref), f"step {index} has a non-integer reference {ref!r}")
             if not 0 <= ref < index:
                 raise MalformedTraceError(f"step {index} references step {ref}")
         if step.kind is StepKind.PLACE_POINT:
@@ -300,8 +306,8 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
         else:
             yielded = _step_yields(step.kind, step.inputs, outputs, step.radius, step.vertex)
             pick = step.pick if step.kind is StepKind.INTERSECT_LINE_CIRCLE else 0
-            _expect(pick is not None, "intersect-line-circle needs a pick index")
-            replayed = yielded[pick] if pick < len(yielded) else None
+            _expect(_is_int(pick), "intersect-line-circle needs an integer pick index")
+            replayed = yielded[pick] if -len(yielded) <= pick < len(yielded) else None
         if replayed is None:
             return VerificationReport(False, index, StepFailure(index, "step does not replay"))
         if replayed != step.output:
@@ -317,7 +323,10 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
                     False, index, StepFailure(index, f"claim {claim!r} does not hold")
                 )
         outputs.append(step.output)
-    _expect(0 <= trace.result < len(trace.steps), "result reference out of range")
+    _expect(
+        _is_int(trace.result) and 0 <= trace.result < len(trace.steps),
+        "result reference out of range",
+    )
     _expect(
         trace.steps[trace.result].kind is StepKind.MARK_RESULT,
         "result must reference a mark-result step",
@@ -472,7 +481,7 @@ def _append_nsect(
 
 
 def _check_part_count(n: int, what: str) -> None:
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not _is_int(n):
         raise ConstructionError(f"{what} needs an integer n, got n = {n!r}")
     if n < 2:
         raise ConstructionError(f"{what} needs n >= 2, got n = {n}")

@@ -7,6 +7,12 @@ built from.  A taxicab circle of radius r about (cx, cy) is the locus
 +1 or -1.  Because of those straight edges a line can meet a circle in a full
 segment, so the intersection result type enumerates that case explicitly
 instead of treating it as an error.
+
+A line meets the circle where it meets one of the four edges.  Shifted to
+the center, (u, v) = (x - cx, y - cy), the edges are the lines
+su*u + sv*v = r with signs (su, sv) in {+1, -1}, each cut off to its quadrant
+su*u >= 0, sv*v >= 0, so ``intersect_line_circle`` solves the line against
+each edge in closed form rather than building the edge lines.
 """
 
 from __future__ import annotations
@@ -159,7 +165,9 @@ class Segment:
             raise GeometryError("degenerate segment")
 
     def contains(self, x: Point) -> bool:
-        if not line_through(self.p, self.q).contains(x):
+        dx = self.q.x - self.p.x
+        dy = self.q.y - self.p.y
+        if (x.x - self.p.x) * dy != (x.y - self.p.y) * dx:
             return False
         lo_x, hi_x = sorted((self.p.x, self.q.x))
         lo_y, hi_y = sorted((self.p.y, self.q.y))
@@ -260,43 +268,62 @@ def intersect_lines(m: Line, n: Line) -> Intersection:
     return OnePoint(Point(x, y))
 
 
-def _lex_key(p: Point) -> tuple[Fraction, Fraction]:
-    return (p.x, p.y)
-
-
-def _circle_edges(circle: TaxicabCircle) -> tuple[tuple[Point, Point], ...]:
-    """Edges in counterclockwise order, each as its (start, end) vertices."""
-    e = circle_vertex(circle, CircleVertex.EAST)
-    n = circle_vertex(circle, CircleVertex.NORTH)
-    w = circle_vertex(circle, CircleVertex.WEST)
-    s = circle_vertex(circle, CircleVertex.SOUTH)
-    return ((e, n), (n, w), (w, s), (s, e))
-
-
 def intersect_line_circle(line: Line, circle: TaxicabCircle) -> Intersection:
     """Meet a line with the boundary diamond of a taxicab circle.
 
+    In center coordinates (u, v) = (x - cx, y - cy) the line a*x + b*y = c
+    reads a*u + b*v = c' with c' = c - a*cx - b*cy, and each edge of the
+    diamond reads su*u + sv*v = r for its signs (su, sv).  Cramer's rule
+    gives the crossing with each edge line as numerators over
+    det = a*sv - b*su, and the crossing lies on the edge itself when
+    su*u >= 0 and sv*v >= 0.  Those signs are read off the numerators with
+    det made positive, so an edge the line misses costs no division.
+
     Isolated crossing points come back sorted lexicographically by (x, y).
-    A line of slope +1 or -1 that supports one of the diamond's edges yields
-    that entire edge as an OverlapSegment, with endpoints in the edge's
-    counterclockwise order.
+    A line of slope +1 or -1 that supports one of the diamond's edges
+    (det = 0 and both numerators zero) yields that entire edge as an
+    OverlapSegment, with endpoints in the edge's counterclockwise order.
     """
-    found: list[Point] = []
-    for start, end in _circle_edges(circle):
-        edge_line = line_through(start, end)
-        if edge_line == line:
-            return OverlapSegment(Segment(start, end))
-        hit = intersect_lines(line, edge_line)
-        if isinstance(hit, OnePoint) and Segment(start, end).contains(hit.point):
-            if hit.point not in found:
-                found.append(hit.point)
-    found.sort(key=_lex_key)
-    if not found:
+    a, b = line.a, line.b
+    cx, cy = circle.center.x, circle.center.y
+    r = circle.radius
+    c = line.c - a * cx - b * cy
+    # The numerator of u depends only on sv (north or south edge), that of
+    # v only on su (east or west edge).
+    ar, br = a * r, b * r
+    u_north, u_south = c - br, -c - br
+    v_east, v_west = ar - c, ar + c
+    found: list[tuple[Fraction, Fraction]] = []
+    # Edges counterclockwise from the east corner: su, sv, det, the
+    # numerators of u and v, and the edge's start and end corners in radii.
+    for su, sv, det, nu, nv, start, end in (
+        (1, 1, a - b, u_north, v_east, (1, 0), (0, 1)),
+        (-1, 1, a + b, u_north, v_west, (0, 1), (-1, 0)),
+        (-1, -1, b - a, u_south, v_west, (-1, 0), (0, -1)),
+        (1, -1, -a - b, u_south, v_east, (0, -1), (1, 0)),
+    ):
+        if det == 0:
+            if nu == 0 and nv == 0:
+                return OverlapSegment(
+                    Segment(
+                        Point(cx + start[0] * r, cy + start[1] * r),
+                        Point(cx + end[0] * r, cy + end[1] * r),
+                    )
+                )
+            continue
+        if det < 0:
+            det, nu, nv = -det, -nu, -nv
+        if su * nu >= 0 and sv * nv >= 0:
+            hit = (nu / det, nv / det)
+            if hit not in found:
+                found.append(hit)
+    found.sort()
+    points = [Point(cx + u, cy + v) for u, v in found]
+    if not points:
         return Empty()
-    if len(found) == 1:
-        return OnePoint(found[0])
-    assert len(found) == 2, "a line meets a convex boundary in at most two points"
-    return TwoPoints(found[0], found[1])
+    if len(points) == 1:
+        return OnePoint(points[0])
+    return TwoPoints(*points)
 
 
 def intersect_ray_circle(ray: Ray, circle: TaxicabCircle) -> Intersection:

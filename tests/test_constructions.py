@@ -252,6 +252,17 @@ def test_coincident_lines_do_not_replay():
     assert report.failure == StepFailure(8, "step does not replay")
 
 
+@pytest.mark.parametrize("pick", [-3, 2])
+def test_pick_out_of_range_does_not_replay(pick):
+    _, trace = nsect_segment(pt(0, 0), pt(3, 3), 3)
+    index = next(i for i, s in enumerate(trace.steps) if s.kind is StepKind.INTERSECT_LINE_CIRCLE)
+    steps = list(trace.steps)
+    steps[index] = dataclasses.replace(steps[index], pick=pick)
+    report = verify_trace(dataclasses.replace(trace, steps=tuple(steps)))
+    assert not report.ok
+    assert report.failure == StepFailure(index, "step does not replay")
+
+
 # Genuine traces to tamper with: segment n-sections with and without the
 # circle chain, and an angle-section chord trace.
 TAMPER_TRACES = {
@@ -310,6 +321,26 @@ TAMPERS = {
     "line-with-itself": (
         StepKind.INTERSECT_LINES,
         lambda s, i, steps: dataclasses.replace(s, inputs=(s.inputs[0], s.inputs[0])),
+    ),
+    "pick-below-range": (
+        StepKind.INTERSECT_LINE_CIRCLE,
+        lambda s, i, steps: dataclasses.replace(s, pick=-3),
+    ),
+    "pick-as-text": (
+        StepKind.INTERSECT_LINE_CIRCLE,
+        lambda s, i, steps: dataclasses.replace(s, pick=str(s.pick)),
+    ),
+    "vertex-as-text": (
+        StepKind.TAKE_CIRCLE_VERTEX,
+        lambda s, i, steps: dataclasses.replace(s, vertex=s.vertex.value),
+    ),
+    "float-input": (
+        StepKind.DRAW_LINE,
+        lambda s, i, steps: dataclasses.replace(s, inputs=(s.inputs[0], float(s.inputs[1]))),
+    ),
+    "float-radius": (
+        StepKind.DRAW_CIRCLE,
+        lambda s, i, steps: dataclasses.replace(s, inputs=s.inputs[:1], radius=0.5),
     ),
 }
 

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from taxisect.kernel import (
     CircleVertex,
@@ -269,6 +269,85 @@ def test_line_circle_points_on_both_loci(a, b, center, radius):
         for e in (got.segment.p, got.segment.q):
             assert on_line(m, e)
             assert point_on_circle(circle, e)
+
+
+def _reference_segment_contains(p: Point, q: Point, x: Point) -> bool:
+    """Segment membership through the canonical line: on line_through(p, q)
+    and inside the bounding box of p and q."""
+    if not line_through(p, q).contains(x):
+        return False
+    return min(p.x, q.x) <= x.x <= max(p.x, q.x) and min(p.y, q.y) <= x.y <= max(p.y, q.y)
+
+
+def _reference_line_circle(line: Line, circle: TaxicabCircle):
+    """The edge walk: build each edge of the diamond as a line through its
+    corners, counterclockwise from east, intersect it with the query line and
+    keep the hits that lie on the edge."""
+    e, n, w, s = (
+        circle_vertex(circle, CircleVertex.EAST),
+        circle_vertex(circle, CircleVertex.NORTH),
+        circle_vertex(circle, CircleVertex.WEST),
+        circle_vertex(circle, CircleVertex.SOUTH),
+    )
+    found = []
+    for start, end in ((e, n), (n, w), (w, s), (s, e)):
+        edge_line = line_through(start, end)
+        if edge_line == line:
+            return OverlapSegment(Segment(start, end))
+        hit = intersect_lines(line, edge_line)
+        if isinstance(hit, OnePoint) and _reference_segment_contains(start, end, hit.point):
+            if hit.point not in found:
+                found.append(hit.point)
+    found.sort(key=lambda p: (p.x, p.y))
+    if not found:
+        return Empty()
+    if len(found) == 1:
+        return OnePoint(found[0])
+    return TwoPoints(found[0], found[1])
+
+
+@st.composite
+def lines_and_circles(draw):
+    """A circle and a line that is random, or through a corner, or parallel
+    to an edge at offset -1, 0 or +1, or axis-parallel through a corner or
+    the center, or through the center."""
+    center = draw(points)
+    circle = TaxicabCircle(center, draw(radii))
+    corner = circle_vertex(circle, draw(st.sampled_from(list(CircleVertex))))
+    kind = draw(st.sampled_from(["random", "corner", "edge", "axis", "center"]))
+    if kind == "random":
+        p, q = draw(points), draw(points)
+        assume(p != q)
+        return line_through(p, q), circle
+    if kind == "edge":
+        su, sv = draw(st.sampled_from([(1, 1), (-1, 1), (-1, -1), (1, -1)]))
+        offset = draw(st.sampled_from([-1, 0, 1]))
+        return Line(su, sv, su * center.x + sv * center.y + circle.radius + offset), circle
+    anchor = center if kind == "center" else corner
+    if kind == "axis":
+        anchor = draw(st.sampled_from([corner, center]))
+        step = draw(st.sampled_from([Direction(F(1), F(0)), Direction(F(0), F(1))]))
+    else:
+        step = draw(directions)
+    return line_through(anchor, anchor + step), circle
+
+
+@settings(max_examples=400)
+@given(lines_and_circles())
+def test_line_circle_matches_edge_walk(case):
+    line, circle = case
+    got = intersect_line_circle(line, circle)
+    want = _reference_line_circle(line, circle)
+    assert type(got) is type(want)
+    assert got == want
+
+
+@given(points, points, points, st.fractions(min_value=-1, max_value=2, max_denominator=20))
+def test_segment_contains_matches_line_and_box(p, q, x, t):
+    assume(p != q)
+    along = Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+    for candidate in (x, along, p, q):
+        assert Segment(p, q).contains(candidate) == _reference_segment_contains(p, q, candidate)
 
 
 # ------------------------------------------------------------- ray x circle
