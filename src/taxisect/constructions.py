@@ -218,6 +218,10 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_exact(value: object) -> bool:
+    return _is_int(value) or isinstance(value, Fraction)
+
+
 def _input(outputs: Sequence[Primitive], ref: int, want: type, name: str) -> Primitive:
     out = outputs[ref]
     if not isinstance(out, want):
@@ -248,8 +252,7 @@ def _step_yields(
                 _input(outputs, inputs[1], Point, "point"), _input(outputs, inputs[2], Point, "point")
             )
         else:
-            exact = _is_int(radius) or isinstance(radius, Fraction)
-            _expect(exact, "draw-circle needs an integer or Fraction radius")
+            _expect(_is_exact(radius), "draw-circle needs an integer or Fraction radius")
         return (TaxicabCircle(center, radius),) if radius > 0 else ()
     if kind is StepKind.DRAW_LINE:
         _expect(len(inputs) == 2, "draw-line takes 2 inputs")
@@ -291,10 +294,14 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     """
     outputs: list[Primitive] = []
     for index, step in enumerate(trace.steps):
+        _expect(isinstance(step.inputs, (tuple, list)), f"step {index} inputs are not a sequence")
+        _expect(isinstance(step.claims, (tuple, list)), f"step {index} claims are not a sequence")
         refs = list(step.inputs)
         for claim in step.claims:
             if not isinstance(claim, Claim):
                 raise MalformedTraceError(f"unknown claim {claim!r}")
+            if isinstance(claim, DistanceClaim):
+                _expect(_is_exact(claim.value), f"step {index} claims a distance that is not exact")
             refs += claim.refs()
         for ref in refs:
             _expect(_is_int(ref), f"step {index} has a non-integer reference {ref!r}")
@@ -435,9 +442,9 @@ def _append_nsect(
     n: int,
     mark_label: str | None = "C",
     cross_label: str | None = "P",
-) -> int:
+) -> tuple[int, int]:
     """Append the n-section steps for the segment between two already placed
-    points and return the mark-result reference."""
+    points; return the mark-result reference and the line AB it draws."""
     a = builder.point(a_ref)
     b = builder.point(b_ref)
     low_corner, high_corner = _corner_pair(b - a)
@@ -477,7 +484,7 @@ def _append_nsect(
         BetweenClaim(a_ref, b_ref),
         DistanceClaim(a_ref, length / n),
     )
-    return builder.mark_result(c_ref, claims, label=mark_label)
+    return builder.mark_result(c_ref, claims, label=mark_label), base_ref
 
 
 def _check_part_count(n: int, what: str) -> None:
@@ -501,7 +508,7 @@ def nsect_segment(a: Point, b: Point, n: int) -> tuple[Point, ConstructionTrace]
     builder = _TraceBuilder()
     a_ref = builder.place_point(a, label="A")
     b_ref = builder.place_point(b, label="B")
-    result_ref = _append_nsect(builder, a_ref, b_ref, n)
+    result_ref, _ = _append_nsect(builder, a_ref, b_ref, n)
     trace = builder.build(result_ref)
     constructed = trace.result_point()
     expected = a + (b - a).scaled(Fraction(1, n))
@@ -522,8 +529,8 @@ def section_angle(
     starts at side1).  When both sides cross the same edge of the taxicab
     circle of the given radius about the vertex, the chord between the
     crossings runs along that edge, and the second return value is a trace
-    that marks every division point of the chord by repeated segment
-    sectioning; otherwise it is None.
+    that marks every division point of the chord (see :func:`_chord_trace`);
+    otherwise it is None.
     """
     _check_part_count(n, "angle sectioning")
     radius = as_rational(radius)
@@ -562,8 +569,16 @@ def _as_direction(unit_point: Point) -> Direction:
 def _chord_trace(
     vertex: Point, first_side: Direction, second_side: Direction, n: int, radius: Fraction
 ) -> ConstructionTrace:
-    """Trace that cuts the chord between the two side crossings into n equal
-    parts, marking each division point in sweep order."""
+    """Trace that cuts the chord Q1Q2 between the two side crossings into n
+    equal parts, marking each division point in sweep order.
+
+    One segment n-section marks M1 at d_t(Q1, M1) = L / n.  The compass then
+    keeps that opening and walks along the chord: the circle about M(k-1)
+    spanned by Q1 and M1 crosses the chord line at M(k-2) and at M(k), the
+    crossing farther from Q1.  The line passes through the circle's center,
+    so it never runs along an edge and each walk step has two crossings.
+    That is three steps per further mark, 5n + 6 steps in all for n >= 3.
+    """
     builder = _TraceBuilder()
     v_ref = builder.place_point(vertex, label="A")
     # Helper points just fix each side's line; push them past the circle so
@@ -590,17 +605,20 @@ def _chord_trace(
     side2_line = builder.draw_line(v_ref, h2_ref)
     q2_ref = builder.intersect_with_circle(side2_line, circle_ref, crossing(second_side), label="C")
 
-    current = q1_ref
-    mark_ref = current
-    for stage in range(n - 1):
-        remaining = n - stage
-        mark_ref = _append_nsect(
-            builder,
-            current,
-            q2_ref,
-            remaining,
-            mark_label=f"M{stage + 1}",
-            cross_label=None,
+    m1_ref, chord_ref = _append_nsect(builder, q1_ref, q2_ref, n, mark_label="M1", cross_label=None)
+    q1 = builder.point(q1_ref)
+    length = taxicab_distance(q1, builder.point(q2_ref))
+
+    def onward(candidates: tuple[Point, ...]) -> Point:
+        return max(candidates, key=lambda p: taxicab_distance(q1, p))
+
+    mark_ref = m1_ref
+    for k in range(2, n):
+        step_circle = builder.draw_circle(mark_ref, span=(q1_ref, m1_ref))
+        next_ref = builder.intersect_with_circle(chord_ref, step_circle, onward)
+        claims: tuple[Claim, ...] = (
+            BetweenClaim(q1_ref, q2_ref),
+            DistanceClaim(q1_ref, length * k / n),
         )
-        current = mark_ref
+        mark_ref = builder.mark_result(next_ref, claims, label=f"M{k}")
     return builder.build(mark_ref)

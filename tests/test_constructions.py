@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taxisect.angles import Angle, direction_to_param, measure_angle, measure_between, param_to_point
+import taxisect.constructions as constructions
 from taxisect.constructions import (
+    BetweenClaim,
     ConstructionError,
     ConstructionTrace,
     DistanceClaim,
     MalformedTraceError,
+    OnCircleClaim,
     OnLineClaim,
     StepFailure,
     StepKind,
+    TraceStep,
     last_circle_south_vertex,
     nsect_segment,
     section_angle,
@@ -280,9 +284,9 @@ _OPPOSITE = {
 }
 
 
-def _bump_distance(step, index, steps):
+def _change_distance(step, change):
     claims = tuple(
-        dataclasses.replace(c, value=c.value + 1) if isinstance(c, DistanceClaim) else c
+        dataclasses.replace(c, value=change(c.value)) if isinstance(c, DistanceClaim) else c
         for c in step.claims
     )
     return dataclasses.replace(step, claims=claims)
@@ -302,7 +306,7 @@ TAMPERS = {
         StepKind.TAKE_CIRCLE_VERTEX,
         lambda s, i, steps: dataclasses.replace(s, vertex=_OPPOSITE[s.vertex]),
     ),
-    "bump-distance-claim": (StepKind.MARK_RESULT, _bump_distance),
+    "bump-distance-claim": (StepKind.MARK_RESULT, lambda s, i, steps: _change_distance(s, lambda v: v + 1)),
     "self-reference": (
         StepKind.DRAW_LINE,
         lambda s, i, steps: dataclasses.replace(s, inputs=(s.inputs[0], i)),
@@ -342,6 +346,10 @@ TAMPERS = {
         StepKind.DRAW_CIRCLE,
         lambda s, i, steps: dataclasses.replace(s, inputs=s.inputs[:1], radius=0.5),
     ),
+    "inputs-as-int": (StepKind.DRAW_LINE, lambda s, i, steps: dataclasses.replace(s, inputs=5)),
+    "claims-as-none": (StepKind.MARK_RESULT, lambda s, i, steps: dataclasses.replace(s, claims=None)),
+    "float-claim": (StepKind.MARK_RESULT, lambda s, i, steps: _change_distance(s, float)),
+    "bool-claim": (StepKind.MARK_RESULT, lambda s, i, steps: _change_distance(s, bool)),
 }
 
 # Forgeries the verifier does not catch yet; strict, so a fix shows up here.
@@ -392,6 +400,23 @@ def test_tampered_trace_is_caught(trace_name, tamper):
 )
 def test_open_forgery_is_caught(trace_name, tamper):
     _assert_tamper_caught(TAMPER_TRACES[trace_name], *OPEN_FORGERIES[tamper])
+
+
+@pytest.mark.parametrize(
+    "b, n, value",
+    [(pt(3, 3), 3, 2.0), (pt(1, 1), 2, True)],
+    ids=["float", "bool"],
+)
+def test_inexact_distance_claim_is_malformed(b, n, value):
+    """The claim value equals the exact distance, so only its type is wrong."""
+    _, trace = nsect_segment(pt(0, 0), b, n)
+    mark = trace.steps[trace.result]
+    assert DistanceClaim(0, value) in mark.claims
+    claims = (BetweenClaim(0, 1), DistanceClaim(0, value))
+    steps = list(trace.steps)
+    steps[trace.result] = dataclasses.replace(mark, claims=claims)
+    with pytest.raises(MalformedTraceError):
+        verify_trace(dataclasses.replace(trace, steps=tuple(steps)))
 
 
 # --------------------------------------------------------- angle sectioning
@@ -547,3 +572,108 @@ def test_same_edge_sections_carry_matching_traces(start, n, eighths, radius):
 
 def astuple_point(p: Point) -> tuple[F, F]:
     return (p.x, p.y)
+
+
+# ------------------------------------------------------ chord trace length
+
+EDGE_ANGLE = Angle(ORIGIN, d(1, 0), d(1, 1))
+
+
+def test_chord_trace_bisection_is_pinned():
+    """n = 2 is one segment bisection of the chord, step for step."""
+    P, K = pt, StepKind
+    circle = lambda x, y, r: TaxicabCircle(pt(x, y), F(r))
+    line = lambda a, b, c: Line(F(a), F(b), F(c))
+    expected = (
+        TraceStep(K.PLACE_POINT, (), P(0, 0), label="A"),
+        TraceStep(K.PLACE_POINT, (), P(2, 0)),
+        TraceStep(K.PLACE_POINT, (), P(1, 1)),
+        TraceStep(K.DRAW_CIRCLE, (0,), circle(0, 0, 1), radius=F(1)),
+        TraceStep(K.DRAW_LINE, (0, 1), line(0, 1, 0)),
+        TraceStep(K.INTERSECT_LINE_CIRCLE, (4, 3), P(1, 0), (OnLineClaim(4), OnCircleClaim(3)), label="B", pick=1),
+        TraceStep(K.DRAW_LINE, (0, 2), line(1, -1, 0)),
+        TraceStep(
+            K.INTERSECT_LINE_CIRCLE, (6, 3), P(F(1, 2), F(1, 2)), (OnLineClaim(6), OnCircleClaim(3)),
+            label="C", pick=1,
+        ),
+        TraceStep(K.DRAW_LINE, (5, 7), line(1, 1, 1)),
+        TraceStep(K.DRAW_CIRCLE, (7, 5, 7), circle(F(1, 2), F(1, 2), 1)),
+        TraceStep(K.DRAW_CIRCLE, (5, 5, 7), circle(1, 0, 1)),
+        TraceStep(K.TAKE_CIRCLE_VERTEX, (10,), P(1, -1), (OnCircleClaim(10),), vertex=CircleVertex.SOUTH),
+        TraceStep(K.TAKE_CIRCLE_VERTEX, (9,), P(F(1, 2), F(3, 2)), (OnCircleClaim(9),), vertex=CircleVertex.NORTH),
+        TraceStep(K.DRAW_LINE, (11, 12), line(1, F(1, 5), F(4, 5))),
+        TraceStep(K.INTERSECT_LINES, (13, 8), P(F(3, 4), F(1, 4)), (OnLineClaim(13), OnLineClaim(8))),
+        TraceStep(
+            K.MARK_RESULT, (14,), P(F(3, 4), F(1, 4)), (BetweenClaim(5, 7), DistanceClaim(5, F(1, 2))),
+            label="M1",
+        ),
+    )
+    _, trace = section_angle(EDGE_ANGLE, 2)
+    assert trace == ConstructionTrace(expected, 15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 16, 60, 120])
+def test_chord_trace_is_linear_in_n(n):
+    _, trace = section_angle(EDGE_ANGLE, n)
+    assert len(trace.steps) == (16 if n == 2 else 5 * n + 6)
+
+
+def _shifted(step: TraceStep, index_map) -> TraceStep:
+    def remap(claim):
+        fields = {f.name: index_map(getattr(claim, f.name)) for f in dataclasses.fields(claim) if f.name != "value"}
+        return dataclasses.replace(claim, **fields)
+
+    inputs = tuple(index_map(i) for i in step.inputs)
+    return dataclasses.replace(step, inputs=inputs, claims=tuple(remap(c) for c in step.claims))
+
+
+@given(
+    st.fractions(min_value=0, max_value=8, max_denominator=16).filter(lambda t: t < 8),
+    st.integers(2, 16),
+    st.integers(1, 8),
+    st.sampled_from([F(1), F(5, 3), F(2)]),
+)
+@settings(max_examples=40, deadline=None)
+def test_chord_trace_marks_m1_by_one_segment_nsection(start, n, eighths, radius):
+    """Through M1 the chord trace is the segment n-section of the chord Q1Q2
+    (steps 5 and 7), relabelled; the rest is the compass walk."""
+    edge_end = 2 * (start // 2 + 1)
+    sweep = (edge_end - start) * eighths / 8
+    if sweep == 0:
+        return
+    vertex = pt(F(1, 3), F(-2, 7))
+    d1 = Direction(*astuple_point(param_to_point(start)))
+    d2 = Direction(*astuple_point(param_to_point((start + sweep) % 8)))
+    _, trace = section_angle(Angle(vertex, d1, d2), n, radius=radius)
+    q1, q2 = trace.steps[5].output, trace.steps[7].output
+    _, segment = nsect_segment(q1, q2, n)
+    index_map = lambda i: {0: 5, 1: 7}.get(i, i + 6)
+    relabel = {"C": "M1", "P": None}
+    expected = [
+        dataclasses.replace(_shifted(step, index_map), label=relabel.get(step.label, step.label))
+        for step in segment.steps[2:]
+    ]
+    assert list(trace.steps[8 : 2 * n + 12]) == expected
+    walk_step = [StepKind.DRAW_CIRCLE, StepKind.INTERSECT_LINE_CIRCLE, StepKind.MARK_RESULT]
+    assert [s.kind for s in trace.steps[2 * n + 12 :]] == walk_step * (n - 2)
+
+
+def test_chord_trace_at_sixty_marks_the_ray_crossings():
+    vertex, radius = pt(F(1, 3), F(-2, 7)), F(5, 3)
+    angle = Angle(vertex, d(1, F(1, 7)), d(F(2, 9), 1))
+    rays, trace = section_angle(angle, 60, radius=radius)
+    assert trace.marked_points() == crossing_points(vertex, rays, radius)
+    assert verify_trace(trace).ok
+
+
+def test_chord_trace_runs_one_segment_nsection(monkeypatch):
+    calls = []
+    original = constructions._append_nsect
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "_append_nsect", counted)
+    section_angle(EDGE_ANGLE, 16)
+    assert calls == [16]
