@@ -48,14 +48,18 @@ def _maybe_color(text: str, code: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
+def _rational_arg(text: str, what: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except (RationalParseError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad {what}: {exc}") from exc
+
+
 def _parse_pair(text: str, what: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"{what} must be X,Y with rational components, got {text!r}")
-    try:
-        return parse_rational(parts[0]), parse_rational(parts[1])
-    except (RationalParseError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad {what}: {exc}") from exc
+    return _rational_arg(parts[0], what), _rational_arg(parts[1], what)
 
 
 def _point_arg(text: str, what: str) -> Point:
@@ -100,9 +104,12 @@ def _print_trace(trace: ConstructionTrace) -> None:
 
 def _write(path: str, text: str) -> None:
     target = Path(path)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(text, encoding="utf-8")
+    try:
+        if target.parent != Path(""):
+            target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -149,7 +156,7 @@ def _cmd_section(args: argparse.Namespace) -> int:
     vertex = _point_arg(args.vertex, "--vertex")
     d1 = _direction_arg(args.d1, "--d1")
     d2 = _direction_arg(args.d2, "--d2")
-    radius = parse_rational(args.radius)
+    radius = _rational_arg(args.radius, "--radius")
     angle = Angle(vertex, d1, d2)
     rays, trace = section_angle(angle, args.n, radius)
     total = measure_angle(angle)

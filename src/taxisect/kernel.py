@@ -13,6 +13,11 @@ the center, (u, v) = (x - cx, y - cy), the edges are the lines
 su*u + sv*v = r with signs (su, sv) in {+1, -1}, each cut off to its quadrant
 su*u >= 0, sv*v >= 0, so ``intersect_line_circle`` solves the line against
 each edge in closed form rather than building the edge lines.
+
+Line canonicalisation, ``line_through``, ``intersect_lines``,
+``intersect_line_circle`` and ``taxicab_distance`` compute in plain ints:
+each line, circle or coordinate pair is taken over its common denominator,
+and a ``Fraction`` is built only for each value returned.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .numeric import as_rational
 
@@ -104,12 +110,15 @@ class Line:
         a = as_rational(self.a)
         b = as_rational(self.b)
         c = as_rational(self.c)
-        if a == 0 and b == 0:
-            raise GeometryError("line requires (a, b) != (0, 0)")
-        scale = a if a != 0 else b
-        object.__setattr__(self, "a", a / scale)
-        object.__setattr__(self, "b", b / scale)
-        object.__setattr__(self, "c", c / scale)
+        if a != 1 and (a != 0 or b != 1):  # else already canonical
+            an, bn, cn, _ = _common3(a, b, c)
+            scale = an or bn
+            if not scale:
+                raise GeometryError("line requires (a, b) != (0, 0)")
+            a, b, c = Fraction(an, scale), Fraction(bn, scale), Fraction(cn, scale)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     def contains(self, p: Point) -> bool:
         return self.a * p.x + self.b * p.y == self.c
@@ -240,8 +249,27 @@ def points_of(result: Intersection) -> tuple[Point, ...]:
     return ()
 
 
+def _common2(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    """(x*d, y*d, d) as ints, for d the least common denominator."""
+    xn, xd = x.as_integer_ratio()
+    yn, yd = y.as_integer_ratio()
+    den = lcm(xd, yd)
+    return xn * (den // xd), yn * (den // yd), den
+
+
+def _common3(x: Fraction, y: Fraction, z: Fraction) -> tuple[int, int, int, int]:
+    """(x*d, y*d, z*d, d) as ints, for d the least common denominator."""
+    xn, xd = x.as_integer_ratio()
+    yn, yd = y.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
+    den = lcm(xd, yd, zd)
+    return xn * (den // xd), yn * (den // yd), zn * (den // zd), den
+
+
 def taxicab_distance(p: Point, q: Point) -> Fraction:
-    return abs(q.x - p.x) + abs(q.y - p.y)
+    px, qx, xden = _common2(p.x, q.x)
+    py, qy, yden = _common2(p.y, q.y)
+    return Fraction(abs(qx - px) * yden + abs(qy - py) * xden, xden * yden)
 
 
 def euclidean_distance_squared(p: Point, q: Point) -> Fraction:
@@ -249,23 +277,28 @@ def euclidean_distance_squared(p: Point, q: Point) -> Fraction:
 
 
 def line_through(p: Point, q: Point) -> Line:
-    if p == q:
-        raise GeometryError("line through coincident points is undefined")
-    # Normal of the direction (dx, dy) is (dy, -dx).
-    dx = q.x - p.x
-    dy = q.y - p.y
-    return Line(dy, -dx, dy * p.x - dx * p.y)
+    # The normal of (dx, dy) is (dy, -dx): dy*x - dx*y = dy*px - dx*py,
+    # divided by dy, or by -dx when dy = 0.  x ints over xden, y over yden.
+    px, qx, xden = _common2(p.x, q.x)
+    py, qy, yden = _common2(p.y, q.y)
+    dx, dy = qx - px, qy - py
+    if dy:
+        den = xden * dy
+        return Line(1, Fraction(-dx * yden, den), Fraction(px * dy - dx * py, den))
+    if dx:
+        return Line(0, 1, p.y)
+    raise GeometryError("line through coincident points is undefined")
 
 
 def intersect_lines(m: Line, n: Line) -> Intersection:
-    if m == n:
-        raise CoincidentLinesError("lines coincide; intersection is the whole line")
-    det = m.a * n.b - n.a * m.b
+    ma, mb, mc, _ = _common3(m.a, m.b, m.c)
+    na, nb, nc, _ = _common3(n.a, n.b, n.c)
+    det = ma * nb - na * mb
     if det == 0:
+        if ma * nc == na * mc and mb * nc == nb * mc:
+            raise CoincidentLinesError("lines coincide; intersection is the whole line")
         return Empty()
-    x = (m.c * n.b - n.c * m.b) / det
-    y = (m.a * n.c - n.a * m.c) / det
-    return OnePoint(Point(x, y))
+    return OnePoint(Point(Fraction(mc * nb - nc * mb, det), Fraction(ma * nc - na * mc, det)))
 
 
 def intersect_line_circle(line: Line, circle: TaxicabCircle) -> Intersection:
@@ -283,19 +316,21 @@ def intersect_line_circle(line: Line, circle: TaxicabCircle) -> Intersection:
     A line of slope +1 or -1 that supports one of the diamond's edges
     (det = 0 and both numerators zero) yields that entire edge as an
     OverlapSegment, with endpoints in the edge's counterclockwise order.
+
+    The solve runs in ints: the line over its common denominator, and the
+    circle over its own, m, so (U, V) = m*(u, v) and edges su*U + sv*V = R.
     """
-    a, b = line.a, line.b
-    cx, cy = circle.center.x, circle.center.y
-    r = circle.radius
-    c = line.c - a * cx - b * cy
-    # The numerator of u depends only on sv (north or south edge), that of
-    # v only on su (east or west edge).
+    a, b, c, _ = _common3(line.a, line.b, line.c)
+    cx, cy, r, m = _common3(circle.center.x, circle.center.y, circle.radius)
+    c = c * m - a * cx - b * cy
+    # The numerator of U depends only on sv (north or south edge), that of
+    # V only on su (east or west edge).
     ar, br = a * r, b * r
     u_north, u_south = c - br, -c - br
     v_east, v_west = ar - c, ar + c
-    found: list[tuple[Fraction, Fraction]] = []
+    found: list[tuple[int, int, int]] = []
     # Edges counterclockwise from the east corner: su, sv, det, the
-    # numerators of u and v, and the edge's start and end corners in radii.
+    # numerators of U and V, and the edge's start and end corners in radii.
     for su, sv, det, nu, nv, start, end in (
         (1, 1, a - b, u_north, v_east, (1, 0), (0, 1)),
         (-1, 1, a + b, u_north, v_west, (0, 1), (-1, 0)),
@@ -304,21 +339,21 @@ def intersect_line_circle(line: Line, circle: TaxicabCircle) -> Intersection:
     ):
         if det == 0:
             if nu == 0 and nv == 0:
-                return OverlapSegment(
-                    Segment(
-                        Point(cx + start[0] * r, cy + start[1] * r),
-                        Point(cx + end[0] * r, cy + end[1] * r),
-                    )
-                )
+                ends = [Point(Fraction(cx + i * r, m), Fraction(cy + j * r, m)) for i, j in (start, end)]
+                return OverlapSegment(Segment(*ends))
             continue
         if det < 0:
             det, nu, nv = -det, -nu, -nv
-        if su * nu >= 0 and sv * nv >= 0:
-            hit = (nu / det, nv / det)
-            if hit not in found:
-                found.append(hit)
-    found.sort()
-    points = [Point(cx + u, cy + v) for u, v in found]
+        # A crossing at the edge's end corner (U = 0 or V = 0 there) is
+        # left to the next edge, which starts at that corner.
+        if su * nu >= 0 and sv * nv >= 0 and (nv if end[0] else nu):
+            found.append((nu, nv, det))
+    if len(found) == 2:
+        (nu1, nv1, det1), (nu2, nv2, det2) = found
+        if (nu2 * det1, nv2 * det1) < (nu1 * det2, nv1 * det2):
+            found.reverse()
+    points = [Point(Fraction(cx * det + nu, m * det), Fraction(cy * det + nv, m * det))
+              for nu, nv, det in found]
     if not points:
         return Empty()
     if len(points) == 1:

@@ -4,6 +4,8 @@ All kernel arithmetic happens over arbitrary-precision rationals; floating
 point never enters a computation.  ``Rational`` is the standard library
 ``fractions.Fraction``, which already maintains the invariants the kernel
 relies on: positive denominators, lowest-terms storage, and a unique zero.
+The kernel's hot paths compute on the integer numerators over a common
+denominator and build a Fraction only for each value they return.
 This module pins down the interchange text format ("p/q", with "/q" dropped
 for integers) and exact conversion of decimal literals.
 """
@@ -14,9 +16,6 @@ import re
 from fractions import Fraction
 
 Rational = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _DECIMAL_RE = re.compile(r"^[+-]?\d+\.\d+$")

@@ -449,8 +449,11 @@ class _Executor:
             path = Path(stmt.path)
             if not path.is_absolute():
                 path = (self.output_root or Path.cwd()) / path
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(emit_svg(Scene(tuple(self.items))), encoding="utf-8")
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(emit_svg(Scene(tuple(self.items))), encoding="utf-8")
+            except OSError as exc:
+                raise TaxiRuntimeError(f"cannot write {stmt.path}: {exc}", stmt.loc.line, stmt.loc.col) from exc
             self.rendered.append(str(path))
         elif isinstance(stmt, Dump):
             self.dumps.append(emit_json(self.env))

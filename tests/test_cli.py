@@ -77,6 +77,15 @@ def test_run_writes_svg_and_json(tmp_path, capsys):
     assert decoded["C"] == ["1", "1"]
 
 
+def test_run_render_to_unwritable_path_exits_two(tmp_path, capsys):
+    (tmp_path / "afile").write_text("a regular file\n")
+    path = write_script(tmp_path, 'A = point(0, 0)\nB = point(3, 3)\nrender "afile/x.svg"\n')
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3, col 1: cannot write afile/x.svg")
+    assert "Traceback" not in err
+
+
 def test_run_dump_goes_to_stdout(tmp_path, capsys):
     path = write_script(tmp_path, "A = point(1, 2)\ndump\n")
     assert main(["run", path, "--quiet"]) == 0
@@ -137,6 +146,14 @@ def test_nsect_outputs(tmp_path, capsys):
     assert decoded["n"] == "4"
 
 
+@pytest.mark.parametrize("option", ["--svg", "--json"])
+def test_nsect_unwritable_output_exits_two(tmp_path, option, capsys):
+    (tmp_path / "afile").write_text("a regular file\n")
+    code = main(["nsect", "--a", "0,0", "--b", "3,3", "--n", "3", option, "afile/x.out"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write afile/x.out")
+
+
 # ------------------------------------------------------------------ measure
 
 
@@ -181,6 +198,12 @@ def test_section_same_edge_writes_trace_svg(tmp_path, capsys):
     assert main(["section", "--d1", "1,0", "--d2", "1,1", "--n", "2", "--svg", str(svg)]) == 0
     assert svg.read_text().startswith("<svg")
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("radius", ["1/0", "one", "1.5e3"])
+def test_section_bad_radius_names_the_option(radius, capsys):
+    assert main(["section", "--d1", "1,0", "--d2", "0,1", "--n", "3", "--radius", radius]) == 2
+    assert capsys.readouterr().err.startswith("error: bad --radius: ")
 
 
 def test_section_degenerate_exits_two(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +28,8 @@ from taxisect.kernel import (
     points_of,
     taxicab_distance,
 )
+from taxisect.angles import Angle
+from taxisect.constructions import StepKind, nsect_segment, section_angle
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 points = st.builds(Point, rationals, rationals)
@@ -348,6 +351,177 @@ def test_segment_contains_matches_line_and_box(p, q, x, t):
     along = Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
     for candidate in (x, along, p, q):
         assert Segment(p, q).contains(candidate) == _reference_segment_contains(p, q, candidate)
+
+
+# ------------------------------------------- integer kernel vs Fraction formulas
+
+# Distinct primes, so coordinates drawn with them have coprime denominators;
+# all but the small ones have 127 to 607 bits.
+PRIME_DENOMINATORS = [1, 3, 7, 2**127 - 1, 2**255 - 19, 2**521 - 1, 2**607 - 1]
+wide_rationals = st.one_of(
+    st.just(F(0)),
+    rationals,
+    st.builds(F, st.integers(-(2**300), 2**300), st.sampled_from(PRIME_DENOMINATORS)),
+    st.builds(F, st.integers(-(2**300), 2**300), st.integers(2**200, 2**260)),
+)
+wide_points = st.builds(Point, wide_rationals, wide_rationals)
+
+
+@st.composite
+def point_pairs(draw):
+    """Two points, sharing the x or the y coordinate a third of the time each."""
+    p, q = draw(wide_points), draw(wide_points)
+    share = draw(st.sampled_from(["none", "x", "y"]))
+    if share == "x":
+        q = Point(p.x, q.y)
+    elif share == "y":
+        q = Point(q.x, p.y)
+    return p, q
+
+
+def _reference_canonical(a, b, c) -> tuple[F, F, F]:
+    """Line canonicalisation in Fraction arithmetic: divide through by the
+    first nonzero of (a, b)."""
+    a, b, c = F(a), F(b), F(c)
+    scale = a if a != 0 else b
+    return a / scale, b / scale, c / scale
+
+
+def _reference_line_through(p: Point, q: Point) -> tuple[F, F, F]:
+    dx = q.x - p.x
+    dy = q.y - p.y
+    return _reference_canonical(dy, -dx, dy * p.x - dx * p.y)
+
+
+def _reference_intersect_lines(m: Line, n: Line):
+    if m == n:
+        raise CoincidentLinesError("lines coincide; intersection is the whole line")
+    det = m.a * n.b - n.a * m.b
+    if det == 0:
+        return Empty()
+    x = (m.c * n.b - n.c * m.b) / det
+    y = (m.a * n.c - n.a * m.c) / det
+    return OnePoint(Point(x, y))
+
+
+def _reference_taxicab_distance(p: Point, q: Point) -> F:
+    return abs(q.x - p.x) + abs(q.y - p.y)
+
+
+def assert_same(got, want):
+    assert type(got) is type(want)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def coefficients(m: Line) -> tuple[F, F, F]:
+    return m.a, m.b, m.c
+
+
+@settings(max_examples=300)
+@given(point_pairs())
+def test_line_through_matches_fraction_formula(pair):
+    p, q = pair
+    assume(p != q)
+    assert_same(coefficients(line_through(p, q)), _reference_line_through(p, q))
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(wide_rationals, st.integers(-5, 5)),
+    st.one_of(wide_rationals, st.integers(-5, 5)),
+    wide_rationals,
+)
+def test_line_canonical_form_matches_fraction_formula(a, b, c):
+    if a == 0 and b == 0:
+        with pytest.raises(GeometryError):
+            Line(a, b, c)
+        return
+    assert_same(coefficients(Line(a, b, c)), _reference_canonical(a, b, c))
+    # Negative scales, and the a = 0 form, on the same coefficients.
+    assert_same(coefficients(Line(-a, -b, -c)), _reference_canonical(-a, -b, -c))
+    if b != 0:
+        assert_same(coefficients(Line(0, -b, c)), _reference_canonical(0, -b, c))
+
+
+@st.composite
+def line_pairs(draw):
+    """Two lines: through random points, parallel, or the same line."""
+    p, q = draw(point_pairs())
+    assume(p != q)
+    m = line_through(p, q)
+    kind = draw(st.sampled_from(["random", "parallel", "same"]))
+    if kind == "random":
+        r, s = draw(point_pairs())
+        assume(r != s)
+        return m, line_through(r, s)
+    if kind == "parallel":
+        return m, Line(-m.a, -m.b, draw(wide_rationals))
+    return m, Line(m.a * 3, m.b * 3, m.c * 3)
+
+
+@settings(max_examples=300)
+@given(line_pairs())
+def test_intersect_lines_matches_fraction_formula(pair):
+    m, n = pair
+    try:
+        want = _reference_intersect_lines(m, n)
+    except CoincidentLinesError:
+        with pytest.raises(CoincidentLinesError):
+            intersect_lines(m, n)
+        return
+    assert_same(intersect_lines(m, n), want)
+
+
+@settings(max_examples=300)
+@given(point_pairs())
+def test_taxicab_distance_matches_fraction_formula(pair):
+    p, q = pair
+    assert_same(taxicab_distance(p, q), _reference_taxicab_distance(p, q))
+    assert_same(taxicab_distance(q, p), _reference_taxicab_distance(q, p))
+
+
+def _harvested_line_circle_calls() -> list[tuple[Line, TaxicabCircle]]:
+    """Every line-circle step of 110 segment n-sections (n = 2..12) and of
+    60 angle sections at n = 16, with random rational inputs."""
+    rng = random.Random(6)
+
+    def rational() -> F:
+        return F(rng.randint(-1000, 1000), rng.randint(1, 1000))
+
+    traces = []
+    for i in range(110):
+        a, b = Point(rational(), rational()), Point(rational(), rational())
+        if a != b:
+            traces.append(nsect_segment(a, b, 2 + i % 11)[1])
+    for i in range(60):
+        # Two directions into the open first quadrant cross the same edge;
+        # quarter-turns carry them to the other three edges.
+        sides = [(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(2)]
+        for _ in range(i % 4):
+            sides = [(-dy, dx) for dx, dy in sides]
+        (x1, y1), (x2, y2) = sides
+        if x1 * y2 == x2 * y1:
+            continue
+        angle = Angle(Point(rational(), rational()), Direction(x1, y1), Direction(x2, y2))
+        radius = abs(rational()) or F(1)
+        traces.append(section_angle(angle, 16, radius)[1])
+    calls = []
+    for trace in traces:
+        outputs = [step.output for step in trace.steps]
+        calls.extend(
+            (outputs[step.inputs[0]], outputs[step.inputs[1]])
+            for step in trace.steps
+            if step.kind is StepKind.INTERSECT_LINE_CIRCLE
+        )
+    return calls
+
+
+def test_line_circle_matches_edge_walk_on_construction_calls():
+    calls = _harvested_line_circle_calls()
+    assert len(calls) >= 2000
+    for line, circle in calls:
+        assert_same(intersect_line_circle(line, circle), _reference_line_circle(line, circle))
 
 
 # ------------------------------------------------------------- ray x circle

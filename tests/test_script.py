@@ -210,6 +210,16 @@ def test_render_and_dump(tmp_path):
     assert '"C":["1","1"]' in result.dumps[0]
 
 
+@pytest.mark.parametrize("target", ["afile/out.svg", "adir"])
+def test_render_to_unwritable_path_is_located(tmp_path, target):
+    (tmp_path / "afile").write_text("a regular file\n")
+    (tmp_path / "adir").mkdir()
+    with pytest.raises(TaxiRuntimeError) as err:
+        run_source(f'A = point(0, 0)\n\nrender "{target}"\n', output_root=tmp_path)
+    assert (err.value.line, err.value.col) == (3, 1)
+    assert err.value.message.startswith(f"cannot write {target}: ")
+
+
 # ------------------------------------------------------- formatting, rerun
 
 
