@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence, Union, get_args
 
 from .angles import Angle, direction_to_param, measure_angle, param_to_point
 from .kernel import (
@@ -153,6 +153,9 @@ class DistanceClaim:
 
 
 Claim = Union[OnLineClaim, OnCircleClaim, BetweenClaim, DistanceClaim]
+# A plain tuple: isinstance against it is several times faster than
+# against the Union.
+_CLAIM_TYPES = get_args(Claim)
 
 Primitive = Union[Point, Line, TaxicabCircle]
 
@@ -164,7 +167,10 @@ class TraceStep:
     ``inputs`` reference earlier steps by index.  ``pick`` selects one point
     of a two-point intersection (index into the kernel's canonical ordering),
     ``vertex`` names a circle corner, and ``radius`` records a literal compass
-    opening for circles not spanned between two drawn points.
+    opening for circles not spanned between two drawn points.  Each of these
+    three belongs to one kind of step, and is None on every other:
+    ``pick`` to intersect-line-circle, ``vertex`` to take-circle-vertex, and
+    ``radius`` to a draw-circle with one input.
     """
 
     kind: StepKind
@@ -253,7 +259,10 @@ def _step_yields(
             )
         else:
             _expect(_is_exact(radius), "draw-circle needs an integer or Fraction radius")
-        return (TaxicabCircle(center, radius),) if radius > 0 else ()
+        try:
+            return (TaxicabCircle(center, radius),)
+        except GeometryError:  # the radius is not positive
+            return ()
     if kind is StepKind.DRAW_LINE:
         _expect(len(inputs) == 2, "draw-line takes 2 inputs")
         p = _input(outputs, inputs[0], Point, "point")
@@ -288,31 +297,44 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     and incidence claim exactly.
 
     Structural problems (forward or out-of-range references, inputs of the
-    wrong kind) raise :class:`MalformedTraceError`.  Semantic problems, such
-    as a recorded output that does not replay or a claim that does not hold,
-    produce a report whose ``failure`` names the first offending step.
+    wrong kind, a ``pick``, ``vertex`` or ``radius`` on a step whose kind
+    does not use it) raise :class:`MalformedTraceError`.  Semantic problems,
+    such as a recorded output that does not replay or a claim that does not
+    hold, produce a report whose ``failure`` names the first offending step.
     """
     outputs: list[Primitive] = []
     for index, step in enumerate(trace.steps):
-        _expect(isinstance(step.inputs, (tuple, list)), f"step {index} inputs are not a sequence")
-        _expect(isinstance(step.claims, (tuple, list)), f"step {index} claims are not a sequence")
-        refs = list(step.inputs)
-        for claim in step.claims:
-            if not isinstance(claim, Claim):
+        # Raised directly, not through _expect, so that a step that passes
+        # formats no message.
+        kind, inputs, claims = step.kind, step.inputs, step.claims
+        if not isinstance(inputs, (tuple, list)):
+            raise MalformedTraceError(f"step {index} inputs are not a sequence")
+        if not isinstance(claims, (tuple, list)):
+            raise MalformedTraceError(f"step {index} claims are not a sequence")
+        refs = list(inputs)
+        for claim in claims:
+            if not isinstance(claim, _CLAIM_TYPES):
                 raise MalformedTraceError(f"unknown claim {claim!r}")
-            if isinstance(claim, DistanceClaim):
-                _expect(_is_exact(claim.value), f"step {index} claims a distance that is not exact")
+            if isinstance(claim, DistanceClaim) and not _is_exact(claim.value):
+                raise MalformedTraceError(f"step {index} claims a distance that is not exact")
             refs += claim.refs()
         for ref in refs:
-            _expect(_is_int(ref), f"step {index} has a non-integer reference {ref!r}")
+            if not _is_int(ref):
+                raise MalformedTraceError(f"step {index} has a non-integer reference {ref!r}")
             if not 0 <= ref < index:
                 raise MalformedTraceError(f"step {index} references step {ref}")
-        if step.kind is StepKind.PLACE_POINT:
-            _expect(not step.inputs, "place-point takes no inputs")
+        if step.pick is not None and kind is not StepKind.INTERSECT_LINE_CIRCLE:
+            raise MalformedTraceError(f"step {index} has a pick, which only intersect-line-circle takes")
+        if step.vertex is not None and kind is not StepKind.TAKE_CIRCLE_VERTEX:
+            raise MalformedTraceError(f"step {index} has a vertex, which only take-circle-vertex takes")
+        if step.radius is not None and (kind is not StepKind.DRAW_CIRCLE or len(inputs) != 1):
+            raise MalformedTraceError(f"step {index} has a radius, which only a one-input draw-circle takes")
+        if kind is StepKind.PLACE_POINT:
+            _expect(not inputs, "place-point takes no inputs")
             replayed = step.output
         else:
-            yielded = _step_yields(step.kind, step.inputs, outputs, step.radius, step.vertex)
-            pick = step.pick if step.kind is StepKind.INTERSECT_LINE_CIRCLE else 0
+            yielded = _step_yields(kind, inputs, outputs, step.radius, step.vertex)
+            pick = step.pick if kind is StepKind.INTERSECT_LINE_CIRCLE else 0
             _expect(_is_int(pick), "intersect-line-circle needs an integer pick index")
             replayed = yielded[pick] if -len(yielded) <= pick < len(yielded) else None
         if replayed is None:
@@ -321,7 +343,7 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
             return VerificationReport(
                 False, index, StepFailure(index, "recorded output differs from replay")
             )
-        for claim in step.claims:
+        for claim in claims:
             # Claims are only defined on points; a claim on any other output
             # is not yet reported as a malformed trace.
             assert isinstance(step.output, Point), "claims attach to point outputs"

@@ -17,7 +17,11 @@ each edge in closed form rather than building the edge lines.
 Line canonicalisation, ``line_through``, ``intersect_lines``,
 ``intersect_line_circle`` and ``taxicab_distance`` compute in plain ints:
 each line, circle or coordinate pair is taken over its common denominator,
-and a ``Fraction`` is built only for each value returned.
+and a ``Fraction`` is built only for each value returned.  So do the
+incidence checks that ``verify_trace`` runs on every claim,
+``Line.contains``, ``Segment.contains`` and ``point_on_circle``, which
+compare ints and build no ``Fraction`` at all, and ``circle_vertex``, which
+builds one for the coordinate it moves.
 """
 
 from __future__ import annotations
@@ -121,7 +125,10 @@ class Line:
         object.__setattr__(self, "c", c)
 
     def contains(self, p: Point) -> bool:
-        return self.a * p.x + self.b * p.y == self.c
+        # a*x + b*y = c, with (a, b, c) over d and (x, y) over e.
+        a, b, c, _ = _common3(self.a, self.b, self.c)
+        x, y, e = _common2(p.x, p.y)
+        return a * x + b * y == c * e
 
     def slope(self) -> Fraction | None:
         """Slope of the line, or None when vertical."""
@@ -174,13 +181,13 @@ class Segment:
             raise GeometryError("degenerate segment")
 
     def contains(self, x: Point) -> bool:
-        dx = self.q.x - self.p.x
-        dy = self.q.y - self.p.y
-        if (x.x - self.p.x) * dy != (x.y - self.p.y) * dx:
+        # The three x coordinates over one denominator, the three y over
+        # another: both sides of the cross product carry the same scale.
+        px, qx, xx, _ = _common3(self.p.x, self.q.x, x.x)
+        py, qy, xy, _ = _common3(self.p.y, self.q.y, x.y)
+        if (xx - px) * (qy - py) != (xy - py) * (qx - px):
             return False
-        lo_x, hi_x = sorted((self.p.x, self.q.x))
-        lo_y, hi_y = sorted((self.p.y, self.q.y))
-        return lo_x <= x.x <= hi_x and lo_y <= x.y <= hi_y
+        return min(px, qx) <= xx <= max(px, qx) and min(py, qy) <= xy <= max(py, qy)
 
     def taxicab_length(self) -> Fraction:
         return taxicab_distance(self.p, self.q)
@@ -204,11 +211,12 @@ class CircleVertex(Enum):
     WEST = "W"
 
 
-_VERTEX_OFFSETS = {
-    CircleVertex.NORTH: (0, 1),
-    CircleVertex.SOUTH: (0, -1),
-    CircleVertex.EAST: (1, 0),
-    CircleVertex.WEST: (-1, 0),
+# Whether a corner moves the center's x (else its y), and which way.
+_VERTEX_MOVES = {
+    CircleVertex.NORTH: (False, 1),
+    CircleVertex.SOUTH: (False, -1),
+    CircleVertex.EAST: (True, 1),
+    CircleVertex.WEST: (True, -1),
 }
 
 
@@ -386,9 +394,18 @@ def intersect_ray_circle(ray: Ray, circle: TaxicabCircle) -> Intersection:
 
 
 def circle_vertex(circle: TaxicabCircle, which: CircleVertex) -> Point:
-    ox, oy = _VERTEX_OFFSETS[which]
-    return Point(circle.center.x + ox * circle.radius, circle.center.y + oy * circle.radius)
+    moves_x, sign = _VERTEX_MOVES[which]
+    center = circle.center
+    if moves_x:
+        cx, r, den = _common2(center.x, circle.radius)
+        return Point(Fraction(cx + sign * r, den), center.y)
+    cy, r, den = _common2(center.y, circle.radius)
+    return Point(center.x, Fraction(cy + sign * r, den))
 
 
 def point_on_circle(circle: TaxicabCircle, p: Point) -> bool:
-    return taxicab_distance(circle.center, p) == circle.radius
+    # |px - cx| + |py - cy| = r, with x and r over one denominator, y over
+    # another, multiplied through by the y denominator.
+    cx, px, r, xden = _common3(circle.center.x, p.x, circle.radius)
+    cy, py, yden = _common2(circle.center.y, p.y)
+    return abs(px - cx) * yden + abs(py - cy) * xden == r * yden

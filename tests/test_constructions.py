@@ -292,6 +292,15 @@ def _change_distance(step, change):
     return dataclasses.replace(step, claims=claims)
 
 
+def spanned_circle(step: TraceStep) -> bool:
+    return step.kind is StepKind.DRAW_CIRCLE and len(step.inputs) == 3
+
+
+def _matches(step: TraceStep, kind) -> bool:
+    """Whether a step is of the kind, a StepKind or a predicate on steps."""
+    return kind(step) if callable(kind) else step.kind is kind
+
+
 # name -> (kind of the first step it changes, change(step, index, steps))
 TAMPERS = {
     "shift-output": (
@@ -350,6 +359,16 @@ TAMPERS = {
     "claims-as-none": (StepKind.MARK_RESULT, lambda s, i, steps: dataclasses.replace(s, claims=None)),
     "float-claim": (StepKind.MARK_RESULT, lambda s, i, steps: _change_distance(s, float)),
     "bool-claim": (StepKind.MARK_RESULT, lambda s, i, steps: _change_distance(s, bool)),
+    # Fields that the changed step's kind does not use.
+    "pick-on-line": (StepKind.DRAW_LINE, lambda s, i, steps: dataclasses.replace(s, pick=0)),
+    "radius-on-spanned-circle": (
+        spanned_circle,
+        lambda s, i, steps: dataclasses.replace(s, radius=s.output.radius),
+    ),
+    "vertex-on-mark": (
+        StepKind.MARK_RESULT,
+        lambda s, i, steps: dataclasses.replace(s, vertex=CircleVertex.NORTH),
+    ),
 }
 
 # Forgeries the verifier does not catch yet; strict, so a fix shows up here.
@@ -374,12 +393,12 @@ def _tamper_cases(tampers, marks=()):
         pytest.param(trace_name, name, id=f"{trace_name}-{name}", marks=marks)
         for trace_name, trace in TAMPER_TRACES.items()
         for name, (kind, _) in tampers.items()
-        if any(step.kind is kind for step in trace.steps)
+        if any(_matches(step, kind) for step in trace.steps)
     ]
 
 
-def _assert_tamper_caught(trace: ConstructionTrace, kind: StepKind, change) -> None:
-    index = next(i for i, step in enumerate(trace.steps) if step.kind is kind)
+def _assert_tamper_caught(trace: ConstructionTrace, kind, change) -> None:
+    index = next(i for i, step in enumerate(trace.steps) if _matches(step, kind))
     steps = list(trace.steps)
     steps[index] = change(steps[index], index, steps)
     try:
@@ -400,6 +419,41 @@ def test_tampered_trace_is_caught(trace_name, tamper):
 )
 def test_open_forgery_is_caught(trace_name, tamper):
     _assert_tamper_caught(TAMPER_TRACES[trace_name], *OPEN_FORGERIES[tamper])
+
+
+# Step 3 of this trace is the circle about B, spanned by A and B.
+HEADER_ERRORS = {
+    "inputs-not-sequence": ({"inputs": 5}, "step 3 inputs are not a sequence"),
+    "claims-not-sequence": ({"claims": None}, "step 3 claims are not a sequence"),
+    "unknown-claim": ({"claims": ("on",)}, "unknown claim 'on'"),
+    "inexact-distance": (
+        {"claims": (DistanceClaim(0, 0.5),)},
+        "step 3 claims a distance that is not exact",
+    ),
+    "non-integer-reference": ({"inputs": (1, 1.0, 1)}, "step 3 has a non-integer reference 1.0"),
+    "forward-reference": ({"inputs": (1, 0, 7)}, "step 3 references step 7"),
+    "radius-on-spanned-circle": (
+        {"radius": F(99)},
+        "step 3 has a radius, which only a one-input draw-circle takes",
+    ),
+    "pick-on-circle": ({"pick": 0}, "step 3 has a pick, which only intersect-line-circle takes"),
+    "vertex-on-circle": (
+        {"vertex": CircleVertex.EAST},
+        "step 3 has a vertex, which only take-circle-vertex takes",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HEADER_ERRORS)
+def test_header_error_message(case):
+    fields, message = HEADER_ERRORS[case]
+    _, trace = nsect_segment(pt(0, 0), pt(3, 3), 3)
+    assert spanned_circle(trace.steps[3])
+    steps = list(trace.steps)
+    steps[3] = dataclasses.replace(steps[3], **fields)
+    with pytest.raises(MalformedTraceError) as caught:
+        verify_trace(dataclasses.replace(trace, steps=tuple(steps)))
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(

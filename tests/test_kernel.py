@@ -274,10 +274,30 @@ def test_line_circle_points_on_both_loci(a, b, center, radius):
             assert point_on_circle(circle, e)
 
 
+def _reference_line_contains(a: F, b: F, c: F, p: Point) -> bool:
+    """Line membership in Fraction arithmetic: a*x + b*y == c."""
+    return a * p.x + b * p.y == c
+
+
+def _reference_circle_vertex(circle: TaxicabCircle, which: CircleVertex) -> Point:
+    """A corner in Fraction arithmetic: the center moved by one radius."""
+    ox, oy = {
+        CircleVertex.NORTH: (0, 1),
+        CircleVertex.SOUTH: (0, -1),
+        CircleVertex.EAST: (1, 0),
+        CircleVertex.WEST: (-1, 0),
+    }[which]
+    return Point(circle.center.x + ox * circle.radius, circle.center.y + oy * circle.radius)
+
+
+def _reference_point_on_circle(circle: TaxicabCircle, p: Point) -> bool:
+    return abs(p.x - circle.center.x) + abs(p.y - circle.center.y) == circle.radius
+
+
 def _reference_segment_contains(p: Point, q: Point, x: Point) -> bool:
-    """Segment membership through the canonical line: on line_through(p, q)
-    and inside the bounding box of p and q."""
-    if not line_through(p, q).contains(x):
+    """Segment membership in Fraction arithmetic: on the line through p and
+    q, and inside the bounding box of p and q."""
+    if not _reference_line_contains(*_reference_line_through(p, q), x):
         return False
     return min(p.x, q.x) <= x.x <= max(p.x, q.x) and min(p.y, q.y) <= x.y <= max(p.y, q.y)
 
@@ -287,10 +307,10 @@ def _reference_line_circle(line: Line, circle: TaxicabCircle):
     corners, counterclockwise from east, intersect it with the query line and
     keep the hits that lie on the edge."""
     e, n, w, s = (
-        circle_vertex(circle, CircleVertex.EAST),
-        circle_vertex(circle, CircleVertex.NORTH),
-        circle_vertex(circle, CircleVertex.WEST),
-        circle_vertex(circle, CircleVertex.SOUTH),
+        _reference_circle_vertex(circle, CircleVertex.EAST),
+        _reference_circle_vertex(circle, CircleVertex.NORTH),
+        _reference_circle_vertex(circle, CircleVertex.WEST),
+        _reference_circle_vertex(circle, CircleVertex.SOUTH),
     )
     found = []
     for start, end in ((e, n), (n, w), (w, s), (s, e)):
@@ -479,6 +499,63 @@ def test_taxicab_distance_matches_fraction_formula(pair):
     p, q = pair
     assert_same(taxicab_distance(p, q), _reference_taxicab_distance(p, q))
     assert_same(taxicab_distance(q, p), _reference_taxicab_distance(q, p))
+
+
+wide_radii = wide_rationals.filter(lambda r: r != 0).map(abs)
+# Parameters along a line: anywhere, or between its two defining points.
+wide_params = st.one_of(wide_rationals, st.fractions(min_value=0, max_value=1))
+
+
+@settings(max_examples=300)
+@given(point_pairs(), wide_points, wide_params)
+def test_line_contains_matches_fraction_formula(pair, x, t):
+    p, q = pair
+    assume(p != q)
+    along = Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+    m = line_through(p, q)
+    for candidate in (x, p, q, along):
+        assert m.contains(candidate) == _reference_line_contains(m.a, m.b, m.c, candidate)
+    for on in (p, q, along):
+        assert m.contains(on)
+
+
+@settings(max_examples=300)
+@given(point_pairs(), wide_points, wide_params)
+def test_segment_contains_matches_fraction_formula(pair, x, t):
+    p, q = pair
+    assume(p != q)
+    along = Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+    for candidate in (x, p, q, along):
+        assert Segment(p, q).contains(candidate) == _reference_segment_contains(p, q, candidate)
+    assert Segment(p, q).contains(p) and Segment(p, q).contains(q)
+    assert Segment(p, q).contains(along) == (0 <= t <= 1)
+
+
+@settings(max_examples=300)
+@given(
+    wide_points,
+    wide_radii,
+    wide_points,
+    st.fractions(min_value=0, max_value=1),
+    st.sampled_from([(1, 1), (-1, 1), (-1, -1), (1, -1)]),
+)
+def test_point_on_circle_matches_fraction_formula(center, radius, x, t, signs):
+    circle = TaxicabCircle(center, radius)
+    su, sv = signs
+    on_edge = Point(center.x + su * t * radius, center.y + sv * (1 - t) * radius)
+    corners = [_reference_circle_vertex(circle, which) for which in CircleVertex]
+    for candidate in (x, center, on_edge, *corners):
+        assert point_on_circle(circle, candidate) == _reference_point_on_circle(circle, candidate)
+    for on in (on_edge, *corners):
+        assert point_on_circle(circle, on)
+
+
+@settings(max_examples=300)
+@given(wide_points, wide_radii)
+def test_circle_vertex_matches_fraction_formula(center, radius):
+    circle = TaxicabCircle(center, radius)
+    for which in CircleVertex:
+        assert_same(circle_vertex(circle, which), _reference_circle_vertex(circle, which))
 
 
 def _harvested_line_circle_calls() -> list[tuple[Line, TaxicabCircle]]:
