@@ -116,7 +116,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     source_path = Path(args.script)
     try:
         source = source_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read script: {exc}") from exc
     script = parse(source)
     result = execute(script)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence, Union, get_args
+from typing import Sequence, Union, get_args
 
 from .angles import Angle, direction_to_param, measure_angle, param_to_point
 from .kernel import (
@@ -134,9 +134,7 @@ class BetweenClaim:
         q = outputs[self.q_step]
         if not (isinstance(p, Point) and isinstance(q, Point)):
             return False
-        if subject in (p, q) or p == q:
-            return subject in (p, q)
-        return Segment(p, q).contains(subject)
+        return subject in (p, q) or (p != q and Segment(p, q).contains(subject))
 
 
 @dataclass(frozen=True)
@@ -235,20 +233,23 @@ def _input(outputs: Sequence[Primitive], ref: int, want: type, name: str) -> Pri
     return out
 
 
-def _step_yields(
+def _step_output(
     kind: StepKind,
     inputs: tuple[int, ...],
     outputs: Sequence[Primitive],
+    pick: int | None = None,
     radius: Fraction | None = None,
     vertex: CircleVertex | None = None,
-) -> tuple[Primitive, ...]:
-    """What a computed step yields from the outputs of the steps before it;
-    the one definition of each step kind, for builder and verifier alike.
+) -> Primitive | None:
+    """The one output of a computed step, from the outputs of the steps
+    before it; the one definition of each step kind, for builder and
+    verifier alike.
 
-    Intersect-line-circle yields every crossing point in the kernel's order,
-    for the caller to pick from; the other kinds yield their one output.  A
-    step that cannot be carried out yields nothing.  A wrong number or kind
-    of inputs raises :class:`MalformedTraceError`.
+    Intersect-line-circle returns the crossing that ``pick`` indexes in the
+    kernel's order.  A step that cannot be carried out, including a ``pick``
+    outside ``range(-len, len)`` of the crossings, returns None.  A wrong
+    number or kind of inputs, or a ``pick`` that is not an int, raises
+    :class:`MalformedTraceError`.
     """
     if kind is StepKind.DRAW_CIRCLE:
         _expect(len(inputs) in (1, 3), "draw-circle takes 1 or 3 inputs")
@@ -260,19 +261,21 @@ def _step_yields(
         else:
             _expect(_is_exact(radius), "draw-circle needs an integer or Fraction radius")
         try:
-            return (TaxicabCircle(center, radius),)
+            return TaxicabCircle(center, radius)
         except GeometryError:  # the radius is not positive
-            return ()
+            return None
     if kind is StepKind.DRAW_LINE:
         _expect(len(inputs) == 2, "draw-line takes 2 inputs")
         p = _input(outputs, inputs[0], Point, "point")
         q = _input(outputs, inputs[1], Point, "point")
-        return (line_through(p, q),) if p != q else ()
+        return line_through(p, q) if p != q else None
     if kind is StepKind.INTERSECT_LINE_CIRCLE:
         _expect(len(inputs) == 2, "intersect-line-circle takes 2 inputs")
         line = _input(outputs, inputs[0], Line, "line")
         circle = _input(outputs, inputs[1], TaxicabCircle, "circle")
-        return points_of(intersect_line_circle(line, circle))
+        _expect(_is_int(pick), "intersect-line-circle needs an integer pick index")
+        crossings = points_of(intersect_line_circle(line, circle))
+        return crossings[pick] if -len(crossings) <= pick < len(crossings) else None
     if kind is StepKind.INTERSECT_LINES:
         _expect(len(inputs) == 2, "intersect-lines takes 2 inputs")
         first = _input(outputs, inputs[0], Line, "line")
@@ -280,15 +283,15 @@ def _step_yields(
         try:
             hit = intersect_lines(first, second)
         except CoincidentLinesError:
-            return ()
-        return (hit.point,) if isinstance(hit, OnePoint) else ()
+            return None
+        return hit.point if isinstance(hit, OnePoint) else None
     if kind is StepKind.TAKE_CIRCLE_VERTEX:
         _expect(len(inputs) == 1, "take-circle-vertex takes 1 input")
         _expect(isinstance(vertex, CircleVertex), "take-circle-vertex needs a vertex name")
-        return (circle_vertex(_input(outputs, inputs[0], TaxicabCircle, "circle"), vertex),)
+        return circle_vertex(_input(outputs, inputs[0], TaxicabCircle, "circle"), vertex)
     if kind is StepKind.MARK_RESULT:
         _expect(len(inputs) == 1, "mark-result takes 1 input")
-        return (_input(outputs, inputs[0], Point, "point"),)
+        return _input(outputs, inputs[0], Point, "point")
     raise MalformedTraceError(f"unknown step kind {kind!r}")
 
 
@@ -296,16 +299,22 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     """Replay a trace with kernel operations and check every recorded output
     and incidence claim exactly.
 
-    Structural problems (forward or out-of-range references, inputs of the
+    Structural problems (steps that are not a sequence of
+    :class:`TraceStep`, forward or out-of-range references, inputs of the
     wrong kind, a ``pick``, ``vertex`` or ``radius`` on a step whose kind
     does not use it) raise :class:`MalformedTraceError`.  Semantic problems,
     such as a recorded output that does not replay or a claim that does not
     hold, produce a report whose ``failure`` names the first offending step.
     """
+    steps = trace.steps
+    if not isinstance(steps, (tuple, list)):
+        raise MalformedTraceError("trace steps are not a sequence")
     outputs: list[Primitive] = []
-    for index, step in enumerate(trace.steps):
+    for index, step in enumerate(steps):
         # Raised directly, not through _expect, so that a step that passes
         # formats no message.
+        if not isinstance(step, TraceStep):
+            raise MalformedTraceError(f"step {index} is not a TraceStep")
         kind, inputs, claims = step.kind, step.inputs, step.claims
         if not isinstance(inputs, (tuple, list)):
             raise MalformedTraceError(f"step {index} inputs are not a sequence")
@@ -333,10 +342,7 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
             _expect(not inputs, "place-point takes no inputs")
             replayed = step.output
         else:
-            yielded = _step_yields(kind, inputs, outputs, step.radius, step.vertex)
-            pick = step.pick if kind is StepKind.INTERSECT_LINE_CIRCLE else 0
-            _expect(_is_int(pick), "intersect-line-circle needs an integer pick index")
-            replayed = yielded[pick] if -len(yielded) <= pick < len(yielded) else None
+            replayed = _step_output(kind, inputs, outputs, step.pick, step.radius, step.vertex)
         if replayed is None:
             return VerificationReport(False, index, StepFailure(index, "step does not replay"))
         if replayed != step.output:
@@ -353,19 +359,28 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
                 )
         outputs.append(step.output)
     _expect(
-        _is_int(trace.result) and 0 <= trace.result < len(trace.steps),
+        _is_int(trace.result) and 0 <= trace.result < len(steps),
         "result reference out of range",
     )
     _expect(
-        trace.steps[trace.result].kind is StepKind.MARK_RESULT,
+        steps[trace.result].kind is StepKind.MARK_RESULT,
         "result must reference a mark-result step",
     )
-    return VerificationReport(True, len(trace.steps))
+    return VerificationReport(True, len(steps))
 
 
 class _TraceBuilder:
-    """Records steps whose outputs come from :func:`_step_yields`; the
-    builder itself makes only the choices: which corner, which crossing."""
+    """Records steps whose outputs come from :func:`_step_output`; the
+    builder itself makes only the choices: which corner, which crossing.
+
+    Every line that the constructions meet with a circle passes through the
+    circle's center c, so it crosses the diamond at c - w and c + w, where w
+    runs along the line and has taxicab length r.  The kernel returns the
+    two in (x, y) order, so the crossing c + w comes second exactly when w
+    is lexicographically positive.  Each crossing is therefore named by the
+    direction it lies in from the center, and its ``pick`` follows from
+    that direction's signs.
+    """
 
     def __init__(self) -> None:
         self._steps: list[TraceStep] = []
@@ -385,15 +400,13 @@ class _TraceBuilder:
         inputs: tuple[int, ...],
         claims: tuple[Claim, ...] = (),
         label: str | None = None,
-        choose: Callable[[tuple[Point, ...]], Point] | None = None,
+        pick: int | None = None,
         vertex: CircleVertex | None = None,
         radius: Fraction | None = None,
     ) -> int:
-        yielded = _step_yields(kind, inputs, self._outputs, radius, vertex)
-        if not yielded:
+        output = _step_output(kind, inputs, self._outputs, pick, radius, vertex)
+        if output is None:
             raise ConstructionError(f"the {kind.value} step cannot be carried out")
-        output = yielded[0] if choose is None else choose(yielded)
-        pick = None if choose is None else yielded.index(output)
         step = TraceStep(kind, inputs, output, claims, label, pick=pick, vertex=vertex, radius=radius)
         return self._push(step)
 
@@ -411,14 +424,13 @@ class _TraceBuilder:
         return self._add(StepKind.TAKE_CIRCLE_VERTEX, (circle_ref,), claims, vertex=which)
 
     def intersect_with_circle(
-        self,
-        line_ref: int,
-        circle_ref: int,
-        choose: Callable[[tuple[Point, ...]], Point],
-        label: str | None = None,
+        self, line_ref: int, circle_ref: int, toward: Direction, label: str | None = None
     ) -> int:
+        """The crossing of a line through the circle's center that lies in
+        direction ``toward`` from the center (see the class docstring)."""
+        pick = 1 if (toward.dx, toward.dy) > (0, 0) else 0
         claims = (OnLineClaim(line_ref), OnCircleClaim(circle_ref))
-        return self._add(StepKind.INTERSECT_LINE_CIRCLE, (line_ref, circle_ref), claims, label, choose)
+        return self._add(StepKind.INTERSECT_LINE_CIRCLE, (line_ref, circle_ref), claims, label, pick)
 
     def intersect_two_lines(self, first_ref: int, second_ref: int) -> int:
         claims = (OnLineClaim(first_ref), OnLineClaim(second_ref))
@@ -483,21 +495,15 @@ def _append_nsect(
         c_ref = builder.intersect_two_lines(cross_ref, base_ref)
     else:
         last_circle = circle_a
+        outward = a - b
         for _ in range(n - 3):
-            def outward(candidates: tuple[Point, ...], anchor: Point = b) -> Point:
-                return max(candidates, key=lambda p: (taxicab_distance(anchor, p), p.x, p.y))
-
             next_center = builder.intersect_with_circle(base_ref, last_circle, outward)
             last_circle = builder.draw_circle(next_center, span=(a_ref, b_ref))
         low = builder.take_vertex(last_circle, low_corner)
         toward_b = builder.draw_line(low, b_ref)
-        low_point = builder.point(low)
-        approach = Ray(low_point, b - low_point)
-
-        def first_hit(candidates: tuple[Point, ...]) -> Point:
-            return min(candidates, key=approach.param_of)
-
-        p_ref = builder.intersect_with_circle(toward_b, circle_b, first_hit, label=cross_label)
+        # The line from the low corner meets the circle about B first on
+        # the corner's side of B.
+        p_ref = builder.intersect_with_circle(toward_b, circle_b, builder.point(low) - b, label=cross_label)
         high = builder.take_vertex(circle_a, high_corner)
         back_ref = builder.draw_line(p_ref, high)
         c_ref = builder.intersect_two_lines(back_ref, base_ref)
@@ -561,27 +567,22 @@ def section_angle(
     if measure_angle(angle) == 0:
         raise ConstructionError("cannot section a zero angle")
 
-    t1 = direction_to_param(angle.side1)
-    t2 = direction_to_param(angle.side2)
-    forward = (t2 - t1) % 8
-    if forward <= 4:
-        start, sweep, flipped = t1, forward, False
-    else:
-        start, sweep, flipped = t2, 8 - forward, True
+    first, second = angle.side1, angle.side2
+    start = direction_to_param(first)
+    sweep = (direction_to_param(second) - start) % 8
+    if sweep > 4:
+        # Sweep the other way round, from where the forward sweep ended.
+        first, second = second, first
+        start, sweep = (start + sweep) % 8, 8 - sweep
 
     rays = tuple(
         Ray(angle.vertex, _as_direction(param_to_point((start + sweep * k / n) % 8)))
         for k in range(1, n)
     )
 
-    edge_end = 2 * (start // 2 + 1)
-    if start + sweep > edge_end:
+    if start + sweep > 2 * (start // 2 + 1):  # the sweep passes a corner
         return rays, None
-
-    first_side = angle.side2 if flipped else angle.side1
-    second_side = angle.side1 if flipped else angle.side2
-    trace = _chord_trace(angle.vertex, first_side, second_side, n, radius)
-    return rays, trace
+    return rays, _chord_trace(angle.vertex, first, second, n, radius)
 
 
 def _as_direction(unit_point: Point) -> Direction:
@@ -612,27 +613,16 @@ def _chord_trace(
     h2_ref = builder.place_point(h2)
     circle_ref = builder.draw_circle(v_ref, radius=radius)
 
-    def crossing(side: Direction) -> Callable[[tuple[Point, ...]], Point]:
-        ray = Ray(vertex, side)
-
-        def choose(candidates: tuple[Point, ...]) -> Point:
-            ahead = [p for p in candidates if ray.param_of(p) >= 0]
-            assert ahead, "a ray from the center always exits the circle"
-            return ahead[0]
-
-        return choose
-
     side1_line = builder.draw_line(v_ref, h1_ref)
-    q1_ref = builder.intersect_with_circle(side1_line, circle_ref, crossing(first_side), label="B")
+    q1_ref = builder.intersect_with_circle(side1_line, circle_ref, first_side, label="B")
     side2_line = builder.draw_line(v_ref, h2_ref)
-    q2_ref = builder.intersect_with_circle(side2_line, circle_ref, crossing(second_side), label="C")
+    q2_ref = builder.intersect_with_circle(side2_line, circle_ref, second_side, label="C")
 
     m1_ref, chord_ref = _append_nsect(builder, q1_ref, q2_ref, n, mark_label="M1", cross_label=None)
     q1 = builder.point(q1_ref)
-    length = taxicab_distance(q1, builder.point(q2_ref))
-
-    def onward(candidates: tuple[Point, ...]) -> Point:
-        return max(candidates, key=lambda p: taxicab_distance(q1, p))
+    q2 = builder.point(q2_ref)
+    onward = q2 - q1
+    length = taxicab_distance(q1, q2)
 
     mark_ref = m1_ref
     for k in range(2, n):

@@ -81,16 +81,6 @@ class Direction:
     def scaled(self, factor: Fraction | int) -> Direction:
         return Direction(self.dx * factor, self.dy * factor)
 
-    def __mul__(self, factor: Fraction | int) -> Direction:
-        if not isinstance(factor, (int, Fraction)):
-            return NotImplemented
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> Direction:
-        return self.scaled(-1)
-
     def taxicab_length(self) -> Fraction:
         return abs(self.dx) + abs(self.dy)
 

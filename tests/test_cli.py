@@ -55,6 +55,14 @@ def test_run_missing_file(capsys):
     assert "cannot read script" in capsys.readouterr().err
 
 
+def test_run_script_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "case.taxi"
+    path.write_bytes(b"\xff\xfeA = point(0, 0)\n")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read script: 'utf-8' codec can't decode byte 0xff in position 0" in err
+
+
 def test_run_parse_error_exits_two(tmp_path, capsys):
     path = write_script(tmp_path, "A = poin(0, 0)\n")
     assert main(["run", path]) == 2

@@ -256,6 +256,20 @@ def test_coincident_lines_do_not_replay():
     assert report.failure == StepFailure(8, "step does not replay")
 
 
+@pytest.mark.parametrize("ends, ok", [((0, 0), False), ((1, 1), False), ((0, 1), True)])
+def test_between_claim_on_one_point(ends, ok):
+    """Between a point and itself lies only that point, and checking it
+    builds no degenerate segment."""
+    _, trace = nsect_segment(pt(0, 0), pt(3, 3), 3)
+    mark = trace.steps[trace.result]
+    steps = list(trace.steps)
+    steps[trace.result] = dataclasses.replace(mark, claims=(BetweenClaim(*ends),))
+    report = verify_trace(dataclasses.replace(trace, steps=tuple(steps)))
+    assert report.ok is ok
+    if not ok:
+        assert report.failure == StepFailure(trace.result, f"claim {BetweenClaim(*ends)!r} does not hold")
+
+
 @pytest.mark.parametrize("pick", [-3, 2])
 def test_pick_out_of_range_does_not_replay(pick):
     _, trace = nsect_segment(pt(0, 0), pt(3, 3), 3)
@@ -454,6 +468,19 @@ def test_header_error_message(case):
     with pytest.raises(MalformedTraceError) as caught:
         verify_trace(dataclasses.replace(trace, steps=tuple(steps)))
     assert str(caught.value) == message
+
+
+def test_steps_that_are_not_a_sequence_are_malformed():
+    with pytest.raises(MalformedTraceError) as caught:
+        verify_trace(ConstructionTrace(None, 0))
+    assert str(caught.value) == "trace steps are not a sequence"
+
+
+def test_step_that_is_not_a_trace_step_is_malformed():
+    _, trace = nsect_segment(pt(0, 0), pt(3, 3), 3)
+    with pytest.raises(MalformedTraceError) as caught:
+        verify_trace(dataclasses.replace(trace, steps=(5, *trace.steps[1:])))
+    assert str(caught.value) == "step 0 is not a TraceStep"
 
 
 @pytest.mark.parametrize(
@@ -731,3 +758,46 @@ def test_chord_trace_runs_one_segment_nsection(monkeypatch):
     monkeypatch.setattr(constructions, "_append_nsect", counted)
     section_angle(EDGE_ANGLE, 16)
     assert calls == [16]
+
+
+# ------------------------------------------ crossings named by direction
+
+
+def assert_lines_pass_through_centers(trace: ConstructionTrace) -> None:
+    """The condition of the builder's pick rule: every line met with a
+    circle passes through the circle's center."""
+    outputs = [step.output for step in trace.steps]
+    crossings = [step for step in trace.steps if step.kind is StepKind.INTERSECT_LINE_CIRCLE]
+    for step in crossings:
+        line, circle = outputs[step.inputs[0]], outputs[step.inputs[1]]
+        assert line.contains(circle.center)
+
+
+@given(
+    wide_points,
+    st.one_of(st.sampled_from(HOSTILE_DIRECTIONS).map(lambda t: d(*t)), directions_st),
+    st.fractions(min_value=F(1, 50), max_value=50, max_denominator=50),
+    st.integers(2, 12),
+)
+@settings(max_examples=80, deadline=None)
+def test_nsect_meets_circles_through_their_centers(a, direction, scale, n):
+    _, trace = nsect_segment(a, a + direction.scaled(scale), n)
+    assert_lines_pass_through_centers(trace)
+
+
+@given(
+    st.fractions(min_value=0, max_value=8, max_denominator=16).filter(lambda t: t < 8),
+    st.integers(2, 16),
+    st.integers(1, 8),
+    st.sampled_from([F(1), F(5, 3), F(2)]),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_chord_trace_meets_circles_through_their_centers(start, n, eighths, radius, swap):
+    sweep = (2 * (start // 2 + 1) - start) * eighths / 8
+    d1 = Direction(*astuple_point(param_to_point(start)))
+    d2 = Direction(*astuple_point(param_to_point((start + sweep) % 8)))
+    if swap:
+        d1, d2 = d2, d1
+    _, trace = section_angle(Angle(pt(F(1, 3), F(-2, 7)), d1, d2), n, radius=radius)
+    assert_lines_pass_through_centers(trace)

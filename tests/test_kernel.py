@@ -601,6 +601,33 @@ def test_line_circle_matches_edge_walk_on_construction_calls():
         assert_same(intersect_line_circle(line, circle), _reference_line_circle(line, circle))
 
 
+# Any direction, axis-parallel ones, and those of slope +1 or -1, which run
+# parallel to two of the diamond's edges.
+wide_directions = (
+    st.one_of(
+        st.tuples(wide_rationals, wide_rationals),
+        st.tuples(wide_rationals, st.just(F(0))),
+        st.tuples(st.just(F(0)), wide_rationals),
+        wide_rationals.map(lambda t: (t, t)),
+        wide_rationals.map(lambda t: (t, -t)),
+    )
+    .filter(lambda t: t != (0, 0))
+    .map(lambda t: Direction(*t))
+)
+
+
+@settings(max_examples=300)
+@given(wide_points, wide_radii, wide_directions)
+def test_line_through_center_crosses_toward_w_second_when_w_is_positive(center, radius, w):
+    """The trace builder's pick rule: a line through the center along w
+    crosses at c - s*w and c + s*w, s = r / |w|, in (x, y) order."""
+    s = radius / w.taxicab_length()
+    behind, ahead = center + w.scaled(-s), center + w.scaled(s)
+    want = TwoPoints(behind, ahead) if (w.dx, w.dy) > (0, 0) else TwoPoints(ahead, behind)
+    got = intersect_line_circle(line_through(center, center + w), TaxicabCircle(center, radius))
+    assert_same(got, want)
+
+
 # ------------------------------------------------------------- ray x circle
 
 
