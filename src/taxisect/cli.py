@@ -279,10 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_normalize_argv(argv))
     try:
         return args.func(args)
-    except ScriptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, GeometryError, RationalParseError, ZeroDivisionError) as exc:
+    except (ScriptError, UsageError, GeometryError, RationalParseError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,7 +39,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Union, get_args
 
-from .angles import Angle, direction_to_param, measure_angle, param_to_point
+from .angles import Angle, direction_to_param, param_to_point
 from .kernel import (
     CircleVertex,
     CoincidentLinesError,
@@ -69,9 +69,9 @@ class ConstructionError(GeometryError):
 class PostconditionError(ConstructionError):
     """The construction finished but its result failed the exactness check.
 
-    Carries the offending trace for inspection; seeing this means the corner
-    selection rule is wrong for the given direction, not that the input was
-    invalid.
+    Carries the offending trace for inspection; seeing this means the builder
+    chose a wrong corner or crossing for the given directions, not that the
+    input was invalid.
     """
 
     def __init__(self, message: str, trace: ConstructionTrace) -> None:
@@ -299,13 +299,16 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     """Replay a trace with kernel operations and check every recorded output
     and incidence claim exactly.
 
-    Structural problems (steps that are not a sequence of
-    :class:`TraceStep`, forward or out-of-range references, inputs of the
-    wrong kind, a ``pick``, ``vertex`` or ``radius`` on a step whose kind
-    does not use it) raise :class:`MalformedTraceError`.  Semantic problems,
-    such as a recorded output that does not replay or a claim that does not
-    hold, produce a report whose ``failure`` names the first offending step.
+    Structural problems (a trace that is not a :class:`ConstructionTrace`,
+    steps that are not a sequence of :class:`TraceStep`, forward or
+    out-of-range references, inputs of the wrong kind, a ``pick``,
+    ``vertex`` or ``radius`` on a step whose kind does not use it) raise
+    :class:`MalformedTraceError`.  Semantic problems, such as a recorded
+    output that does not replay or a claim that does not hold, produce a
+    report whose ``failure`` names the first offending step.
     """
+    if not isinstance(trace, ConstructionTrace):
+        raise MalformedTraceError("trace is not a ConstructionTrace")
     steps = trace.steps
     if not isinstance(steps, (tuple, list)):
         raise MalformedTraceError("trace steps are not a sequence")
@@ -558,18 +561,20 @@ def section_angle(
     circle of the given radius about the vertex, the chord between the
     crossings runs along that edge, and the second return value is a trace
     that marks every division point of the chord (see :func:`_chord_trace`);
-    otherwise it is None.
+    otherwise it is None.  Each mark is checked against the crossing of its
+    ray with that circle; a mismatch raises :class:`PostconditionError` with
+    the trace attached.
     """
     _check_part_count(n, "angle sectioning")
     radius = as_rational(radius)
     if radius <= 0:
         raise ConstructionError("sectioning circle radius must be positive")
-    if measure_angle(angle) == 0:
-        raise ConstructionError("cannot section a zero angle")
 
     first, second = angle.side1, angle.side2
     start = direction_to_param(first)
     sweep = (direction_to_param(second) - start) % 8
+    if sweep == 0:
+        raise ConstructionError("cannot section a zero angle")
     if sweep > 4:
         # Sweep the other way round, from where the forward sweep ended.
         first, second = second, first
@@ -582,7 +587,25 @@ def section_angle(
 
     if start + sweep > 2 * (start // 2 + 1):  # the sweep passes a corner
         return rays, None
-    return rays, _chord_trace(angle.vertex, first, second, n, radius)
+    vertex = angle.vertex
+    trace = _chord_trace(vertex, first, second, n, radius)
+    for k, (ray, mark) in enumerate(zip(rays, trace.marked_points()), start=1):
+        d = ray.direction
+        if not (_is_sum(mark.x, vertex.x, radius, d.dx) and _is_sum(mark.y, vertex.y, radius, d.dy)):
+            raise PostconditionError(
+                f"chord mark M{k} is {mark}, expected {ray.point_at(radius)}", trace
+            )
+    return rays, trace
+
+
+def _is_sum(total: Fraction, base: Fraction, factor: Fraction, step: Fraction) -> bool:
+    """Whether total == base + factor * step, compared in ints: no Fraction
+    is built."""
+    tn, td = total.as_integer_ratio()
+    bn, bd = base.as_integer_ratio()
+    fn, fd = factor.as_integer_ratio()
+    sn, sd = step.as_integer_ratio()
+    return tn * bd * fd * sd == (bn * fd * sd + fn * sn * bd) * td
 
 
 def _as_direction(unit_point: Point) -> Direction:

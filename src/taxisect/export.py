@@ -1,17 +1,18 @@
-"""Deterministic rendering of geometry to SVG and canonical JSON.
+"""Deterministic rendering of scenes to SVG and of values to canonical JSON.
 
 Scenes are flat ordered lists of drawable items with small enumerated style
 classes; nothing here ever touches floating point.  Exact rational
 coordinates survive until the final SVG serialization, where each value is
 expanded to at most 12 significant decimal digits with half-even rounding.
-Two emissions of the same scene are byte-identical.
+Two emissions of the same scene are byte-identical.  JSON takes values only:
+rationals, kernel primitives and containers of them, such as bindings.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Union
@@ -74,7 +75,6 @@ class ViewBox:
 @dataclass(frozen=True)
 class Scene:
     items: tuple[SceneItem, ...]
-    viewbox: ViewBox | None = None
 
 
 def _finite_points(geometry: Geometry) -> tuple[Point, ...]:
@@ -85,7 +85,7 @@ def _finite_points(geometry: Geometry) -> tuple[Point, ...]:
     if isinstance(geometry, Ray):
         return (geometry.origin,)
     if isinstance(geometry, TaxicabCircle):
-        return tuple(circle_vertex(geometry, which) for which in CircleVertex)
+        return tuple(circle_vertex(geometry, which) for which in _CORNERS)
     if isinstance(geometry, tuple):
         return geometry
     return ()  # an infinite line constrains nothing
@@ -93,8 +93,6 @@ def _finite_points(geometry: Geometry) -> tuple[Point, ...]:
 
 def compute_viewbox(scene: Scene) -> ViewBox:
     """Bounding box of all finite geometry, padded by 10% on each side."""
-    if scene.viewbox is not None:
-        return scene.viewbox
     xs: list[Fraction] = []
     ys: list[Fraction] = []
     for item in scene.items:
@@ -184,15 +182,16 @@ _POINT_RADIUS = {
 
 _DASH_PATTERN = "6 4"
 
+_CORNERS = (CircleVertex.EAST, CircleVertex.NORTH, CircleVertex.WEST, CircleVertex.SOUTH)
+
+_DECIMAL = Context(prec=12, rounding=ROUND_HALF_EVEN)
+
 
 def _decimal_text(value: Fraction) -> str:
     """Decimal form with at most 12 significant digits, half-even rounded."""
     if value.denominator == 1:
         return str(value.numerator)
-    with localcontext() as ctx:
-        ctx.prec = 12
-        ctx.rounding = ROUND_HALF_EVEN
-        quotient = Decimal(value.numerator) / Decimal(value.denominator)
+    quotient = _DECIMAL.divide(Decimal(value.numerator), Decimal(value.denominator))
     text = format(quotient, "f")
     if "." in text:
         text = text.rstrip("0").rstrip(".")
@@ -215,52 +214,41 @@ class _Mapper:
         return (_decimal_text(x), _decimal_text(y))
 
 
-def _clip_param_interval(
-    anchor: Point, direction: Direction, view: ViewBox
-) -> tuple[Fraction, Fraction] | None:
-    """Parameter range of anchor + t * direction inside the viewbox."""
-    lo: Fraction | None = None
+def _visible_span(ray: Ray, view: ViewBox, lo: Fraction | None = None) -> tuple[Fraction, Fraction] | None:
+    """Parameter range of ray.origin + t * ray.direction inside the view, with
+    t >= lo when lo is given; None when that range is empty or one point."""
     hi: Fraction | None = None
-
-    def narrow(coord: Fraction, delta: Fraction, low: Fraction, high: Fraction) -> bool:
-        nonlocal lo, hi
+    for coord, delta, low, high in (
+        (ray.origin.x, ray.direction.dx, view.min_x, view.max_x),
+        (ray.origin.y, ray.direction.dy, view.min_y, view.max_y),
+    ):
         if delta == 0:
-            return low <= coord <= high
+            if not low <= coord <= high:
+                return None
+            continue
+        if delta < 0:
+            low, high = high, low
         t0 = (low - coord) / delta
         t1 = (high - coord) / delta
-        if t0 > t1:
-            t0, t1 = t1, t0
-        lo = t0 if lo is None else max(lo, t0)
-        hi = t1 if hi is None else min(hi, t1)
-        return True
-
-    if not narrow(anchor.x, direction.dx, view.min_x, view.max_x):
-        return None
-    if not narrow(anchor.y, direction.dy, view.min_y, view.max_y):
-        return None
-    # direction is nonzero, so at least one axis narrowed the interval
+        lo = t0 if lo is None or t0 > lo else lo
+        hi = t1 if hi is None or t1 < hi else hi
+    # the direction is nonzero, so at least one axis set both ends
     assert lo is not None and hi is not None
-    if lo > hi:
-        return None
-    return (lo, hi)
+    return (lo, hi) if lo < hi else None
 
 
-def _line_element(mapper: _Mapper, p: Point, q: Point, stroke: Stroke, dash: Dash) -> str:
-    color, width = _STROKE_STYLE[stroke]
-    x1, y1 = mapper.svg_xy(p)
-    x2, y2 = mapper.svg_xy(q)
-    dash_attr = f' stroke-dasharray="{_DASH_PATTERN}"' if dash is Dash.DASHED else ""
-    return (
-        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-        f'stroke="{color}" stroke-width="{width}"{dash_attr}/>'
-    )
+def _stroke_attributes(item: SceneItem) -> str:
+    color, width = _STROKE_STYLE[item.stroke]
+    dash = f' stroke-dasharray="{_DASH_PATTERN}"' if item.dash is Dash.DASHED else ""
+    return f'stroke="{color}" stroke-width="{width}"{dash}'
 
 
 def _item_elements(mapper: _Mapper, item: SceneItem) -> list[str]:
     geometry = item.geometry
-    color, width = _STROKE_STYLE[item.stroke]
+    color = _STROKE_STYLE[item.stroke][0]
     pieces: list[str] = []
     label_anchor: Point | None = None
+    ends: tuple[Point, Point] | None = None
 
     if isinstance(geometry, Point):
         cx, cy = mapper.svg_xy(geometry)
@@ -269,50 +257,34 @@ def _item_elements(mapper: _Mapper, item: SceneItem) -> list[str]:
         )
         label_anchor = geometry
     elif isinstance(geometry, Segment):
-        pieces.append(_line_element(mapper, geometry.p, geometry.q, item.stroke, item.dash))
+        ends = (geometry.p, geometry.q)
         label_anchor = geometry.q
     elif isinstance(geometry, TaxicabCircle):
         corners = " ".join(
-            ",".join(mapper.svg_xy(circle_vertex(geometry, which)))
-            for which in (CircleVertex.EAST, CircleVertex.NORTH, CircleVertex.WEST, CircleVertex.SOUTH)
+            ",".join(mapper.svg_xy(circle_vertex(geometry, which))) for which in _CORNERS
         )
-        dash_attr = f' stroke-dasharray="{_DASH_PATTERN}"' if item.dash is Dash.DASHED else ""
-        pieces.append(
-            f'<polygon points="{corners}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"{dash_attr}/>'
-        )
+        pieces.append(f'<polygon points="{corners}" fill="none" {_stroke_attributes(item)}/>')
         label_anchor = circle_vertex(geometry, CircleVertex.NORTH)
-    elif isinstance(geometry, Line):
-        span = _clip_param_interval(geometry.some_point(), geometry.direction(), mapper.view)
-        if span is not None and span[0] < span[1]:
-            anchor = geometry.some_point()
-            direction = geometry.direction()
-            p = anchor + direction.scaled(span[0]) if span[0] != 0 else anchor
-            q = anchor + direction.scaled(span[1]) if span[1] != 0 else anchor
-            pieces.append(_line_element(mapper, p, q, item.stroke, item.dash))
-    elif isinstance(geometry, Ray):
-        span = _clip_param_interval(geometry.origin, geometry.direction, mapper.view)
+    elif isinstance(geometry, (Line, Ray)):
+        if isinstance(geometry, Ray):
+            ray, lo, label_anchor = geometry, Fraction(0), geometry.origin
+        else:
+            ray, lo = Ray(geometry.some_point(), geometry.direction()), None
+        span = _visible_span(ray, mapper.view, lo)
         if span is not None:
-            lo = max(span[0], Fraction(0))
-            if lo < span[1]:
-                pieces.append(
-                    _line_element(
-                        mapper, geometry.point_at(lo), geometry.point_at(span[1]), item.stroke, item.dash
-                    )
-                )
-        label_anchor = geometry.origin
+            ends = (ray.point_at(span[0]), ray.point_at(span[1]))
     elif isinstance(geometry, tuple):
         if len(geometry) >= 2:
             joined = " ".join(",".join(mapper.svg_xy(p)) for p in geometry)
-            dash_attr = f' stroke-dasharray="{_DASH_PATTERN}"' if item.dash is Dash.DASHED else ""
-            pieces.append(
-                f'<polyline points="{joined}" fill="none" stroke="{color}" '
-                f'stroke-width="{width}"{dash_attr}/>'
-            )
+            pieces.append(f'<polyline points="{joined}" fill="none" {_stroke_attributes(item)}/>')
             label_anchor = geometry[-1]
     else:
         raise GeometryError(f"cannot render {type(geometry).__name__}")
 
+    if ends is not None:
+        x1, y1 = mapper.svg_xy(ends[0])
+        x2, y2 = mapper.svg_xy(ends[1])
+        pieces.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {_stroke_attributes(item)}/>')
     if item.label and label_anchor is not None:
         x, y = mapper.to_svg(label_anchor)
         pieces.append(
@@ -353,11 +325,12 @@ def emit_svg(scene: Scene) -> str:
 # JSON emission
 
 def encode_value(value: object) -> object:
-    """Encode geometry and rationals as JSON-ready structures.
+    """Encode a rational, a kernel primitive, or a list, tuple or dict of them.
 
     Rationals become "p/q" strings (so parsing them back is exact) and points
-    become two-element coordinate arrays; structured primitives are tagged by
-    a single key naming their kind.
+    become two-element coordinate arrays; other primitives are tagged by a
+    single key naming their kind.  Any other value, an int or None included,
+    raises :class:`GeometryError`.
     """
     if isinstance(value, Fraction):
         return str(value)
@@ -374,32 +347,10 @@ def encode_value(value: object) -> object:
                         "origin": encode_value(value.origin)}}
     if isinstance(value, TaxicabCircle):
         return {"circle": {"center": encode_value(value.center), "radius": str(value.radius)}}
-    if isinstance(value, ViewBox):
-        return {
-            "max_x": str(value.max_x),
-            "max_y": str(value.max_y),
-            "min_x": str(value.min_x),
-            "min_y": str(value.min_y),
-        }
-    if isinstance(value, SceneItem):
-        return {
-            "dash": value.dash.value,
-            "geometry": encode_value(value.geometry),
-            "group": value.group,
-            "label": value.label,
-            "stroke": value.stroke.value,
-        }
-    if isinstance(value, Scene):
-        return {
-            "items": [encode_value(item) for item in value.items],
-            "viewbox": encode_value(compute_viewbox(value)),
-        }
     if isinstance(value, (tuple, list)):
         return [encode_value(v) for v in value]
     if isinstance(value, dict):
         return {str(k): encode_value(v) for k, v in value.items()}
-    if value is None or isinstance(value, (str, int)):
-        return value
     raise GeometryError(f"cannot encode {type(value).__name__} as JSON")
 
 

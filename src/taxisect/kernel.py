@@ -179,9 +179,6 @@ class Segment:
             return False
         return min(px, qx) <= xx <= max(px, qx) and min(py, qy) <= xy <= max(py, qy)
 
-    def taxicab_length(self) -> Fraction:
-        return taxicab_distance(self.p, self.q)
-
 
 @dataclass(frozen=True)
 class TaxicabCircle:

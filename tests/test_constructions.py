@@ -14,6 +14,7 @@ from taxisect.constructions import (
     MalformedTraceError,
     OnCircleClaim,
     OnLineClaim,
+    PostconditionError,
     StepFailure,
     StepKind,
     TraceStep,
@@ -435,8 +436,12 @@ def test_open_forgery_is_caught(trace_name, tamper):
     _assert_tamper_caught(TAMPER_TRACES[trace_name], *OPEN_FORGERIES[tamper])
 
 
-# Step 3 of this trace is the circle about B, spanned by A and B.
+# Step 3 of this trace is the circle about B, spanned by A and B.  Fields
+# that are not a dict are passed to verify_trace in place of the trace.
 HEADER_ERRORS = {
+    "not-a-trace-none": (None, "trace is not a ConstructionTrace"),
+    "not-a-trace-int": (5, "trace is not a ConstructionTrace"),
+    "not-a-trace-str": ("trace", "trace is not a ConstructionTrace"),
     "inputs-not-sequence": ({"inputs": 5}, "step 3 inputs are not a sequence"),
     "claims-not-sequence": ({"claims": None}, "step 3 claims are not a sequence"),
     "unknown-claim": ({"claims": ("on",)}, "unknown claim 'on'"),
@@ -463,10 +468,13 @@ def test_header_error_message(case):
     fields, message = HEADER_ERRORS[case]
     _, trace = nsect_segment(pt(0, 0), pt(3, 3), 3)
     assert spanned_circle(trace.steps[3])
-    steps = list(trace.steps)
-    steps[3] = dataclasses.replace(steps[3], **fields)
+    subject = fields
+    if isinstance(fields, dict):
+        steps = list(trace.steps)
+        steps[3] = dataclasses.replace(steps[3], **fields)
+        subject = dataclasses.replace(trace, steps=tuple(steps))
     with pytest.raises(MalformedTraceError) as caught:
-        verify_trace(dataclasses.replace(trace, steps=tuple(steps)))
+        verify_trace(subject)
     assert str(caught.value) == message
 
 
@@ -758,6 +766,23 @@ def test_chord_trace_runs_one_segment_nsection(monkeypatch):
     monkeypatch.setattr(constructions, "_append_nsect", counted)
     section_angle(EDGE_ANGLE, 16)
     assert calls == [16]
+
+
+def test_chord_mark_off_its_ray_is_refused(monkeypatch):
+    original = constructions._chord_trace
+
+    def moved_m3(*args):
+        trace = original(*args)
+        steps = list(trace.steps)
+        index = next(i for i, step in enumerate(steps) if step.label == "M3")
+        steps[index] = dataclasses.replace(steps[index], output=steps[index].output + d(0, F(1, 9)))
+        return dataclasses.replace(trace, steps=tuple(steps))
+
+    monkeypatch.setattr(constructions, "_chord_trace", moved_m3)
+    with pytest.raises(PostconditionError) as caught:
+        section_angle(EDGE_ANGLE, 5)
+    assert str(caught.value) == "chord mark M3 is (7/10, 37/90), expected (7/10, 3/10)"
+    assert not verify_trace(caught.value.trace).ok
 
 
 # ------------------------------------------ crossings named by direction

@@ -32,12 +32,17 @@ from taxisect.export import (
     encode_value,
     regroup,
     scene_from_trace,
+    _item_elements,
+    _Mapper,
 )
 from taxisect.kernel import (
+    Direction,
     Line,
     Point,
+    Ray,
     Segment,
     TaxicabCircle,
+    line_through,
     point_on_circle,
     taxicab_distance,
 )
@@ -188,12 +193,10 @@ def test_empty_scene_is_just_the_frame():
 
 
 def test_coordinates_use_twelve_significant_digits():
-    scene = Scene(
-        (SceneItem(pt(F(1, 3), 0)),),
-        viewbox=ViewBox(F(0), F(-3), F(3), F(1)),
-    )
+    scene = Scene((SceneItem(pt(0, -3)), SceneItem(pt(3, 1)), SceneItem(pt(F(1, 3), 0))))
     svg = emit_svg(scene)
-    assert 'cx="62.2222222222"' in svg
+    assert 'cx="98.5185185185"' in svg
+    assert 'cx="513.333333333"' in svg
 
 
 def test_groups_become_g_elements():
@@ -227,6 +230,82 @@ def test_import_leaves_xml_sax_out():
         timeout=60,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def reference_clip(anchor: Point, direction: Direction, view: ViewBox):
+    """Parameter range of anchor + t * direction inside the view, as the
+    exporter computed it before lines and rays shared one clipper."""
+    lo = hi = None
+
+    def narrow(coord, delta, low, high) -> bool:
+        nonlocal lo, hi
+        if delta == 0:
+            return low <= coord <= high
+        t0 = (low - coord) / delta
+        t1 = (high - coord) / delta
+        if t0 > t1:
+            t0, t1 = t1, t0
+        lo = t0 if lo is None else max(lo, t0)
+        hi = t1 if hi is None else min(hi, t1)
+        return True
+
+    if not narrow(anchor.x, direction.dx, view.min_x, view.max_x):
+        return None
+    if not narrow(anchor.y, direction.dy, view.min_y, view.max_y):
+        return None
+    if lo > hi:
+        return None
+    return (lo, hi)
+
+
+def reference_ends(geometry, view: ViewBox):
+    """Endpoints of the drawn piece of a line or ray under the reference
+    rules, or None when nothing is drawn."""
+    if isinstance(geometry, Line):
+        anchor, direction = geometry.some_point(), geometry.direction()
+        span = reference_clip(anchor, direction, view)
+        if span is None or not span[0] < span[1]:
+            return None
+        p = anchor + direction.scaled(span[0]) if span[0] != 0 else anchor
+        q = anchor + direction.scaled(span[1]) if span[1] != 0 else anchor
+        return p, q
+    span = reference_clip(geometry.origin, geometry.direction, view)
+    if span is None:
+        return None
+    lo = max(span[0], F(0))
+    if not lo < span[1]:
+        return None
+    return geometry.point_at(lo), geometry.point_at(span[1])
+
+
+box_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+extents = st.fractions(min_value=F(1, 10), max_value=30, max_denominator=12)
+# Where the anchor sits, as a fraction of the box's width or height: on an
+# edge or corner (0, 1), inside, or outside.
+relative = st.one_of(
+    st.sampled_from([F(0), F(1)]),
+    st.fractions(min_value=-2, max_value=3, max_denominator=10),
+)
+wide = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+clip_directions = st.one_of(
+    st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (3, 0), (0, F(-1, 2))]),
+    st.tuples(st.sampled_from([1, -1, F(2, 3)]), st.sampled_from([1, -1])).map(lambda t: (t[0], t[0] * t[1])),
+    st.tuples(wide, wide).filter(lambda t: t != (0, 0)),
+).map(lambda t: Direction(F(t[0]), F(t[1])))
+
+
+@given(box_rationals, box_rationals, extents, extents, relative, relative, clip_directions, st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_lines_and_rays_draw_the_reference_endpoints(x, y, w, h, s, t, direction, as_ray):
+    view = ViewBox(x, y, x + w, y + h)
+    anchor = Point(x + s * w, y + t * h)
+    geometry = Ray(anchor, direction) if as_ray else line_through(anchor, anchor + direction)
+    mapper = _Mapper(view)
+    drawn = [re.search(r'x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)"', piece).groups()
+             for piece in _item_elements(mapper, SceneItem(geometry)) if piece.startswith("<line ")]
+    ends = reference_ends(geometry, view)
+    expected = [] if ends is None else [(*mapper.svg_xy(ends[0]), *mapper.svg_xy(ends[1]))]
+    assert drawn == expected
 
 
 def test_svg_deterministic_across_fresh_builds():
@@ -270,12 +349,9 @@ def test_json_rationals_round_trip():
     assert [parse_rational(v) for v in decoded] == values
 
 
-def test_scene_encoding_shape():
-    scene = Scene((SceneItem(pt(1, 2), label="A", stroke=Stroke.RESULT),))
-    decoded = json.loads(emit_json(scene))
-    assert decoded["items"][0]["label"] == "A"
-    assert decoded["items"][0]["stroke"] == "result"
-    # the emitted scene is self-contained: the effective viewbox is computed
-    assert decoded["viewbox"] == {
-        "min_x": "-1/5", "min_y": "4/5", "max_x": "11/5", "max_y": "16/5"
-    }
+@pytest.mark.parametrize(
+    "value", [Scene((SceneItem(pt(1, 2)),)), 3, True], ids=["scene", "int", "bool"]
+)
+def test_json_refuses_values_that_are_not_geometry_or_rationals(value):
+    with pytest.raises(GeometryError):
+        emit_json(value)
