@@ -4,7 +4,7 @@
 For every corpus script this writes <stem>.json (the final bindings) and
 <stem>.svg (the final scene); for every built-in demo figure it writes
 figure_<name>.svg.  Run with --check to compare instead of write, exiting
-nonzero on any drift.
+nonzero on any drift or on a stale golden that nothing produces.
 """
 
 from __future__ import annotations
@@ -55,11 +55,13 @@ def main() -> int:
         else:
             target.write_text(text, encoding="utf-8")
             print(f"wrote {target.relative_to(ROOT)}")
-    stale = set(p.name for p in GOLDENS.iterdir()) - set(generated)
+    stale = sorted(set(p.name for p in GOLDENS.iterdir()) - set(generated))
     if stale:
-        print(f"note: stale golden files not touched: {sorted(stale)}", file=sys.stderr)
+        note = "stale goldens that nothing produces" if args.check else "note: stale golden files not touched"
+        print(f"{note}: {stale}", file=sys.stderr)
     if drift:
         print(f"goldens differ: {drift}", file=sys.stderr)
+    if drift or (args.check and stale):
         return 1
     if args.check:
         print(f"all {len(generated)} goldens match")

@@ -39,7 +39,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Union, get_args
 
-from .angles import Angle, direction_to_param, param_to_point
+from .angles import Angle, direction_to_param, param_to_point, sweep_ccw
 from .kernel import (
     CircleVertex,
     CoincidentLinesError,
@@ -442,8 +442,9 @@ class _TraceBuilder:
     def mark_result(self, point_ref: int, claims: tuple[Claim, ...], label: str | None = None) -> int:
         return self._add(StepKind.MARK_RESULT, (point_ref,), claims, label)
 
-    def build(self, result_ref: int) -> ConstructionTrace:
-        return ConstructionTrace(tuple(self._steps), result_ref)
+    def build(self) -> ConstructionTrace:
+        """The trace so far, with its last step as the result."""
+        return ConstructionTrace(tuple(self._steps), len(self._steps) - 1)
 
 
 def _corner_pair(direction: Direction) -> tuple[CircleVertex, CircleVertex]:
@@ -472,19 +473,22 @@ def last_circle_south_vertex(a: Point, b: Point, n: int) -> Point:
     return Point(center.x, center.y - radius)
 
 
-def _append_nsect(
-    builder: _TraceBuilder,
-    a_ref: int,
-    b_ref: int,
-    n: int,
-    mark_label: str | None = "C",
-    cross_label: str | None = "P",
-) -> tuple[int, int]:
-    """Append the n-section steps for the segment between two already placed
-    points; return the mark-result reference and the line AB it draws."""
+def _append_nsect(builder: _TraceBuilder, a_ref: int, b_ref: int, n: int, every: bool = False) -> None:
+    """Append the n-section steps for the segment AB between two already
+    placed points.  They mark C at d_t(A, C) = L / n, labelled "C" with its
+    helper crossing labelled "P"; with ``every`` they go on to mark each
+    division point, labelled M1 (= C) to M(n-1), and label no crossing.
+
+    After M1 the compass keeps that opening and walks along line AB: the
+    circle about M(k-1) spanned by A and M1 crosses the line at M(k-2) and
+    at M(k), the crossing farther from A.  The line passes through the
+    circle's center, so it never runs along an edge and each walk step has
+    two crossings.  That is three steps per further mark.
+    """
     a = builder.point(a_ref)
     b = builder.point(b_ref)
-    low_corner, high_corner = _corner_pair(b - a)
+    onward = b - a
+    low_corner, high_corner = _corner_pair(onward)
     length = taxicab_distance(a, b)
 
     base_ref = builder.draw_line(a_ref, b_ref)
@@ -506,16 +510,21 @@ def _append_nsect(
         toward_b = builder.draw_line(low, b_ref)
         # The line from the low corner meets the circle about B first on
         # the corner's side of B.
-        p_ref = builder.intersect_with_circle(toward_b, circle_b, builder.point(low) - b, label=cross_label)
+        p_label = None if every else "P"
+        p_ref = builder.intersect_with_circle(toward_b, circle_b, builder.point(low) - b, label=p_label)
         high = builder.take_vertex(circle_a, high_corner)
         back_ref = builder.draw_line(p_ref, high)
         c_ref = builder.intersect_two_lines(back_ref, base_ref)
 
-    claims: tuple[Claim, ...] = (
-        BetweenClaim(a_ref, b_ref),
-        DistanceClaim(a_ref, length / n),
-    )
-    return builder.mark_result(c_ref, claims, label=mark_label), base_ref
+    between = BetweenClaim(a_ref, b_ref)
+    m1_ref = builder.mark_result(c_ref, (between, DistanceClaim(a_ref, length / n)), "M1" if every else "C")
+    if not every:
+        return
+    mark_ref = m1_ref
+    for k in range(2, n):
+        step_circle = builder.draw_circle(mark_ref, span=(a_ref, m1_ref))
+        next_ref = builder.intersect_with_circle(base_ref, step_circle, onward)
+        mark_ref = builder.mark_result(next_ref, (between, DistanceClaim(a_ref, length * k / n)), f"M{k}")
 
 
 def _check_part_count(n: int, what: str) -> None:
@@ -539,13 +548,13 @@ def nsect_segment(a: Point, b: Point, n: int) -> tuple[Point, ConstructionTrace]
     builder = _TraceBuilder()
     a_ref = builder.place_point(a, label="A")
     b_ref = builder.place_point(b, label="B")
-    result_ref, _ = _append_nsect(builder, a_ref, b_ref, n)
-    trace = builder.build(result_ref)
+    _append_nsect(builder, a_ref, b_ref, n)
+    trace = builder.build()
     constructed = trace.result_point()
-    expected = a + (b - a).scaled(Fraction(1, n))
-    if constructed != expected:
+    part = Fraction(1, n)
+    if not _is_at(constructed, a, part, b - a):
         raise PostconditionError(
-            f"construction produced {constructed}, expected {expected}", trace
+            f"construction produced {constructed}, expected {a + (b - a).scaled(part)}", trace
         )
     return constructed, trace
 
@@ -560,10 +569,10 @@ def section_angle(
     starts at side1).  When both sides cross the same edge of the taxicab
     circle of the given radius about the vertex, the chord between the
     crossings runs along that edge, and the second return value is a trace
-    that marks every division point of the chord (see :func:`_chord_trace`);
-    otherwise it is None.  Each mark is checked against the crossing of its
-    ray with that circle; a mismatch raises :class:`PostconditionError` with
-    the trace attached.
+    whose one segment n-section of the chord marks every division point
+    (see :func:`_chord_trace`); otherwise it is None.  Each mark is checked
+    against the crossing of its ray with that circle; a mismatch raises
+    :class:`PostconditionError` with the trace attached.
     """
     _check_part_count(n, "angle sectioning")
     radius = as_rational(radius)
@@ -572,7 +581,7 @@ def section_angle(
 
     first, second = angle.side1, angle.side2
     start = direction_to_param(first)
-    sweep = (direction_to_param(second) - start) % 8
+    sweep = sweep_ccw(start, direction_to_param(second))
     if sweep == 0:
         raise ConstructionError("cannot section a zero angle")
     if sweep > 4:
@@ -587,25 +596,25 @@ def section_angle(
 
     if start + sweep > 2 * (start // 2 + 1):  # the sweep passes a corner
         return rays, None
-    vertex = angle.vertex
-    trace = _chord_trace(vertex, first, second, n, radius)
+    trace = _chord_trace(angle.vertex, first, second, n, radius)
     for k, (ray, mark) in enumerate(zip(rays, trace.marked_points()), start=1):
-        d = ray.direction
-        if not (_is_sum(mark.x, vertex.x, radius, d.dx) and _is_sum(mark.y, vertex.y, radius, d.dy)):
+        if not _is_at(mark, angle.vertex, radius, ray.direction):
             raise PostconditionError(
                 f"chord mark M{k} is {mark}, expected {ray.point_at(radius)}", trace
             )
     return rays, trace
 
 
-def _is_sum(total: Fraction, base: Fraction, factor: Fraction, step: Fraction) -> bool:
-    """Whether total == base + factor * step, compared in ints: no Fraction
-    is built."""
-    tn, td = total.as_integer_ratio()
-    bn, bd = base.as_integer_ratio()
-    fn, fd = factor.as_integer_ratio()
-    sn, sd = step.as_integer_ratio()
-    return tn * bd * fd * sd == (bn * fd * sd + fn * sn * bd) * td
+def _is_at(p: Point, base: Point, t: Fraction, step: Direction) -> bool:
+    """Whether p == base + t * step, compared in ints: no Fraction is built."""
+    tn, td = t.as_integer_ratio()
+    for total, origin, delta in ((p.x, base.x, step.dx), (p.y, base.y, step.dy)):
+        pn, pd = total.as_integer_ratio()
+        bn, bd = origin.as_integer_ratio()
+        sn, sd = delta.as_integer_ratio()
+        if pn * bd * td * sd != (bn * td * sd + tn * sn * bd) * pd:
+            return False
+    return True
 
 
 def _as_direction(unit_point: Point) -> Direction:
@@ -616,14 +625,9 @@ def _chord_trace(
     vertex: Point, first_side: Direction, second_side: Direction, n: int, radius: Fraction
 ) -> ConstructionTrace:
     """Trace that cuts the chord Q1Q2 between the two side crossings into n
-    equal parts, marking each division point in sweep order.
-
-    One segment n-section marks M1 at d_t(Q1, M1) = L / n.  The compass then
-    keeps that opening and walks along the chord: the circle about M(k-1)
-    spanned by Q1 and M1 crosses the chord line at M(k-2) and at M(k), the
-    crossing farther from Q1.  The line passes through the circle's center,
-    so it never runs along an edge and each walk step has two crossings.
-    That is three steps per further mark, 5n + 6 steps in all for n >= 3.
+    equal parts: the side lines, their crossings with the circle, and one
+    segment n-section of Q1Q2 that marks every division point in sweep
+    order (see :func:`_append_nsect`).  That is 5n + 6 steps for n >= 3.
     """
     builder = _TraceBuilder()
     v_ref = builder.place_point(vertex, label="A")
@@ -640,20 +644,5 @@ def _chord_trace(
     q1_ref = builder.intersect_with_circle(side1_line, circle_ref, first_side, label="B")
     side2_line = builder.draw_line(v_ref, h2_ref)
     q2_ref = builder.intersect_with_circle(side2_line, circle_ref, second_side, label="C")
-
-    m1_ref, chord_ref = _append_nsect(builder, q1_ref, q2_ref, n, mark_label="M1", cross_label=None)
-    q1 = builder.point(q1_ref)
-    q2 = builder.point(q2_ref)
-    onward = q2 - q1
-    length = taxicab_distance(q1, q2)
-
-    mark_ref = m1_ref
-    for k in range(2, n):
-        step_circle = builder.draw_circle(mark_ref, span=(q1_ref, m1_ref))
-        next_ref = builder.intersect_with_circle(chord_ref, step_circle, onward)
-        claims: tuple[Claim, ...] = (
-            BetweenClaim(q1_ref, q2_ref),
-            DistanceClaim(q1_ref, length * k / n),
-        )
-        mark_ref = builder.mark_result(next_ref, claims, label=f"M{k}")
-    return builder.build(mark_ref)
+    _append_nsect(builder, q1_ref, q2_ref, n, every=True)
+    return builder.build()

@@ -312,7 +312,8 @@ def emit_svg(scene: Scene) -> str:
             if open_group is not None:
                 lines.append("</g>")
             if item.group is not None:
-                lines.append(f'<g id="{escape(item.group)}">')
+                group_id = escape(item.group).replace('"', "&quot;")
+                lines.append(f'<g id="{group_id}">')
             open_group = item.group
         lines.extend(_item_elements(mapper, item))
     if open_group is not None:
@@ -325,12 +326,13 @@ def emit_svg(scene: Scene) -> str:
 # JSON emission
 
 def encode_value(value: object) -> object:
-    """Encode a rational, a kernel primitive, or a list, tuple or dict of them.
+    """Encode a rational, a kernel primitive, or a list, tuple or str-keyed
+    dict of them.
 
     Rationals become "p/q" strings (so parsing them back is exact) and points
     become two-element coordinate arrays; other primitives are tagged by a
     single key naming their kind.  Any other value, an int or None included,
-    raises :class:`GeometryError`.
+    and any dict key that is not a str raise :class:`GeometryError`.
     """
     if isinstance(value, Fraction):
         return str(value)
@@ -350,7 +352,10 @@ def encode_value(value: object) -> object:
     if isinstance(value, (tuple, list)):
         return [encode_value(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): encode_value(v) for k, v in value.items()}
+        for key in value:
+            if not isinstance(key, str):
+                raise GeometryError(f"JSON keys must be strings, got {key!r}")
+        return {key: encode_value(v) for key, v in value.items()}
     raise GeometryError(f"cannot encode {type(value).__name__} as JSON")
 
 

@@ -116,8 +116,8 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# Syntax tree.  Locations are excluded from equality so that formatting and
-# reparsing yields a structurally identical tree.
+# Syntax tree.  Locations are excluded from equality, so the same statements
+# laid out differently in the source parse to equal trees.
 
 @dataclass(frozen=True)
 class Loc:
@@ -313,40 +313,6 @@ def parse(source: str) -> Script:
     """Parse .taxi source text; raises :class:`TaxiSyntaxError` with the
     offending location."""
     return _Parser(_tokenize(source)).parse()
-
-
-# ---------------------------------------------------------------------------
-# Formatter
-
-def _format_expr(expr: Expr) -> str:
-    if isinstance(expr, RationalLit):
-        return expr.text
-    if isinstance(expr, PointLit):
-        return f"({expr.x.text}, {expr.y.text})"
-    if isinstance(expr, StringLit):
-        return f'"{expr.value}"'
-    if isinstance(expr, NameRef):
-        return expr.name
-    if isinstance(expr, Call):
-        return f"{expr.func}({', '.join(_format_expr(a) for a in expr.args)})"
-    raise TypeError(f"unknown expression {expr!r}")
-
-
-def format_script(script: Script) -> str:
-    """Canonical text for a script; reparsing gives an equal tree."""
-    lines = []
-    for stmt in script.statements:
-        if isinstance(stmt, Binding):
-            lines.append(f"{stmt.name} = {_format_expr(stmt.expr)}")
-        elif isinstance(stmt, AssertEq):
-            lines.append(f"assert_eq {_format_expr(stmt.lhs)} {_format_expr(stmt.rhs)}")
-        elif isinstance(stmt, Render):
-            lines.append(f'render "{stmt.path}"')
-        elif isinstance(stmt, Dump):
-            lines.append("dump")
-        else:
-            raise TypeError(f"unknown statement {stmt!r}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------

@@ -785,6 +785,15 @@ def test_chord_mark_off_its_ray_is_refused(monkeypatch):
     assert not verify_trace(caught.value.trace).ok
 
 
+def test_nsect_from_swapped_corners_is_refused(monkeypatch):
+    original = constructions._corner_pair
+    monkeypatch.setattr(constructions, "_corner_pair", lambda direction: original(direction)[::-1])
+    with pytest.raises(PostconditionError) as caught:
+        nsect_segment(pt(1, 2), pt(-3, 7), 5)
+    assert str(caught.value) == "construction produced (7/3, 1/3), expected (1/5, 3)"
+    assert not verify_trace(caught.value.trace).ok
+
+
 # ------------------------------------------ crossings named by direction
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from xml.etree import ElementTree
 from xml.sax.saxutils import escape as sax_escape
 
 import pytest
@@ -218,6 +219,14 @@ def test_label_and_group_escape_matches_saxutils():
     assert f">{sax_escape(text)}</text>" in svg
 
 
+def test_group_id_with_a_quote_stays_one_attribute():
+    svg = emit_svg(Scene((SceneItem(pt(0, 0), group='a"b'), SceneItem(pt(1, 1), label='say "M1"'))))
+    root = ElementTree.fromstring(svg)
+    groups = root.findall("{http://www.w3.org/2000/svg}g")
+    assert [g.get("id") for g in groups] == ['a"b']
+    assert 'say "M1"</text>' in svg
+
+
 def test_import_leaves_xml_sax_out():
     source_root = Path(taxisect.__file__).resolve().parents[1]
     code = "import sys, taxisect.cli; print(sorted(m for m in sys.modules if m.startswith('xml.sax')))"
@@ -350,7 +359,9 @@ def test_json_rationals_round_trip():
 
 
 @pytest.mark.parametrize(
-    "value", [Scene((SceneItem(pt(1, 2)),)), 3, True], ids=["scene", "int", "bool"]
+    "value",
+    [Scene((SceneItem(pt(1, 2)),)), 3, True, {1: F(1), "1": F(2)}, {"a": {None: F(1)}}],
+    ids=["scene", "int", "bool", "int-key", "nested-none-key"],
 )
 def test_json_refuses_values_that_are_not_geometry_or_rationals(value):
     with pytest.raises(GeometryError):

@@ -15,7 +15,6 @@ from taxisect.script import (
     TaxiRuntimeError,
     TaxiSyntaxError,
     execute,
-    format_script,
     parse,
     run_source,
 )
@@ -220,10 +219,10 @@ def test_render_to_unwritable_path_is_located(tmp_path, target):
     assert err.value.message.startswith(f"cannot write {target}: ")
 
 
-# ------------------------------------------------------- formatting, rerun
+# ----------------------------------------------------------- layout, rerun
 
 
-ROUND_TRIP_SOURCE = """\
+SAMPLE_SOURCE = """\
 # two ways to reach the same point
 A = point(0, 0)
 B = point(7/3, 7/3)
@@ -235,16 +234,15 @@ dump
 """
 
 
-def test_format_reparse_idempotence():
-    script = parse(ROUND_TRIP_SOURCE)
-    pretty = format_script(script)
-    assert parse(pretty) == script
-    assert format_script(parse(pretty)) == pretty
+def test_layout_does_not_change_the_tree():
+    relaid = "\n\n".join("   " + line.replace(", ", " ,  ") for line in SAMPLE_SOURCE.splitlines())
+    assert parse(relaid) == parse(SAMPLE_SOURCE)
+    assert parse(relaid).statements[1].loc != parse(SAMPLE_SOURCE).statements[1].loc
 
 
 def test_execution_is_deterministic(tmp_path):
-    first = run_source(ROUND_TRIP_SOURCE, output_root=tmp_path / "a")
-    second = run_source(ROUND_TRIP_SOURCE, output_root=tmp_path / "b")
+    first = run_source(SAMPLE_SOURCE, output_root=tmp_path / "a")
+    second = run_source(SAMPLE_SOURCE, output_root=tmp_path / "b")
     assert first.env == second.env
     assert first.failures == second.failures
     assert emit_json(first.env) == emit_json(second.env)
