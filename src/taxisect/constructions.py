@@ -25,11 +25,13 @@ when dx = 0.  Those symmetries preserve taxicab distance and map circle
 corners to circle corners, so the construction transfers unchanged.
 
 Every construction returns a trace: the full list of compass and straightedge
-steps, each recording its inputs, its produced primitive, and the incidence
-claims it relies on.  ``verify_trace`` replays a trace with kernel operations
-only and checks that every recorded output and claim reproduces exactly, so a
-trace is a machine-checkable certificate independent of the choices that built
-it: which corner, which crossing, how far the chain walks.
+steps, each recording its inputs and its produced primitive, and each mark
+the claims that place it on the segment at its distance.  ``verify_trace``
+checks a drawn line or circle and each crossing of two drawn figures by its
+incidences, in exact int predicates, replays the rest with kernel operations,
+and checks every claim, so a trace is a machine-checkable certificate
+independent of the choices that built it: which corner, which crossing, how
+far the chain walks.
 """
 
 from __future__ import annotations
@@ -49,12 +51,13 @@ from .kernel import (
     OnePoint,
     Point,
     Ray,
-    Segment,
     TaxicabCircle,
+    at_taxicab_distance,
     circle_vertex,
     intersect_line_circle,
     intersect_lines,
     line_through,
+    point_between,
     point_on_circle,
     points_of,
     taxicab_distance,
@@ -134,7 +137,7 @@ class BetweenClaim:
         q = outputs[self.q_step]
         if not (isinstance(p, Point) and isinstance(q, Point)):
             return False
-        return subject in (p, q) or (p != q and Segment(p, q).contains(subject))
+        return point_between(p, q, subject)
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,7 @@ class DistanceClaim:
 
     def holds(self, subject: Point, outputs: Sequence[Primitive]) -> bool:
         anchor = outputs[self.from_step]
-        return isinstance(anchor, Point) and taxicab_distance(anchor, subject) == self.value
+        return isinstance(anchor, Point) and at_taxicab_distance(anchor, subject, self.value)
 
 
 Claim = Union[OnLineClaim, OnCircleClaim, BetweenClaim, DistanceClaim]
@@ -162,8 +165,10 @@ Primitive = Union[Point, Line, TaxicabCircle]
 class TraceStep:
     """One compass or straightedge action.
 
-    ``inputs`` reference earlier steps by index.  ``pick`` selects one point
-    of a two-point intersection (index into the kernel's canonical ordering),
+    ``inputs`` reference earlier steps by index.  ``claims`` state facts
+    about a point output that its step does not imply; the builder writes
+    them only on marks.  ``pick`` selects one point of a two-point
+    intersection (index into the kernel's canonical ordering),
     ``vertex`` names a circle corner, and ``radius`` records a literal compass
     opening for circles not spanned between two drawn points.  Each of these
     three belongs to one kind of step, and is None on every other:
@@ -295,9 +300,84 @@ def _step_output(
     raise MalformedTraceError(f"unknown step kind {kind!r}")
 
 
+def _step_checks(step: TraceStep, outputs: Sequence[Primitive]) -> bool:
+    """Whether the recorded output of a computed step is, by its incidences
+    alone, the output that :func:`_step_output` replays.  Each incidence is
+    an int predicate of the kernel:
+
+    - draw-line: p != q, and the line contains both;
+    - intersect-lines: the lines differ and both contain the point, so they
+      are not parallel and the point is their one crossing;
+    - draw-circle: the center is the input, and the radius is the recorded
+      radius or the spanned distance;
+    - intersect-line-circle, when the line contains the circle's center c:
+      the point is on the line and the circle, so it is c + w or c - w for
+      w along the line (see :class:`_TraceBuilder`).  The kernel orders the
+      two by (x, y), so the point is crossing ``pick`` exactly when ``pick``
+      is in ``range(-2, 2)`` and ``pick % 2`` says whether the point lies
+      after c.
+
+    False means only "not shown here": the step is then replayed, and the
+    replay names the failure or raises :class:`MalformedTraceError`, as it
+    does for every take-vertex, mark-result and line that misses the
+    center.  The references are already checked to be earlier steps.
+    """
+    kind, inputs, output = step.kind, step.inputs, step.output
+    if kind is StepKind.INTERSECT_LINE_CIRCLE:
+        pick = step.pick
+        if len(inputs) != 2 or type(output) is not Point or not (_is_int(pick) and -2 <= pick < 2):
+            return False
+        line, circle = outputs[inputs[0]], outputs[inputs[1]]
+        if not (isinstance(line, Line) and isinstance(circle, TaxicabCircle)):
+            return False
+        c = circle.center
+        return (
+            line.contains(c)
+            and line.contains(output)
+            and point_on_circle(circle, output)
+            and pick % 2 == ((output.x, output.y) > (c.x, c.y))
+        )
+    if kind is StepKind.DRAW_LINE:
+        if len(inputs) != 2 or type(output) is not Line:
+            return False
+        p, q = outputs[inputs[0]], outputs[inputs[1]]
+        return (
+            isinstance(p, Point)
+            and isinstance(q, Point)
+            and p != q
+            and output.contains(p)
+            and output.contains(q)
+        )
+    if kind is StepKind.INTERSECT_LINES:
+        if len(inputs) != 2 or type(output) is not Point:
+            return False
+        m, n = outputs[inputs[0]], outputs[inputs[1]]
+        # Lines are canonical, so m != n says they are distinct lines.
+        return isinstance(m, Line) and isinstance(n, Line) and m != n and m.contains(output) and n.contains(output)
+    if kind is StepKind.DRAW_CIRCLE:
+        if type(output) is not TaxicabCircle:
+            return False
+        if len(inputs) == 1:
+            radius = step.radius
+            fits = _is_exact(radius) and radius > 0 and output.radius == radius
+        elif len(inputs) == 3:
+            p, q = outputs[inputs[1]], outputs[inputs[2]]
+            fits = isinstance(p, Point) and isinstance(q, Point) and at_taxicab_distance(p, q, output.radius)
+        else:
+            return False
+        center = outputs[inputs[0]]
+        return fits and isinstance(center, Point) and center == output.center
+    return False
+
+
 def verify_trace(trace: ConstructionTrace) -> VerificationReport:
-    """Replay a trace with kernel operations and check every recorded output
-    and incidence claim exactly.
+    """Check every recorded output and claim of a trace exactly.
+
+    A drawn line or circle, a crossing of two lines, and a crossing of a
+    line with a circle whose center it passes through are checked by their
+    incidences (see :func:`_step_checks`); any other step, and any step that
+    fails its check, is replayed through :func:`_step_output` and compared.
+    Either way the verdict is the replay's.
 
     Structural problems (a trace that is not a :class:`ConstructionTrace`,
     steps that are not a sequence of :class:`TraceStep`, forward or
@@ -343,15 +423,14 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
             raise MalformedTraceError(f"step {index} has a radius, which only a one-input draw-circle takes")
         if kind is StepKind.PLACE_POINT:
             _expect(not inputs, "place-point takes no inputs")
-            replayed = step.output
-        else:
+        elif not _step_checks(step, outputs):
             replayed = _step_output(kind, inputs, outputs, step.pick, step.radius, step.vertex)
-        if replayed is None:
-            return VerificationReport(False, index, StepFailure(index, "step does not replay"))
-        if replayed != step.output:
-            return VerificationReport(
-                False, index, StepFailure(index, "recorded output differs from replay")
-            )
+            if replayed is None:
+                return VerificationReport(False, index, StepFailure(index, "step does not replay"))
+            if replayed != step.output:
+                return VerificationReport(
+                    False, index, StepFailure(index, "recorded output differs from replay")
+                )
         for claim in claims:
             # Claims are only defined on points; a claim on any other output
             # is not yet reported as a malformed trace.
@@ -375,6 +454,8 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
 class _TraceBuilder:
     """Records steps whose outputs come from :func:`_step_output`; the
     builder itself makes only the choices: which corner, which crossing.
+    It writes claims only on marks; the incidences of every other step are
+    the verifier's to check.
 
     Every line that the constructions meet with a circle passes through the
     circle's center c, so it crosses the diamond at c - w and c + w, where w
@@ -423,8 +504,7 @@ class _TraceBuilder:
         return self._add(StepKind.DRAW_CIRCLE, (center_ref, *span), radius=radius)
 
     def take_vertex(self, circle_ref: int, which: CircleVertex) -> int:
-        claims = (OnCircleClaim(circle_ref),)
-        return self._add(StepKind.TAKE_CIRCLE_VERTEX, (circle_ref,), claims, vertex=which)
+        return self._add(StepKind.TAKE_CIRCLE_VERTEX, (circle_ref,), vertex=which)
 
     def intersect_with_circle(
         self, line_ref: int, circle_ref: int, toward: Direction, label: str | None = None
@@ -432,12 +512,10 @@ class _TraceBuilder:
         """The crossing of a line through the circle's center that lies in
         direction ``toward`` from the center (see the class docstring)."""
         pick = 1 if (toward.dx, toward.dy) > (0, 0) else 0
-        claims = (OnLineClaim(line_ref), OnCircleClaim(circle_ref))
-        return self._add(StepKind.INTERSECT_LINE_CIRCLE, (line_ref, circle_ref), claims, label, pick)
+        return self._add(StepKind.INTERSECT_LINE_CIRCLE, (line_ref, circle_ref), label=label, pick=pick)
 
     def intersect_two_lines(self, first_ref: int, second_ref: int) -> int:
-        claims = (OnLineClaim(first_ref), OnLineClaim(second_ref))
-        return self._add(StepKind.INTERSECT_LINES, (first_ref, second_ref), claims)
+        return self._add(StepKind.INTERSECT_LINES, (first_ref, second_ref))
 
     def mark_result(self, point_ref: int, claims: tuple[Claim, ...], label: str | None = None) -> int:
         return self._add(StepKind.MARK_RESULT, (point_ref,), claims, label)

@@ -18,10 +18,18 @@ Line canonicalisation, ``line_through``, ``intersect_lines``,
 ``intersect_line_circle`` and ``taxicab_distance`` compute in plain ints:
 each line, circle or coordinate pair is taken over its common denominator,
 and a ``Fraction`` is built only for each value returned.  So do the
-incidence checks that ``verify_trace`` runs on every claim,
-``Line.contains``, ``Segment.contains`` and ``point_on_circle``, which
-compare ints and build no ``Fraction`` at all, and ``circle_vertex``, which
-builds one for the coordinate it moves.
+incidence predicates ``Line.contains``, ``point_between`` (which
+``Segment.contains`` uses), ``at_taxicab_distance`` and ``point_on_circle``,
+which compare ints and build no ``Fraction`` at all, and ``circle_vertex``,
+which builds one for the coordinate it moves.
+
+``verify_trace`` checks most trace steps with those predicates alone: a
+drawn line contains its two points, a drawn circle has its center and its
+radius, and a crossing of two lines, or of a line with a circle whose
+center it passes through, lies on both figures.  Through the solvers above
+it replays the rest: each corner, each mark, each crossing of a line that
+misses the center, and any step that fails its check, whose replay names
+the failure.
 """
 
 from __future__ import annotations
@@ -171,13 +179,7 @@ class Segment:
             raise GeometryError("degenerate segment")
 
     def contains(self, x: Point) -> bool:
-        # The three x coordinates over one denominator, the three y over
-        # another: both sides of the cross product carry the same scale.
-        px, qx, xx, _ = _common3(self.p.x, self.q.x, x.x)
-        py, qy, xy, _ = _common3(self.p.y, self.q.y, x.y)
-        if (xx - px) * (qy - py) != (xy - py) * (qx - px):
-            return False
-        return min(px, qx) <= xx <= max(px, qx) and min(py, qy) <= xy <= max(py, qy)
+        return point_between(self.p, self.q, x)
 
 
 @dataclass(frozen=True)
@@ -390,9 +392,26 @@ def circle_vertex(circle: TaxicabCircle, which: CircleVertex) -> Point:
     return Point(center.x, Fraction(cy + sign * r, den))
 
 
-def point_on_circle(circle: TaxicabCircle, p: Point) -> bool:
-    # |px - cx| + |py - cy| = r, with x and r over one denominator, y over
+def at_taxicab_distance(p: Point, q: Point, r: Fraction | int) -> bool:
+    """Whether d_t(p, q) == r, compared in ints: no Fraction is built."""
+    # |qx - px| + |qy - py| = r, with x and r over one denominator, y over
     # another, multiplied through by the y denominator.
-    cx, px, r, xden = _common3(circle.center.x, p.x, circle.radius)
-    cy, py, yden = _common2(circle.center.y, p.y)
-    return abs(px - cx) * yden + abs(py - cy) * xden == r * yden
+    px, qx, r, xden = _common3(p.x, q.x, r)
+    py, qy, yden = _common2(p.y, q.y)
+    return abs(qx - px) * yden + abs(qy - py) * xden == r * yden
+
+
+def point_on_circle(circle: TaxicabCircle, p: Point) -> bool:
+    return at_taxicab_distance(circle.center, p, circle.radius)
+
+
+def point_between(p: Point, q: Point, x: Point) -> bool:
+    """Whether x lies on the closed segment pq, compared in ints; when
+    p == q that is x == p."""
+    # The three x coordinates over one denominator, the three y over
+    # another: both sides of the cross product carry the same scale.
+    px, qx, xx, _ = _common3(p.x, q.x, x.x)
+    py, qy, xy, _ = _common3(p.y, q.y, x.y)
+    if (xx - px) * (qy - py) != (xy - py) * (qx - px):
+        return False
+    return min(px, qx) <= xx <= max(px, qx) and min(py, qy) <= xy <= max(py, qy)

@@ -18,6 +18,7 @@ from taxisect.constructions import (
     StepFailure,
     StepKind,
     TraceStep,
+    VerificationReport,
     last_circle_south_vertex,
     nsect_segment,
     section_angle,
@@ -30,6 +31,7 @@ from taxisect.kernel import (
     Point,
     Ray,
     TaxicabCircle,
+    line_through,
     point_on_circle,
     taxicab_distance,
 )
@@ -412,12 +414,17 @@ def _tamper_cases(tampers, marks=()):
     ]
 
 
-def _assert_tamper_caught(trace: ConstructionTrace, kind, change) -> None:
+def _tampered(trace: ConstructionTrace, kind, change) -> ConstructionTrace:
+    """The trace with its first step of the kind changed."""
     index = next(i for i, step in enumerate(trace.steps) if _matches(step, kind))
     steps = list(trace.steps)
     steps[index] = change(steps[index], index, steps)
+    return ConstructionTrace(tuple(steps), trace.result)
+
+
+def _assert_tamper_caught(trace: ConstructionTrace, kind, change) -> None:
     try:
-        report = verify_trace(ConstructionTrace(tuple(steps), trace.result))
+        report = verify_trace(_tampered(trace, kind, change))
     except MalformedTraceError:
         return
     assert not report.ok
@@ -669,7 +676,9 @@ EDGE_ANGLE = Angle(ORIGIN, d(1, 0), d(1, 1))
 
 
 def test_chord_trace_bisection_is_pinned():
-    """n = 2 is one segment bisection of the chord, step for step."""
+    """n = 2 is one segment bisection of the chord, step for step.  Only
+    the mark carries claims: the verifier checks each crossing by its
+    incidences and replays each corner."""
     P, K = pt, StepKind
     circle = lambda x, y, r: TaxicabCircle(pt(x, y), F(r))
     line = lambda a, b, c: Line(F(a), F(b), F(c))
@@ -679,19 +688,16 @@ def test_chord_trace_bisection_is_pinned():
         TraceStep(K.PLACE_POINT, (), P(1, 1)),
         TraceStep(K.DRAW_CIRCLE, (0,), circle(0, 0, 1), radius=F(1)),
         TraceStep(K.DRAW_LINE, (0, 1), line(0, 1, 0)),
-        TraceStep(K.INTERSECT_LINE_CIRCLE, (4, 3), P(1, 0), (OnLineClaim(4), OnCircleClaim(3)), label="B", pick=1),
+        TraceStep(K.INTERSECT_LINE_CIRCLE, (4, 3), P(1, 0), label="B", pick=1),
         TraceStep(K.DRAW_LINE, (0, 2), line(1, -1, 0)),
-        TraceStep(
-            K.INTERSECT_LINE_CIRCLE, (6, 3), P(F(1, 2), F(1, 2)), (OnLineClaim(6), OnCircleClaim(3)),
-            label="C", pick=1,
-        ),
+        TraceStep(K.INTERSECT_LINE_CIRCLE, (6, 3), P(F(1, 2), F(1, 2)), label="C", pick=1),
         TraceStep(K.DRAW_LINE, (5, 7), line(1, 1, 1)),
         TraceStep(K.DRAW_CIRCLE, (7, 5, 7), circle(F(1, 2), F(1, 2), 1)),
         TraceStep(K.DRAW_CIRCLE, (5, 5, 7), circle(1, 0, 1)),
-        TraceStep(K.TAKE_CIRCLE_VERTEX, (10,), P(1, -1), (OnCircleClaim(10),), vertex=CircleVertex.SOUTH),
-        TraceStep(K.TAKE_CIRCLE_VERTEX, (9,), P(F(1, 2), F(3, 2)), (OnCircleClaim(9),), vertex=CircleVertex.NORTH),
+        TraceStep(K.TAKE_CIRCLE_VERTEX, (10,), P(1, -1), vertex=CircleVertex.SOUTH),
+        TraceStep(K.TAKE_CIRCLE_VERTEX, (9,), P(F(1, 2), F(3, 2)), vertex=CircleVertex.NORTH),
         TraceStep(K.DRAW_LINE, (11, 12), line(1, F(1, 5), F(4, 5))),
-        TraceStep(K.INTERSECT_LINES, (13, 8), P(F(3, 4), F(1, 4)), (OnLineClaim(13), OnLineClaim(8))),
+        TraceStep(K.INTERSECT_LINES, (13, 8), P(F(3, 4), F(1, 4))),
         TraceStep(
             K.MARK_RESULT, (14,), P(F(3, 4), F(1, 4)), (BetweenClaim(5, 7), DistanceClaim(5, F(1, 2))),
             label="M1",
@@ -835,3 +841,368 @@ def test_chord_trace_meets_circles_through_their_centers(start, n, eighths, radi
         d1, d2 = d2, d1
     _, trace = section_angle(Angle(pt(F(1, 3), F(-2, 7)), d1, d2), n, radius=radius)
     assert_lines_pass_through_centers(trace)
+
+
+# ------------------------------------- incidence checks against the replay
+
+
+def _fraction_claim_holds(claim, subject: Point, outputs) -> bool:
+    """The claims as the replay checked them, in Fraction arithmetic."""
+    if isinstance(claim, OnLineClaim):
+        line = outputs[claim.line_step]
+        return isinstance(line, Line) and line.a * subject.x + line.b * subject.y == line.c
+    if isinstance(claim, OnCircleClaim):
+        circle = outputs[claim.circle_step]
+        return isinstance(circle, TaxicabCircle) and taxicab_distance(circle.center, subject) == circle.radius
+    if isinstance(claim, BetweenClaim):
+        p, q = outputs[claim.p_step], outputs[claim.q_step]
+        if not (isinstance(p, Point) and isinstance(q, Point)):
+            return False
+        if subject in (p, q):
+            return True
+        if p == q or (subject.x - p.x) * (q.y - p.y) != (subject.y - p.y) * (q.x - p.x):
+            return False
+        return min(p.x, q.x) <= subject.x <= max(p.x, q.x) and min(p.y, q.y) <= subject.y <= max(p.y, q.y)
+    anchor = outputs[claim.from_step]
+    return isinstance(anchor, Point) and taxicab_distance(anchor, subject) == claim.value
+
+
+def replay_verify_trace(trace):
+    """The verifier as it was before steps were checked by their
+    incidences: every computed step replayed through ``_step_output`` and
+    compared, then every claim checked.  The reference for the verdicts."""
+    if not isinstance(trace, ConstructionTrace):
+        raise MalformedTraceError("trace is not a ConstructionTrace")
+    steps = trace.steps
+    if not isinstance(steps, (tuple, list)):
+        raise MalformedTraceError("trace steps are not a sequence")
+    outputs = []
+    for index, step in enumerate(steps):
+        if not isinstance(step, TraceStep):
+            raise MalformedTraceError(f"step {index} is not a TraceStep")
+        kind, inputs, claims = step.kind, step.inputs, step.claims
+        if not isinstance(inputs, (tuple, list)):
+            raise MalformedTraceError(f"step {index} inputs are not a sequence")
+        if not isinstance(claims, (tuple, list)):
+            raise MalformedTraceError(f"step {index} claims are not a sequence")
+        refs = list(inputs)
+        for claim in claims:
+            if not isinstance(claim, constructions._CLAIM_TYPES):
+                raise MalformedTraceError(f"unknown claim {claim!r}")
+            if isinstance(claim, DistanceClaim) and not constructions._is_exact(claim.value):
+                raise MalformedTraceError(f"step {index} claims a distance that is not exact")
+            refs += claim.refs()
+        for ref in refs:
+            if not constructions._is_int(ref):
+                raise MalformedTraceError(f"step {index} has a non-integer reference {ref!r}")
+            if not 0 <= ref < index:
+                raise MalformedTraceError(f"step {index} references step {ref}")
+        if step.pick is not None and kind is not StepKind.INTERSECT_LINE_CIRCLE:
+            raise MalformedTraceError(f"step {index} has a pick, which only intersect-line-circle takes")
+        if step.vertex is not None and kind is not StepKind.TAKE_CIRCLE_VERTEX:
+            raise MalformedTraceError(f"step {index} has a vertex, which only take-circle-vertex takes")
+        if step.radius is not None and (kind is not StepKind.DRAW_CIRCLE or len(inputs) != 1):
+            raise MalformedTraceError(f"step {index} has a radius, which only a one-input draw-circle takes")
+        if kind is StepKind.PLACE_POINT:
+            if inputs:
+                raise MalformedTraceError("place-point takes no inputs")
+            replayed = step.output
+        else:
+            replayed = constructions._step_output(kind, inputs, outputs, step.pick, step.radius, step.vertex)
+        if replayed is None:
+            return VerificationReport(False, index, StepFailure(index, "step does not replay"))
+        if replayed != step.output:
+            return VerificationReport(False, index, StepFailure(index, "recorded output differs from replay"))
+        for claim in claims:
+            if not isinstance(step.output, Point):  # the verifier's assert, unrewritten
+                raise AssertionError("claims attach to point outputs")
+            if not _fraction_claim_holds(claim, step.output, outputs):
+                return VerificationReport(False, index, StepFailure(index, f"claim {claim!r} does not hold"))
+        outputs.append(step.output)
+    if not (constructions._is_int(trace.result) and 0 <= trace.result < len(steps)):
+        raise MalformedTraceError("result reference out of range")
+    if steps[trace.result].kind is not StepKind.MARK_RESULT:
+        raise MalformedTraceError("result must reference a mark-result step")
+    return VerificationReport(True, len(steps))
+
+
+def _verdict(verify, trace):
+    """A report, or the type and message of what was raised."""
+    try:
+        return verify(trace)
+    except Exception as exc:  # the reference may raise anything the verifier does
+        return (type(exc), str(exc))
+
+
+def assert_same_verdict(trace) -> VerificationReport | tuple:
+    verdict = _verdict(verify_trace, trace)
+    assert verdict == _verdict(replay_verify_trace, trace)
+    return verdict
+
+
+def _replaced(trace: ConstructionTrace, index: int, **fields) -> ConstructionTrace:
+    steps = list(trace.steps)
+    steps[index] = dataclasses.replace(steps[index], **fields)
+    return ConstructionTrace(tuple(steps), trace.result)
+
+
+@given(wide_points, wide_points, st.integers(2, 12))
+@settings(max_examples=40, deadline=None)
+def test_genuine_nsect_trace_gets_the_replay_verdict(a, b, n):
+    if a == b:
+        return
+    assert assert_same_verdict(nsect_segment(a, b, n)[1]).ok
+
+
+def _edge_angle(start, eighths, swap) -> Angle:
+    """An angle whose sides cross one edge of the circle about its vertex."""
+    sweep = (2 * (start // 2 + 1) - start) * eighths / 8
+    d1 = Direction(*astuple_point(param_to_point(start)))
+    d2 = Direction(*astuple_point(param_to_point((start + sweep) % 8)))
+    return Angle(pt(F(1, 3), F(-2, 7)), *((d2, d1) if swap else (d1, d2)))
+
+
+edge_angles = st.builds(
+    _edge_angle,
+    st.fractions(min_value=0, max_value=8, max_denominator=16).filter(lambda t: t < 8),
+    st.integers(1, 8),
+    st.booleans(),
+)
+
+
+@given(edge_angles, st.integers(2, 16), st.sampled_from([F(1), F(5, 3), F(2)]))
+@settings(max_examples=30, deadline=None)
+def test_genuine_chord_trace_gets_the_replay_verdict(angle, n, radius):
+    assert assert_same_verdict(section_angle(angle, n, radius=radius)[1]).ok
+
+
+@pytest.mark.parametrize(
+    "trace_name, tamper",
+    _tamper_cases(TAMPERS) + _tamper_cases(OPEN_FORGERIES),
+)
+def test_tamper_gets_the_replay_verdict(trace_name, tamper):
+    assert_same_verdict(_tampered(TAMPER_TRACES[trace_name], *{**TAMPERS, **OPEN_FORGERIES}[tamper]))
+
+
+@pytest.mark.parametrize("case", HEADER_ERRORS)
+def test_header_error_gets_the_replay_verdict(case):
+    fields, _ = HEADER_ERRORS[case]
+    _, trace = nsect_segment(pt(0, 0), pt(3, 3), 3)
+    subject = _replaced(trace, 3, **fields) if isinstance(fields, dict) else fields
+    assert isinstance(assert_same_verdict(subject), tuple)
+
+
+def _some_claim(draw, index: int, steps) -> object:
+    make = draw(st.sampled_from([OnLineClaim, OnCircleClaim, BetweenClaim, DistanceClaim]))
+    ref = st.integers(0, index - 1)
+    if make is BetweenClaim:
+        return BetweenClaim(draw(ref), draw(ref))
+    if make is not DistanceClaim:
+        return make(draw(ref))
+    anchor = draw(ref)
+    anchor_out, subject = steps[anchor].output, steps[index].output
+    if isinstance(anchor_out, Point) and isinstance(subject, Point) and draw(st.booleans()):
+        return DistanceClaim(anchor, taxicab_distance(anchor_out, subject))  # a claim that holds
+    return DistanceClaim(anchor, draw(st.fractions(min_value=-3, max_value=5, max_denominator=4)))
+
+
+def _mutated(draw, trace: ConstructionTrace) -> ConstructionTrace:
+    """The trace with one field of one step changed."""
+    steps = trace.steps
+    index = draw(st.integers(1, len(steps) - 1))
+    step = steps[index]
+    field = draw(st.sampled_from(["pick", "output", "inputs", "kind", "claims", "radius"]))
+    if field == "pick":
+        return _replaced(trace, index, pick=draw(st.integers(-3, 2)))
+    if field == "output":
+        return _replaced(trace, index, output=steps[draw(st.integers(0, len(steps) - 1))].output)
+    if field == "inputs":
+        if not step.inputs:
+            return _replaced(trace, index, inputs=(draw(st.integers(0, index - 1)),))
+        slot = draw(st.integers(0, len(step.inputs) - 1))
+        inputs = list(step.inputs)
+        inputs[slot] = draw(st.integers(0, index - 1))
+        return _replaced(trace, index, inputs=tuple(inputs))
+    if field == "kind":
+        return _replaced(trace, index, kind=draw(st.sampled_from(list(StepKind))))
+    if field == "claims":
+        return _replaced(trace, index, claims=(*step.claims, _some_claim(draw, index, steps)))
+    radius = step.radius if step.radius is not None else F(1)
+    return _replaced(trace, index, radius=draw(st.sampled_from([-radius, F(0)])))
+
+
+genuine_traces = st.one_of(
+    st.builds(
+        lambda a, move, n: nsect_segment(a, a + move, n)[1],
+        wide_points,
+        st.sampled_from(HOSTILE_DIRECTIONS).map(lambda t: d(*t)),
+        st.integers(2, 7),
+    ),
+    st.builds(lambda angle, n: section_angle(angle, n)[1], edge_angles, st.integers(2, 6)),
+)
+
+
+@given(genuine_traces, st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_trace_gets_the_replay_verdict(trace, data):
+    assert_same_verdict(_mutated(data.draw, trace))
+
+
+# Hand-made traces for check paths the builders never take.  Steps 0-1:
+# the point (0, 0) and the circle of radius 2 about it, |x| + |y| = 2; the
+# last step marks the last point.
+def _about_origin(*steps: TraceStep) -> ConstructionTrace:
+    head = (
+        TraceStep(StepKind.PLACE_POINT, (), pt(0, 0)),
+        TraceStep(StepKind.DRAW_CIRCLE, (0,), TaxicabCircle(pt(0, 0), F(2)), radius=F(2)),
+    )
+    all_steps = head + steps
+    last_point = max(i for i, step in enumerate(all_steps) if isinstance(step.output, Point))
+    mark = TraceStep(StepKind.MARK_RESULT, (last_point,), all_steps[last_point].output)
+    return ConstructionTrace(all_steps + (mark,), len(all_steps))
+
+
+def _line_across(p: Point, q: Point, crossing: Point, pick: int) -> ConstructionTrace:
+    """Steps 2-5: place p and q, draw their line, meet it with the circle."""
+    return _about_origin(
+        TraceStep(StepKind.PLACE_POINT, (), p),
+        TraceStep(StepKind.PLACE_POINT, (), q),
+        TraceStep(StepKind.DRAW_LINE, (2, 3), line_through(p, q)),
+        TraceStep(StepKind.INTERSECT_LINE_CIRCLE, (4, 1), crossing, pick=pick),
+    )
+
+
+DOES_NOT_REPLAY = StepFailure(5, "step does not replay")
+DIFFERS = StepFailure(5, "recorded output differs from replay")
+
+# Lines through two points, met with |x| + |y| = 2: y = 0 through the
+# center, crossing at (-2, 0) and (2, 0); y = 1, which misses the center
+# and crosses at (-1, 1) and (1, 1); y = 2, which touches only the north
+# corner; and x + y = 2, which runs along the north-east edge.
+THROUGH_CENTER = (pt(-5, 0), pt(5, 0))
+MISSING_CENTER = (pt(-5, 1), pt(5, 1))
+AT_A_CORNER = (pt(-5, 2), pt(5, 2))
+ALONG_AN_EDGE = (pt(3, -1), pt(-1, 3))
+
+
+@pytest.mark.parametrize(
+    "line, crossing, pick, failure",
+    [
+        (THROUGH_CENTER, pt(-2, 0), 0, None),
+        (THROUGH_CENTER, pt(2, 0), 1, None),
+        (THROUGH_CENTER, pt(-2, 0), -2, None),
+        (THROUGH_CENTER, pt(2, 0), 0, DIFFERS),
+        (THROUGH_CENTER, pt(2, 0), -3, DOES_NOT_REPLAY),
+        (THROUGH_CENTER, pt(3, 0), 1, DIFFERS),  # on the line only
+        (THROUGH_CENTER, pt(1, 1), 1, DIFFERS),  # on the circle only
+        (MISSING_CENTER, pt(-1, 1), 0, None),
+        (MISSING_CENTER, pt(1, 1), 1, None),
+        (MISSING_CENTER, pt(1, 1), -1, None),
+        (MISSING_CENTER, pt(1, 1), 0, DIFFERS),
+        (MISSING_CENTER, pt(1, 1), 2, DOES_NOT_REPLAY),
+        (MISSING_CENTER, pt(0, 1), 0, DIFFERS),
+        (AT_A_CORNER, pt(0, 2), 0, None),
+        (AT_A_CORNER, pt(0, 2), -1, None),
+        (AT_A_CORNER, pt(0, 2), 1, DOES_NOT_REPLAY),
+        (AT_A_CORNER, pt(0, 2), -2, DOES_NOT_REPLAY),
+        (ALONG_AN_EDGE, pt(1, 1), 0, DOES_NOT_REPLAY),
+        (ALONG_AN_EDGE, pt(1, 1), 1, DOES_NOT_REPLAY),
+    ],
+)
+def test_crossing_of_a_line_and_a_circle(line, crossing, pick, failure):
+    report = assert_same_verdict(_line_across(*line, crossing, pick))
+    assert report.failure == failure
+
+
+@pytest.mark.parametrize(
+    "ends, failure",
+    [
+        ((pt(0, 2), pt(2, 0)), None),
+        ((pt(1, 2), pt(3, 4)), StepFailure(7, "step does not replay")),
+        ((pt(2, 2), pt(3, 3)), StepFailure(7, "step does not replay")),
+    ],
+    ids=["crossing", "parallel", "same-line"],
+)
+def test_crossing_of_two_lines(ends, failure):
+    """y = x, drawn through (0, 0) and (1, 1), met at (1, 1) with the line
+    through two more points: x + y = 2, the parallel y = x + 1, or y = x
+    drawn a second time."""
+    trace = _about_origin(
+        TraceStep(StepKind.PLACE_POINT, (), pt(1, 1)),
+        *(TraceStep(StepKind.PLACE_POINT, (), p) for p in ends),
+        TraceStep(StepKind.DRAW_LINE, (0, 2), Line(1, -1, 0)),
+        TraceStep(StepKind.DRAW_LINE, (3, 4), line_through(*ends)),
+        TraceStep(StepKind.INTERSECT_LINES, (5, 6), pt(1, 1)),
+    )
+    assert assert_same_verdict(trace).failure == failure
+
+
+@pytest.mark.parametrize(
+    "kind", [StepKind.DRAW_LINE, StepKind.DRAW_CIRCLE, StepKind.INTERSECT_LINES, StepKind.INTERSECT_LINE_CIRCLE]
+)
+def test_output_of_the_wrong_type_differs_from_the_replay(kind):
+    """Each checked kind, recording an output of another type: a point for
+    a line or circle, a line for a crossing."""
+    for trace in TAMPER_TRACES.values():
+        index = next((i for i, step in enumerate(trace.steps) if step.kind is kind), None)
+        if index is None:
+            continue
+        wrong = trace.steps[0].output if kind in (StepKind.DRAW_LINE, StepKind.DRAW_CIRCLE) else Line(1, 0, 0)
+        report = assert_same_verdict(_replaced(trace, index, output=wrong))
+        assert report.failure == StepFailure(index, "recorded output differs from replay")
+
+
+def _with_incidence_claims(trace: ConstructionTrace) -> ConstructionTrace:
+    """The trace as builders wrote it before: each crossing claims to lie on
+    the figures it crosses, and each corner on its circle."""
+    claims_of = {
+        StepKind.INTERSECT_LINE_CIRCLE: lambda line, circle: (OnLineClaim(line), OnCircleClaim(circle)),
+        StepKind.INTERSECT_LINES: lambda first, second: (OnLineClaim(first), OnLineClaim(second)),
+        StepKind.TAKE_CIRCLE_VERTEX: lambda circle: (OnCircleClaim(circle),),
+    }
+    steps = tuple(
+        dataclasses.replace(step, claims=claims_of[step.kind](*step.inputs)) if step.kind in claims_of else step
+        for step in trace.steps
+    )
+    return ConstructionTrace(steps, trace.result)
+
+
+@pytest.mark.parametrize("trace_name", TAMPER_TRACES)
+def test_trace_with_incidence_claims_still_verifies(trace_name):
+    old_format = _with_incidence_claims(TAMPER_TRACES[trace_name])
+    assert any(step.claims for step in old_format.steps if step.kind is not StepKind.MARK_RESULT)
+    assert assert_same_verdict(old_format) == VerificationReport(True, len(old_format.steps))
+
+
+def test_false_incidence_claim_fails_as_before():
+    """The corner of the circle about B claims to lie on the circle about A."""
+    trace = _with_incidence_claims(TAMPER_TRACES["nsect3"])
+    index = next(i for i, step in enumerate(trace.steps) if step.kind is StepKind.TAKE_CIRCLE_VERTEX)
+    assert trace.steps[index].claims == (OnCircleClaim(4),)
+    report = assert_same_verdict(_replaced(trace, index, claims=(OnCircleClaim(3),)))
+    assert report.failure == StepFailure(index, "claim OnCircleClaim(circle_step=3) does not hold")
+
+
+@pytest.mark.parametrize(
+    "step, failure",
+    [
+        (TraceStep(StepKind.DRAW_LINE, (0, 0), Line(1, -1, 0)), "step does not replay"),
+        (TraceStep(StepKind.DRAW_CIRCLE, (2,), TaxicabCircle(pt(1, 1), F(2)), radius=F(2)), None),
+        (TraceStep(StepKind.DRAW_CIRCLE, (0,), TaxicabCircle(pt(1, 1), F(2)), radius=F(2)), "recorded output differs from replay"),
+        (TraceStep(StepKind.DRAW_CIRCLE, (2, 0, 2), TaxicabCircle(pt(0, 0), F(2))), "recorded output differs from replay"),
+        (TraceStep(StepKind.DRAW_CIRCLE, (2, 0, 2), TaxicabCircle(pt(1, 1), F(3))), "recorded output differs from replay"),
+        (TraceStep(StepKind.DRAW_CIRCLE, (2, 0, 2), TaxicabCircle(pt(1, 1), F(2))), None),
+        (TraceStep(StepKind.DRAW_CIRCLE, (0, 2, 2), TaxicabCircle(pt(0, 0), F(2))), "step does not replay"),
+    ],
+    ids=[
+        "line-through-one-point", "circle", "circle-moved", "spanned-circle-moved", "spanned-circle-grown",
+        "spanned-circle", "spanned-by-one-point",
+    ],
+)
+def test_drawn_figure_fits_its_inputs(step, failure):
+    """Step 2 is (1, 1).  Step 3 draws a line through (0, 0) twice, or a
+    circle that fits its center and radius, one moved or grown, or one
+    spanned by (1, 1) and itself, which spans no radius."""
+    trace = _about_origin(TraceStep(StepKind.PLACE_POINT, (), pt(1, 1)), step)
+    expected = None if failure is None else StepFailure(3, failure)
+    assert assert_same_verdict(trace).failure == expected
