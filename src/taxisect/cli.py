@@ -11,6 +11,11 @@ Subcommands:
 Exit codes: 0 on success, 1 when a script assertion fails, 2 for usage,
 parse, or domain errors.  Setting the environment variable TAXISECT_NO_COLOR
 disables ANSI styling in reports.
+
+Each subcommand imports only the modules it runs, on first use: ``measure``
+loads the kernel and the angle measure, ``nsect`` and ``section`` the
+constructions, ``--svg``/``--json`` the exporter, ``run`` the script front
+end, and ``render-demo`` the built-in figures.
 """
 
 from __future__ import annotations
@@ -21,21 +26,14 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .angles import Angle, measure_angle
-from .constructions import (
-    ConstructionTrace,
-    GeometryError,
-    StepKind,
-    nsect_segment,
-    section_angle,
-    verify_trace,
-)
-from .export import Scene, SceneItem, Stroke, emit_json, emit_svg, scene_from_trace
-from .kernel import Direction, Point, TaxicabCircle
+from .kernel import Direction, GeometryError, Point, TaxicabCircle
 from .numeric import RationalParseError, parse_rational
-from .script import ScriptError, execute, parse
-from .figures import FIGURES
+
+if TYPE_CHECKING:
+    from .constructions import ConstructionTrace
+    from .export import Scene
 
 
 class UsageError(ValueError):
@@ -74,6 +72,8 @@ def _direction_arg(text: str, what: str) -> Direction:
 
 
 def _describe_step(index: int, step) -> str:
+    from .constructions import StepKind
+
     kind = step.kind
     if kind is StepKind.PLACE_POINT:
         body = f"place point {step.output}"
@@ -95,6 +95,8 @@ def _describe_step(index: int, step) -> str:
 
 
 def _print_trace(trace: ConstructionTrace) -> None:
+    from .constructions import verify_trace
+
     report = verify_trace(trace)
     for index, step in enumerate(trace.steps):
         print(_describe_step(index, step))
@@ -113,13 +115,18 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .export import emit_json, emit_svg
+    from .script import ScriptError, execute, parse
+
     source_path = Path(args.script)
     try:
         source = source_path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read script: {exc}") from exc
-    script = parse(source)
-    result = execute(script)
+    try:
+        result = execute(parse(source))
+    except ScriptError as exc:
+        raise UsageError(str(exc)) from exc
     for text in result.dumps:
         sys.stdout.write(text)
     if args.svg:
@@ -138,6 +145,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_nsect(args: argparse.Namespace) -> int:
+    from .constructions import nsect_segment
+
     a = _point_arg(args.a, "--a")
     b = _point_arg(args.b, "--b")
     point, trace = nsect_segment(a, b, args.n)
@@ -145,14 +154,21 @@ def _cmd_nsect(args: argparse.Namespace) -> int:
     if args.trace:
         _print_trace(trace)
     if args.svg:
+        from .export import emit_svg, scene_from_trace
+
         _write(args.svg, emit_svg(scene_from_trace(trace)))
     if args.json:
+        from .export import emit_json
+
         env = {"A": a, "B": b, "C": point, "n": Fraction(args.n)}
         _write(args.json, emit_json(env))
     return 0
 
 
 def _cmd_section(args: argparse.Namespace) -> int:
+    from .angles import Angle, measure_angle
+    from .constructions import section_angle
+
     vertex = _point_arg(args.vertex, "--vertex")
     d1 = _direction_arg(args.d1, "--d1")
     d2 = _direction_arg(args.d2, "--d2")
@@ -168,14 +184,20 @@ def _cmd_section(args: argparse.Namespace) -> int:
     elif args.trace:
         print("no chord trace: the sides cross different circle edges")
     if args.svg:
+        from .export import emit_svg, scene_from_trace
+
         scene = scene_from_trace(trace) if trace is not None else _ray_scene(vertex, rays, radius)
         _write(args.svg, emit_svg(scene))
     if args.json:
+        from .export import emit_json
+
         _write(args.json, emit_json({"measure": total, "rays": list(rays)}))
     return 0
 
 
 def _ray_scene(vertex: Point, rays, radius: Fraction) -> Scene:
+    from .export import Scene, SceneItem, Stroke
+
     items = [SceneItem(TaxicabCircle(vertex, radius), stroke=Stroke.AUX),
              SceneItem(vertex, label="A", stroke=Stroke.BASE)]
     items.extend(SceneItem(ray, stroke=Stroke.RESULT) for ray in rays)
@@ -183,6 +205,8 @@ def _ray_scene(vertex: Point, rays, radius: Fraction) -> Scene:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
+    from .angles import Angle, measure_angle
+
     vertex = _point_arg(args.vertex, "--vertex")
     d1 = _direction_arg(args.d1, "--d1")
     d2 = _direction_arg(args.d2, "--d2")
@@ -191,6 +215,9 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_render_demo(args: argparse.Namespace) -> int:
+    from .export import emit_svg
+    from .figures import FIGURES
+
     builder = FIGURES.get(args.figure)
     if builder is None:
         known = ", ".join(sorted(FIGURES))
@@ -242,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_measure.set_defaults(func=_cmd_measure)
 
     p_demo = sub.add_parser("render-demo", help="write a built-in demonstration figure")
-    p_demo.add_argument("--figure", required=True, help="one of: " + ", ".join(sorted(FIGURES)))
+    p_demo.add_argument("--figure", required=True, help="name of a built-in figure; an unknown name lists them")
     p_demo.add_argument("--out", required=True, metavar="PATH", help="output SVG path")
     p_demo.set_defaults(func=_cmd_render_demo)
 
@@ -279,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_normalize_argv(argv))
     try:
         return args.func(args)
-    except (ScriptError, UsageError, GeometryError, RationalParseError, ZeroDivisionError) as exc:
+    except (UsageError, GeometryError, RationalParseError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -411,7 +411,8 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
                 raise MalformedTraceError(f"step {index} claims a distance that is not exact")
             refs += claim.refs()
         for ref in refs:
-            if not _is_int(ref):
+            # Nearly every reference is a plain int, which needs no isinstance test.
+            if type(ref) is not int and not _is_int(ref):
                 raise MalformedTraceError(f"step {index} has a non-integer reference {ref!r}")
             if not 0 <= ref < index:
                 raise MalformedTraceError(f"step {index} references step {ref}")

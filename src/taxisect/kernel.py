@@ -188,6 +188,8 @@ class TaxicabCircle:
     radius: Fraction
 
     def __post_init__(self) -> None:
+        if not isinstance(self.center, Point):
+            raise GeometryError("circle center must be a point")
         object.__setattr__(self, "radius", as_rational(self.radius))
         if self.radius <= 0:
             raise GeometryError("circle radius must be positive")

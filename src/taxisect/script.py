@@ -68,8 +68,7 @@ class TaxiRuntimeError(ScriptError):
 # ---------------------------------------------------------------------------
 # Lexer
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUMBER, IDENT, STRING, or a literal symbol
     text: str
     line: int
@@ -88,6 +87,9 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# Token kind by group name; a symbol is its own kind.
+_KIND = {"number": "NUMBER", "ident": "IDENT", "string": "STRING"}
+
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
@@ -101,15 +103,13 @@ def _tokenize(source: str) -> list[_Token]:
             raise TaxiSyntaxError(f"unexpected character {source[pos]!r}", line, col)
         kind = match.lastgroup
         text = match.group()
-        col = pos - line_start + 1
         if kind == "ws":
-            for i, ch in enumerate(text):
-                if ch == "\n":
-                    line += 1
-                    line_start = pos + i + 1
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + text.rindex("\n") + 1
         elif kind != "comment":
-            label = {"number": "NUMBER", "ident": "IDENT", "string": "STRING"}.get(kind, text)
-            tokens.append(_Token(label if kind != "symbol" else text, text, line, col))
+            tokens.append(_Token(_KIND.get(kind, text), text, line, pos - line_start + 1))
         pos = match.end()
     tokens.append(_Token("EOF", "", line, len(source) - line_start + 1))
     return tokens

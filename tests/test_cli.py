@@ -69,6 +69,12 @@ def test_run_parse_error_exits_two(tmp_path, capsys):
     assert "unknown function" in capsys.readouterr().err
 
 
+def test_run_script_error_is_one_located_line(tmp_path, capsys):
+    path = write_script(tmp_path, "A = point(0, 0)\nB = poin(0, 0)\n")
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err == "error: line 2, col 5: unknown function 'poin'\n"
+
+
 def test_run_runtime_error_exits_two(tmp_path, capsys):
     path = write_script(tmp_path, "x = 1/0\n")
     assert main(["run", path]) == 2

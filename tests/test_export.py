@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -227,18 +228,65 @@ def test_group_id_with_a_quote_stays_one_attribute():
     assert 'say "M1"</text>' in svg
 
 
-def test_import_leaves_xml_sax_out():
+def loaded_after(code: str, prefix: str) -> list[str]:
+    """Modules under ``prefix`` that a fresh interpreter has loaded once it
+    has run ``code``."""
     source_root = Path(taxisect.__file__).resolve().parents[1]
-    code = "import sys, taxisect.cli; print(sorted(m for m in sys.modules if m.startswith('xml.sax')))"
+    probe = (f"{code}\nimport json, sys\n"
+             f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))")
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": str(source_root)},
         timeout=60,
     )
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_leaves_xml_sax_out():
+    assert loaded_after("import taxisect.cli", "xml.sax") == []
+
+
+def test_import_taxisect_loads_no_submodule():
+    assert loaded_after("import taxisect", "taxisect") == ["taxisect"]
+
+
+def test_measure_command_loads_only_kernel_and_angles():
+    code = "from taxisect.cli import main; main(['measure', '--d1', '1,0', '--d2', '0,1'])"
+    assert loaded_after(code, "taxisect") == [
+        "taxisect", "taxisect.angles", "taxisect.cli", "taxisect.kernel", "taxisect.numeric",
+    ]
+
+
+def test_nsect_trace_command_loads_no_exporter_script_or_figures():
+    code = "from taxisect.cli import main; main(['nsect', '--a', '0,0', '--b', '3,3', '--n', '3', '--trace'])"
+    loaded = loaded_after(code, "taxisect")
+    assert "taxisect.constructions" in loaded
+    assert not {"taxisect.export", "taxisect.script", "taxisect.figures"} & set(loaded)
+
+
+def test_every_public_name_is_its_modules_own_object():
+    for name in taxisect.__all__:
+        home = importlib.import_module(f"taxisect.{taxisect._HOME[name]}")
+        assert getattr(taxisect, name) is getattr(home, name), name
+    assert taxisect.Point is taxisect.kernel.Point
+    assert set(taxisect.__all__) <= set(dir(taxisect))
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from taxisect import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(taxisect.__all__)
+    for name in taxisect.__all__:
+        assert namespace[name] is getattr(taxisect, name)
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        taxisect.no_such_name
+    assert not hasattr(taxisect, "_private")
 
 
 def reference_clip(anchor: Point, direction: Direction, view: ViewBox):

@@ -116,6 +116,12 @@ def test_circle_radius_must_be_positive():
         TaxicabCircle(pt(0, 0), F(-1))
 
 
+@pytest.mark.parametrize("center", ["foo", (0, 0), None, Direction(F(1), F(0))])
+def test_circle_center_must_be_a_point(center):
+    with pytest.raises(GeometryError, match="center must be a point"):
+        TaxicabCircle(center, F(1))
+
+
 def test_point_arithmetic():
     assert pt(1, 2) + Direction(F(3), F(-1)) == pt(4, 1)
     assert pt(4, 1) - pt(1, 2) == Direction(F(3), F(-1))

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taxisect import script
 from taxisect.export import emit_json, emit_svg
@@ -255,3 +256,68 @@ def test_readme_builtin_table_matches_the_script_table():
     for name, counts in re.findall(r"^\| `(\w+)\([^`]*\)` \| ([\d or]+) \|", readme, re.MULTILINE):
         documented.setdefault(name, set()).update(int(k) for k in counts.split(" or "))
     assert documented == {name: set(b.arities) for name, b in script._BUILTINS.items()}
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+
+
+def reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """The tokenizer as first written, one newline test per character, kept
+    to check the faster one against; tokens come back as plain tuples."""
+    tokens = []
+    line = 1
+    line_start = 0
+    pos = 0
+    while pos < len(source):
+        match = script._TOKEN_RE.match(source, pos)
+        if match is None:
+            col = pos - line_start + 1
+            raise TaxiSyntaxError(f"unexpected character {source[pos]!r}", line, col)
+        kind = match.lastgroup
+        text = match.group()
+        col = pos - line_start + 1
+        if kind == "ws":
+            for i, ch in enumerate(text):
+                if ch == "\n":
+                    line += 1
+                    line_start = pos + i + 1
+        elif kind != "comment":
+            label = {"number": "NUMBER", "ident": "IDENT", "string": "STRING"}.get(kind, text)
+            tokens.append((label if kind != "symbol" else text, text, line, col))
+        pos = match.end()
+    tokens.append(("EOF", "", line, len(source) - line_start + 1))
+    return tokens
+
+
+def tokens_or_error(tokenize, source: str):
+    try:
+        return [tuple(token) for token in tokenize(source)]
+    except TaxiSyntaxError as exc:
+        return ("error", exc.message, exc.line, exc.col)
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.taxi")), ids=lambda p: p.stem)
+def test_tokenize_matches_the_reference_on_the_corpus(path):
+    source = path.read_text(encoding="utf-8")
+    assert [tuple(token) for token in script._tokenize(source)] == reference_tokenize(source)
+
+
+_FRAGMENTS = st.sampled_from([
+    "A", "rays_2", "point", "3", "-7", "2.50", "-0.5", '"out.svg"', "(", ")", "=", ",", "/",
+    " ", "  ", "\t", "\n", "\r\n", "\n\n", " \t\r\n ", "# a comment", "#", "\r",
+    "@", "!", "\u00e9", '"open', "\f",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FRAGMENTS, max_size=40).map("".join))
+def test_tokenize_matches_the_reference_on_generated_sources(source):
+    assert tokens_or_error(script._tokenize, source) == tokens_or_error(reference_tokenize, source)
+
+
+def test_tokenize_locates_a_bad_character_after_crlf_and_tabs():
+    source = "A = point(0, 0)\r\n\t# note\r\n\tB = @"
+    with pytest.raises(TaxiSyntaxError) as info:
+        script._tokenize(source)
+    assert (info.value.line, info.value.col) == (3, 6)
+    assert tokens_or_error(script._tokenize, source) == tokens_or_error(reference_tokenize, source)
