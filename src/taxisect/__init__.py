@@ -51,6 +51,7 @@ _EXPORTS = {
         "Segment",
         "TaxicabCircle",
         "TwoPoints",
+        "circle_point_toward",
         "circle_vertex",
         "euclidean_distance_squared",
         "intersect_line_circle",

@@ -45,13 +45,16 @@ def param_to_point(t: Fraction | int) -> Point:
     """The unit-circle point at arc parameter t; inverse of
     :func:`direction_to_param` up to direction scaling."""
     t = as_rational(t)
-    if not 0 <= t < 8:
+    # With t = n/d, both coordinates are ints over 2d.
+    n, d = t.as_integer_ratio()
+    if not 0 <= n < 8 * d:
         raise GeometryError(f"arc parameter {t} outside [0, 8)")
-    if t <= 4:
-        x = 1 - t / 2
-        return Point(x, 1 - abs(x))
-    x = (t - 6) / 2
-    return Point(x, abs(x) - 1)
+    den = 2 * d
+    if n <= 4 * d:
+        x = den - n  # x = 1 - t/2
+        return Point(Fraction(x, den), Fraction(den - abs(x), den))
+    x = n - 6 * d  # x = (t - 6)/2
+    return Point(Fraction(x, den), Fraction(abs(x) - den, den))
 
 
 def sweep_ccw(t_from: Fraction, t_to: Fraction) -> Fraction:

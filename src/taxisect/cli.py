@@ -8,9 +8,9 @@ Subcommands:
     measure      t-radian measure of an angle given by two directions
     render-demo  write one of the built-in demonstration figures
 
-Exit codes: 0 on success, 1 when a script assertion fails, 2 for usage,
-parse, or domain errors.  Setting the environment variable TAXISECT_NO_COLOR
-disables ANSI styling in reports.
+Exit codes: 0 on success, 1 when a script assertion fails or the reader of
+stdout closes the pipe early, 2 for usage, parse, or domain errors.  Setting
+the environment variable TAXISECT_NO_COLOR disables ANSI styling in reports.
 
 Each subcommand imports only the modules it runs, on first use: ``measure``
 loads the kernel and the angle measure, ``nsect`` and ``section`` the
@@ -305,7 +305,16 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_normalize_argv(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so that a closed pipe raises below and not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point stdout at devnull so that
+        # the flush at exit cannot raise again, and exit 1 as Python does.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (UsageError, GeometryError, RationalParseError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union, get_args
 
 from .angles import Angle, direction_to_param, param_to_point, sweep_ccw
@@ -53,6 +54,7 @@ from .kernel import (
     Ray,
     TaxicabCircle,
     at_taxicab_distance,
+    circle_point_toward,
     circle_vertex,
     intersect_line_circle,
     intersect_lines,
@@ -247,8 +249,10 @@ def _step_output(
     vertex: CircleVertex | None = None,
 ) -> Primitive | None:
     """The one output of a computed step, from the outputs of the steps
-    before it; the one definition of each step kind, for builder and
-    verifier alike.
+    before it; the one definition of each step kind.  It is the verifier's
+    replay, and the builder's path for every step kind but
+    intersect-line-circle, whose crossing the builder records from its
+    direction (see :class:`_TraceBuilder`).
 
     Intersect-line-circle returns the crossing that ``pick`` indexes in the
     kernel's order.  A step that cannot be carried out, including a ``pick``
@@ -453,18 +457,20 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
 
 
 class _TraceBuilder:
-    """Records steps whose outputs come from :func:`_step_output`; the
-    builder itself makes only the choices: which corner, which crossing.
-    It writes claims only on marks; the incidences of every other step are
-    the verifier's to check.
+    """Records the steps of a construction; the builder itself makes only
+    the choices: which corner, which crossing.  It writes claims only on
+    marks; the incidences of every other step are the verifier's to check.
 
-    Every line that the constructions meet with a circle passes through the
-    circle's center c, so it crosses the diamond at c - w and c + w, where w
-    runs along the line and has taxicab length r.  The kernel returns the
-    two in (x, y) order, so the crossing c + w comes second exactly when w
-    is lexicographically positive.  Each crossing is therefore named by the
-    direction it lies in from the center, and its ``pick`` follows from
-    that direction's signs.
+    Each step's output comes from :func:`_step_output`, except a crossing
+    of a line with a circle.  Every line that the constructions meet with a
+    circle passes through the circle's center c, so it crosses the diamond
+    at c - w and c + w, where w runs along the line and has taxicab length
+    r.  Each crossing is therefore named by the direction w it lies in from
+    the center, and the builder records c + w itself, with
+    :func:`circle_point_toward`, instead of solving the line against the
+    circle.  The kernel's solve returns the two crossings in (x, y) order,
+    so c + w comes second exactly when w is lexicographically positive, and
+    the step's ``pick`` follows from w's signs.
     """
 
     def __init__(self) -> None:
@@ -485,14 +491,13 @@ class _TraceBuilder:
         inputs: tuple[int, ...],
         claims: tuple[Claim, ...] = (),
         label: str | None = None,
-        pick: int | None = None,
         vertex: CircleVertex | None = None,
         radius: Fraction | None = None,
     ) -> int:
-        output = _step_output(kind, inputs, self._outputs, pick, radius, vertex)
+        output = _step_output(kind, inputs, self._outputs, radius=radius, vertex=vertex)
         if output is None:
             raise ConstructionError(f"the {kind.value} step cannot be carried out")
-        step = TraceStep(kind, inputs, output, claims, label, pick=pick, vertex=vertex, radius=radius)
+        step = TraceStep(kind, inputs, output, claims, label, vertex=vertex, radius=radius)
         return self._push(step)
 
     def place_point(self, p: Point, label: str | None = None) -> int:
@@ -512,8 +517,12 @@ class _TraceBuilder:
     ) -> int:
         """The crossing of a line through the circle's center that lies in
         direction ``toward`` from the center (see the class docstring)."""
+        circle = _input(self._outputs, circle_ref, TaxicabCircle, "circle")
         pick = 1 if (toward.dx, toward.dy) > (0, 0) else 0
-        return self._add(StepKind.INTERSECT_LINE_CIRCLE, (line_ref, circle_ref), label=label, pick=pick)
+        crossing = circle_point_toward(circle, toward)
+        return self._push(
+            TraceStep(StepKind.INTERSECT_LINE_CIRCLE, (line_ref, circle_ref), crossing, label=label, pick=pick)
+        )
 
     def intersect_two_lines(self, first_ref: int, second_ref: int) -> int:
         return self._add(StepKind.INTERSECT_LINES, (first_ref, second_ref))
@@ -668,8 +677,13 @@ def section_angle(
         first, second = second, first
         start, sweep = (start + sweep) % 8, 8 - sweep
 
+    # t_k = start + sweep*k/n mod 8, every t_k an int over one denominator.
+    (sn, sd), (wn, wd) = start.as_integer_ratio(), sweep.as_integer_ratio()
+    base = lcm(sd, wd)
+    den = base * n
+    first_t, step_t, turn = sn * (base // sd) * n, wn * (base // wd), 8 * den
     rays = tuple(
-        Ray(angle.vertex, _as_direction(param_to_point((start + sweep * k / n) % 8)))
+        Ray(angle.vertex, _as_direction(param_to_point(Fraction((first_t + step_t * k) % turn, den))))
         for k in range(1, n)
     )
 
@@ -712,11 +726,9 @@ def _chord_trace(
     v_ref = builder.place_point(vertex, label="A")
     # Helper points just fix each side's line; push them past the circle so
     # the rendered sides read as full angle arms.
-    reach = 2 * radius
-    h1 = vertex + first_side.scaled(reach / first_side.taxicab_length())
-    h2 = vertex + second_side.scaled(reach / second_side.taxicab_length())
-    h1_ref = builder.place_point(h1)
-    h2_ref = builder.place_point(h2)
+    reach = TaxicabCircle(vertex, 2 * radius)
+    h1_ref = builder.place_point(circle_point_toward(reach, first_side))
+    h2_ref = builder.place_point(circle_point_toward(reach, second_side))
     circle_ref = builder.draw_circle(v_ref, radius=radius)
 
     side1_line = builder.draw_line(v_ref, h1_ref)

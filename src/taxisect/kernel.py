@@ -21,7 +21,11 @@ and a ``Fraction`` is built only for each value returned.  So do the
 incidence predicates ``Line.contains``, ``point_between`` (which
 ``Segment.contains`` uses), ``at_taxicab_distance`` and ``point_on_circle``,
 which compare ints and build no ``Fraction`` at all, and ``circle_vertex``,
-which builds one for the coordinate it moves.
+which builds one for the coordinate it moves.  ``circle_point_toward``
+builds one per coordinate: it is the point c + w*r/|w| at which a line
+through the center c along w crosses the circle in direction w, which the
+trace builder records for each such crossing instead of solving the
+line against the circle.
 
 ``verify_trace`` checks most trace steps with those predicates alone: a
 drawn line contains its two points, a drawn circle has its center and its
@@ -42,6 +46,10 @@ from math import lcm
 from .numeric import as_rational
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 class GeometryError(ValueError):
     """A geometric precondition was violated."""
 
@@ -56,8 +64,10 @@ class Point:
     y: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", as_rational(self.x))
-        object.__setattr__(self, "y", as_rational(self.y))
+        if type(self.x) is not Fraction:
+            object.__setattr__(self, "x", as_rational(self.x))
+        if type(self.y) is not Fraction:
+            object.__setattr__(self, "y", as_rational(self.y))
 
     def __add__(self, move: Direction) -> Point:
         if not isinstance(move, Direction):
@@ -81,8 +91,10 @@ class Direction:
     dy: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dx", as_rational(self.dx))
-        object.__setattr__(self, "dy", as_rational(self.dy))
+        if type(self.dx) is not Fraction:
+            object.__setattr__(self, "dx", as_rational(self.dx))
+        if type(self.dy) is not Fraction:
+            object.__setattr__(self, "dy", as_rational(self.dy))
         if self.dx == 0 and self.dy == 0:
             raise GeometryError("zero direction")
 
@@ -109,10 +121,14 @@ class Line:
     c: Fraction
 
     def __post_init__(self) -> None:
-        a = as_rational(self.a)
-        b = as_rational(self.b)
-        c = as_rational(self.c)
-        if a != 1 and (a != 0 or b != 1):  # else already canonical
+        a, b, c = self.a, self.b, self.c
+        exact = type(a) is Fraction and type(b) is Fraction and type(c) is Fraction
+        if not exact:
+            a, b, c = as_rational(a), as_rational(b), as_rational(c)
+        if a == 1 or (a == 0 and b == 1):  # already canonical
+            if exact:
+                return
+        else:
             an, bn, cn, _ = _common3(a, b, c)
             scale = an or bn
             if not scale:
@@ -190,7 +206,8 @@ class TaxicabCircle:
     def __post_init__(self) -> None:
         if not isinstance(self.center, Point):
             raise GeometryError("circle center must be a point")
-        object.__setattr__(self, "radius", as_rational(self.radius))
+        if type(self.radius) is not Fraction:
+            object.__setattr__(self, "radius", as_rational(self.radius))
         if self.radius <= 0:
             raise GeometryError("circle radius must be positive")
 
@@ -283,9 +300,9 @@ def line_through(p: Point, q: Point) -> Line:
     dx, dy = qx - px, qy - py
     if dy:
         den = xden * dy
-        return Line(1, Fraction(-dx * yden, den), Fraction(px * dy - dx * py, den))
+        return Line(_ONE, Fraction(-dx * yden, den), Fraction(px * dy - dx * py, den))
     if dx:
-        return Line(0, 1, p.y)
+        return Line(_ZERO, _ONE, p.y)
     raise GeometryError("line through coincident points is undefined")
 
 
@@ -392,6 +409,18 @@ def circle_vertex(circle: TaxicabCircle, which: CircleVertex) -> Point:
         return Point(Fraction(cx + sign * r, den), center.y)
     cy, r, den = _common2(center.y, circle.radius)
     return Point(center.x, Fraction(cy + sign * r, den))
+
+
+def circle_point_toward(circle: TaxicabCircle, w: Direction) -> Point:
+    """The point c + w*r/|w| of the circle, where |w| is w's taxicab length:
+    the crossing in direction w of a line through the center c along w."""
+    # The center and radius over one denominator m, w over another; with
+    # L = |wx| + |wy| in w's numerators, the point is (c*L + w*r) / (m*L).
+    cx, cy, r, m = _common3(circle.center.x, circle.center.y, circle.radius)
+    wx, wy, _ = _common2(w.dx, w.dy)
+    length = abs(wx) + abs(wy)
+    den = m * length
+    return Point(Fraction(cx * length + wx * r, den), Fraction(cy * length + wy * r, den))
 
 
 def at_taxicab_distance(p: Point, q: Point, r: Fraction | int) -> bool:

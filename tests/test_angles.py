@@ -16,6 +16,7 @@ from taxisect.angles import (
     sweep_ccw,
 )
 from taxisect.kernel import Direction, GeometryError, Point, TaxicabCircle, taxicab_distance
+from taxisect.numeric import as_rational
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=48)
 directions = (
@@ -87,6 +88,51 @@ def test_param_to_point_rejects_out_of_range():
         param_to_point(F(8))
     with pytest.raises(GeometryError):
         param_to_point(F(-1, 2))
+
+
+def reference_param_to_point(t) -> Point:
+    """param_to_point in Fraction arithmetic: the reference for the int
+    version."""
+    t = as_rational(t)
+    if not 0 <= t < 8:
+        raise GeometryError(f"arc parameter {t} outside [0, 8)")
+    if t <= 4:
+        x = 1 - t / 2
+        return Point(x, 1 - abs(x))
+    x = (t - 6) / 2
+    return Point(x, abs(x) - 1)
+
+
+def assert_same(got, want):
+    assert type(got) is type(want)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("t", [0, 2, 4, 6, 7, "0", "2", "4", "6", "15/2", "0.25", F(0), F(4), F(11, 3)])
+def test_param_to_point_matches_reference_at_corners_and_on_every_input_type(t):
+    assert_same(param_to_point(t), reference_param_to_point(t))
+
+
+# Parameters over denominators up to 2**200, anywhere in [0, 8).
+wide_params = st.integers(1, 2**200).flatmap(lambda d: st.integers(0, 8 * d - 1).map(lambda n: F(n, d)))
+
+
+@given(st.one_of(params, wide_params))
+def test_param_to_point_matches_reference(t):
+    assert_same(param_to_point(t), reference_param_to_point(t))
+
+
+@pytest.mark.parametrize(
+    "t, shown",
+    [(8, "8"), (F(8), "8"), ("8", "8"), (F(-1, 3), "-1/3"), ("-1/3", "-1/3"), (F(80001, 10000), "80001/10000")],
+)
+def test_param_to_point_out_of_range_message(t, shown):
+    with pytest.raises(GeometryError) as want:
+        reference_param_to_point(t)
+    with pytest.raises(GeometryError) as got:
+        param_to_point(t)
+    assert str(got.value) == str(want.value) == f"arc parameter {shown} outside [0, 8)"
 
 
 @given(params)

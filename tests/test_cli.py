@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import taxisect
 from taxisect.cli import main
 from taxisect.figures import FIGURES
 
@@ -130,6 +134,25 @@ def test_nsect_trace_listing(capsys):
     out = capsys.readouterr().out
     assert "trace verified" in out
     assert "place point (0, 0)" in out
+
+
+def test_nsect_trace_into_a_closed_pipe_exits_one_without_a_traceback():
+    """As `taxisect nsect ... --trace | head -n 1`: the reader takes one line
+    and closes the pipe while the listing, far larger than the pipe's
+    buffer, is still being written."""
+    source_root = Path(taxisect.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "taxisect.cli", "nsect", "--a", "0,0", "--b", "1,0", "--n", "2000", "--trace"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(source_root)},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first == b"C = (1/2000, 0)\n"
+    assert err == b""
+    assert proc.returncode == 1
 
 
 def test_nsect_degenerate_exits_two(capsys):

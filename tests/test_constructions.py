@@ -31,8 +31,10 @@ from taxisect.kernel import (
     Point,
     Ray,
     TaxicabCircle,
+    intersect_line_circle,
     line_through,
     point_on_circle,
+    points_of,
     taxicab_distance,
 )
 
@@ -642,6 +644,35 @@ def test_section_rays_strictly_ordered(vertex, d1, d2, n):
     assert len(set(relative)) == len(relative)
 
 
+def reference_section_rays(angle: Angle, n: int) -> tuple[Ray, ...]:
+    """The interior rays in Fraction arithmetic: t_k = start + sweep*k/n
+    mod 8, swept the non-reflex way round."""
+    start = direction_to_param(angle.side1)
+    sweep = (direction_to_param(angle.side2) - start) % 8
+    if sweep > 4:
+        start, sweep = (start + sweep) % 8, 8 - sweep
+    units = (param_to_point((start + sweep * k / n) % 8) for k in range(1, n))
+    return tuple(Ray(angle.vertex, Direction(u.x, u.y)) for u in units)
+
+
+wide_directions_st = st.one_of(
+    st.tuples(small_rationals, small_rationals).filter(lambda t: t != (0, 0)).map(lambda t: Direction(*t)),
+    st.sampled_from(HOSTILE_DIRECTIONS).map(lambda t: d(*t)),
+)
+
+
+@given(wide_points, wide_directions_st, wide_directions_st, st.integers(2, 20), st.sampled_from([F(1), F(5, 3)]))
+@settings(max_examples=200, deadline=None)
+def test_section_rays_match_the_fraction_formula(vertex, d1, d2, n, radius):
+    angle = Angle(vertex, d1, d2)
+    if measure_angle(angle) == 0:
+        return
+    rays, _ = section_angle(angle, n, radius)
+    want = reference_section_rays(angle, n)
+    assert rays == want
+    assert repr(rays) == repr(want)
+
+
 @given(
     st.fractions(min_value=0, max_value=8, max_denominator=16).filter(lambda t: t < 8),
     st.integers(2, 8),
@@ -805,12 +836,17 @@ def test_nsect_from_swapped_corners_is_refused(monkeypatch):
 
 def assert_lines_pass_through_centers(trace: ConstructionTrace) -> None:
     """The condition of the builder's pick rule: every line met with a
-    circle passes through the circle's center."""
+    circle passes through the circle's center.  And the crossing that the
+    builder recorded from its direction is the kernel's solve of the line
+    and the circle at the recorded ``pick``, field for field."""
     outputs = [step.output for step in trace.steps]
     crossings = [step for step in trace.steps if step.kind is StepKind.INTERSECT_LINE_CIRCLE]
     for step in crossings:
         line, circle = outputs[step.inputs[0]], outputs[step.inputs[1]]
         assert line.contains(circle.center)
+        solved = points_of(intersect_line_circle(line, circle))[step.pick]
+        assert solved == step.output
+        assert repr(solved) == repr(step.output)
 
 
 @given(

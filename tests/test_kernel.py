@@ -18,6 +18,7 @@ from taxisect.kernel import (
     Segment,
     TaxicabCircle,
     TwoPoints,
+    circle_point_toward,
     circle_vertex,
     euclidean_distance_squared,
     intersect_line_circle,
@@ -120,6 +121,49 @@ def test_circle_radius_must_be_positive():
 def test_circle_center_must_be_a_point(center):
     with pytest.raises(GeometryError, match="center must be a point"):
         TaxicabCircle(center, F(1))
+
+
+# The constructors coerce exactly what ``as_rational`` accepts, and keep a
+# Fraction as it is.
+_BUILDERS = {
+    "point-x": lambda v: Point(v, F(1)).x,
+    "point-y": lambda v: Point(F(1), v).y,
+    "direction-dx": lambda v: Direction(v, F(1)).dx,
+    "direction-dy": lambda v: Direction(F(1), v).dy,
+    "line-b": lambda v: Line(F(1), v, F(1)).b,
+    "line-c": lambda v: Line(F(0), F(1), v).c,
+    "circle-radius": lambda v: TaxicabCircle(pt(0, 0), v).radius,
+}
+
+
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS)
+@pytest.mark.parametrize(
+    "value, want", [(3, F(3)), ("7/2", F(7, 2)), ("0.25", F(1, 4)), (F(2, 3), F(2, 3))]
+)
+def test_constructors_coerce_int_and_str_to_fraction(build, value, want):
+    got = build(value)
+    assert type(got) is F
+    assert got == want
+
+
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS)
+@pytest.mark.parametrize("value", [True, False, 1.0, 0.5])
+def test_constructors_reject_bool_and_float(build, value):
+    with pytest.raises(TypeError):
+        build(value)
+
+
+def test_line_coerces_every_coefficient_before_canonicalising():
+    for line in (Line(3, "0", "6/1"), Line("3", 0, 6), Line(F(3), F(0), 6)):
+        assert line == Line(F(1), F(0), F(2))
+        assert all(type(v) is F for v in (line.a, line.b, line.c))
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_line_rejects_bool_and_float_in_any_coefficient(value):
+    for coefficients in ((value, F(1), F(1)), (F(1), value, F(1)), (F(1), F(1), value)):
+        with pytest.raises(TypeError):
+            Line(*coefficients)
 
 
 def test_point_arithmetic():
@@ -632,6 +676,48 @@ def test_line_through_center_crosses_toward_w_second_when_w_is_positive(center, 
     want = TwoPoints(behind, ahead) if (w.dx, w.dy) > (0, 0) else TwoPoints(ahead, behind)
     got = intersect_line_circle(line_through(center, center + w), TaxicabCircle(center, radius))
     assert_same(got, want)
+
+
+def _reference_circle_point_toward(circle: TaxicabCircle, w: Direction) -> Point:
+    return circle.center + w.scaled(circle.radius / w.taxicab_length())
+
+
+@settings(max_examples=300)
+@given(wide_points, wide_radii, wide_directions, st.integers(1, 9))
+def test_circle_point_toward_matches_fraction_formula(center, radius, w, scale):
+    circle = TaxicabCircle(center, radius)
+    want = _reference_circle_point_toward(circle, w)
+    assert_same(circle_point_toward(circle, w), want)
+    # Only w's direction counts, not its length.
+    assert_same(circle_point_toward(circle, w.scaled(scale)), want)
+    assert_same(circle_point_toward(circle, w.scaled(F(1, scale))), want)
+    # It is the crossing of the line along w that the solve picks for w.
+    crossings = points_of(intersect_line_circle(line_through(center, center + w), circle))
+    assert_same(crossings[1 if (w.dx, w.dy) > (0, 0) else 0], want)
+
+
+_AXIS_VERTICES = {
+    (1, 0): CircleVertex.EAST,
+    (0, 1): CircleVertex.NORTH,
+    (-1, 0): CircleVertex.WEST,
+    (0, -1): CircleVertex.SOUTH,
+}
+
+
+@settings(max_examples=100)
+@given(wide_points, wide_radii, wide_radii)
+def test_circle_point_toward_an_axis_is_a_vertex(center, radius, length):
+    circle = TaxicabCircle(center, radius)
+    for (dx, dy), which in _AXIS_VERTICES.items():
+        toward = Direction(dx * length, dy * length)
+        assert_same(circle_point_toward(circle, toward), circle_vertex(circle, which))
+
+
+def test_circle_point_toward_examples():
+    circle = TaxicabCircle(pt(1, 1), F(2))
+    assert circle_point_toward(circle, Direction(F(1), F(1))) == pt(2, 2)
+    assert circle_point_toward(circle, Direction(F(-3), F(1))) == pt(F(-1, 2), F(3, 2))
+    assert circle_point_toward(circle, Direction(F(0), F(-5))) == pt(1, -1)
 
 
 # ------------------------------------------------------------- ray x circle
