@@ -49,8 +49,10 @@ def _maybe_color(text: str, code: str) -> str:
 def _rational_arg(text: str, what: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (RationalParseError, ZeroDivisionError) as exc:
+    except RationalParseError as exc:
         raise UsageError(f"bad {what}: {exc}") from exc
+    except ZeroDivisionError:
+        raise UsageError(f"bad {what}: division by zero in {text!r}") from None
 
 
 def _parse_pair(text: str, what: str) -> tuple[Fraction, Fraction]:

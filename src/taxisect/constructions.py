@@ -27,11 +27,11 @@ corners to circle corners, so the construction transfers unchanged.
 Every construction returns a trace: the full list of compass and straightedge
 steps, each recording its inputs and its produced primitive, and each mark
 the claims that place it on the segment at its distance.  ``verify_trace``
-checks a drawn line or circle and each crossing of two drawn figures by its
-incidences, in exact int predicates, replays the rest with kernel operations,
-and checks every claim, so a trace is a machine-checkable certificate
-independent of the choices that built it: which corner, which crossing, how
-far the chain walks.
+checks each step against one definition of its kind, a drawn figure or a
+crossing by its incidences in exact int predicates and a corner or a mark by
+computing it, and checks every claim, so a trace is a machine-checkable
+certificate independent of the choices that built it: which corner, which
+crossing, how far the chain walks.
 """
 
 from __future__ import annotations
@@ -45,11 +45,9 @@ from typing import Sequence, Union, get_args
 from .angles import Angle, direction_to_param, param_to_point, sweep_ccw
 from .kernel import (
     CircleVertex,
-    CoincidentLinesError,
     Direction,
     GeometryError,
     Line,
-    OnePoint,
     Point,
     Ray,
     TaxicabCircle,
@@ -88,7 +86,7 @@ class MalformedTraceError(Exception):
     """A trace is structurally broken (bad references or input kinds).
 
     Distinct from a verification failure: a malformed trace cannot even be
-    replayed, while a well-formed trace may merely fail its checks.
+    checked, while a well-formed trace may merely fail its checks.
     """
 
 
@@ -240,80 +238,21 @@ def _input(outputs: Sequence[Primitive], ref: int, want: type, name: str) -> Pri
     return out
 
 
-def _step_output(
-    kind: StepKind,
-    inputs: tuple[int, ...],
-    outputs: Sequence[Primitive],
-    pick: int | None = None,
-    radius: Fraction | None = None,
-    vertex: CircleVertex | None = None,
-) -> Primitive | None:
-    """The one output of a computed step, from the outputs of the steps
-    before it; the one definition of each step kind.  It is the verifier's
-    replay, and the builder's path for every step kind but
-    intersect-line-circle, whose crossing the builder records from its
-    direction (see :class:`_TraceBuilder`).
-
-    Intersect-line-circle returns the crossing that ``pick`` indexes in the
-    kernel's order.  A step that cannot be carried out, including a ``pick``
-    outside ``range(-len, len)`` of the crossings, returns None.  A wrong
-    number or kind of inputs, or a ``pick`` that is not an int, raises
-    :class:`MalformedTraceError`.
-    """
-    if kind is StepKind.DRAW_CIRCLE:
-        _expect(len(inputs) in (1, 3), "draw-circle takes 1 or 3 inputs")
-        center = _input(outputs, inputs[0], Point, "point")
-        if len(inputs) == 3:
-            radius = taxicab_distance(
-                _input(outputs, inputs[1], Point, "point"), _input(outputs, inputs[2], Point, "point")
-            )
-        else:
-            _expect(_is_exact(radius), "draw-circle needs an integer or Fraction radius")
-        try:
-            return TaxicabCircle(center, radius)
-        except GeometryError:  # the radius is not positive
-            return None
-    if kind is StepKind.DRAW_LINE:
-        _expect(len(inputs) == 2, "draw-line takes 2 inputs")
-        p = _input(outputs, inputs[0], Point, "point")
-        q = _input(outputs, inputs[1], Point, "point")
-        return line_through(p, q) if p != q else None
-    if kind is StepKind.INTERSECT_LINE_CIRCLE:
-        _expect(len(inputs) == 2, "intersect-line-circle takes 2 inputs")
-        line = _input(outputs, inputs[0], Line, "line")
-        circle = _input(outputs, inputs[1], TaxicabCircle, "circle")
-        _expect(_is_int(pick), "intersect-line-circle needs an integer pick index")
-        crossings = points_of(intersect_line_circle(line, circle))
-        return crossings[pick] if -len(crossings) <= pick < len(crossings) else None
-    if kind is StepKind.INTERSECT_LINES:
-        _expect(len(inputs) == 2, "intersect-lines takes 2 inputs")
-        first = _input(outputs, inputs[0], Line, "line")
-        second = _input(outputs, inputs[1], Line, "line")
-        try:
-            hit = intersect_lines(first, second)
-        except CoincidentLinesError:
-            return None
-        return hit.point if isinstance(hit, OnePoint) else None
-    if kind is StepKind.TAKE_CIRCLE_VERTEX:
-        _expect(len(inputs) == 1, "take-circle-vertex takes 1 input")
-        _expect(isinstance(vertex, CircleVertex), "take-circle-vertex needs a vertex name")
-        return circle_vertex(_input(outputs, inputs[0], TaxicabCircle, "circle"), vertex)
-    if kind is StepKind.MARK_RESULT:
-        _expect(len(inputs) == 1, "mark-result takes 1 input")
-        return _input(outputs, inputs[0], Point, "point")
-    raise MalformedTraceError(f"unknown step kind {kind!r}")
+_DOES_NOT_REPLAY = "step does not replay"
+_DIFFERS = "recorded output differs from replay"
 
 
-def _step_checks(step: TraceStep, outputs: Sequence[Primitive]) -> bool:
-    """Whether the recorded output of a computed step is, by its incidences
-    alone, the output that :func:`_step_output` replays.  Each incidence is
-    an int predicate of the kernel:
+def _check_step(step: TraceStep, outputs: Sequence[Primitive]) -> str | None:
+    """None if a step's recorded output is the one its kind produces from
+    the outputs of the steps before it, else why not: the one definition of
+    each step kind.  A drawn figure and a crossing are checked by their
+    incidences, in int predicates of the kernel:
 
     - draw-line: p != q, and the line contains both;
-    - intersect-lines: the lines differ and both contain the point, so they
-      are not parallel and the point is their one crossing;
     - draw-circle: the center is the input, and the radius is the recorded
       radius or the spanned distance;
+    - intersect-lines: the lines are not parallel, and both contain the
+      point, which is then their one crossing;
     - intersect-line-circle, when the line contains the circle's center c:
       the point is on the line and the circle, so it is c + w or c - w for
       w along the line (see :class:`_TraceBuilder`).  The kernel orders the
@@ -321,67 +260,86 @@ def _step_checks(step: TraceStep, outputs: Sequence[Primitive]) -> bool:
       is in ``range(-2, 2)`` and ``pick % 2`` says whether the point lies
       after c.
 
-    False means only "not shown here": the step is then replayed, and the
-    replay names the failure or raises :class:`MalformedTraceError`, as it
-    does for every take-vertex, mark-result and line that misses the
-    center.  The references are already checked to be earlier steps.
+    A corner and a mark are computed.  Only a crossing of a line that
+    misses the center, which no builder records, is solved, and ``pick``
+    indexes its crossings in the kernel's order.
+
+    A step that cannot be carried out (a line through one point, a radius
+    that is not positive, lines that do not cross, a ``pick`` outside the
+    crossings) "does not replay"; any other mismatch "differs from
+    replay".  A wrong number or kind of inputs, or a ``pick``, ``radius`` or
+    ``vertex`` of the wrong type, raises :class:`MalformedTraceError`.  The
+    references are already checked to be earlier steps.
     """
     kind, inputs, output = step.kind, step.inputs, step.output
-    if kind is StepKind.INTERSECT_LINE_CIRCLE:
-        pick = step.pick
-        if len(inputs) != 2 or type(output) is not Point or not (_is_int(pick) and -2 <= pick < 2):
-            return False
-        line, circle = outputs[inputs[0]], outputs[inputs[1]]
-        if not (isinstance(line, Line) and isinstance(circle, TaxicabCircle)):
-            return False
-        c = circle.center
-        return (
-            line.contains(c)
-            and line.contains(output)
-            and point_on_circle(circle, output)
-            and pick % 2 == ((output.x, output.y) > (c.x, c.y))
-        )
-    if kind is StepKind.DRAW_LINE:
-        if len(inputs) != 2 or type(output) is not Line:
-            return False
-        p, q = outputs[inputs[0]], outputs[inputs[1]]
-        return (
-            isinstance(p, Point)
-            and isinstance(q, Point)
-            and p != q
-            and output.contains(p)
-            and output.contains(q)
-        )
-    if kind is StepKind.INTERSECT_LINES:
-        if len(inputs) != 2 or type(output) is not Point:
-            return False
-        m, n = outputs[inputs[0]], outputs[inputs[1]]
-        # Lines are canonical, so m != n says they are distinct lines.
-        return isinstance(m, Line) and isinstance(n, Line) and m != n and m.contains(output) and n.contains(output)
     if kind is StepKind.DRAW_CIRCLE:
-        if type(output) is not TaxicabCircle:
-            return False
-        if len(inputs) == 1:
-            radius = step.radius
-            fits = _is_exact(radius) and radius > 0 and output.radius == radius
-        elif len(inputs) == 3:
-            p, q = outputs[inputs[1]], outputs[inputs[2]]
-            fits = isinstance(p, Point) and isinstance(q, Point) and at_taxicab_distance(p, q, output.radius)
-        else:
-            return False
-        center = outputs[inputs[0]]
-        return fits and isinstance(center, Point) and center == output.center
-    return False
+        _expect(len(inputs) in (1, 3), "draw-circle takes 1 or 3 inputs")
+        center = _input(outputs, inputs[0], Point, "point")
+        if len(inputs) == 3:
+            p = _input(outputs, inputs[1], Point, "point")
+            q = _input(outputs, inputs[2], Point, "point")
+            # A circle's radius is positive, so a circle that fits has p != q.
+            fits = type(output) is TaxicabCircle and at_taxicab_distance(p, q, output.radius)
+            if fits and center == output.center:
+                return None
+            return _DOES_NOT_REPLAY if p == q else _DIFFERS
+        radius = step.radius
+        _expect(_is_exact(radius), "draw-circle needs an integer or Fraction radius")
+        if radius <= 0:
+            return _DOES_NOT_REPLAY
+        fits = type(output) is TaxicabCircle and output.radius == radius and center == output.center
+        return None if fits else _DIFFERS
+    if kind is StepKind.INTERSECT_LINE_CIRCLE:
+        _expect(len(inputs) == 2, "intersect-line-circle takes 2 inputs")
+        line = _input(outputs, inputs[0], Line, "line")
+        circle = _input(outputs, inputs[1], TaxicabCircle, "circle")
+        pick = step.pick
+        _expect(_is_int(pick), "intersect-line-circle needs an integer pick index")
+        c = circle.center
+        if line.contains(c):
+            if not -2 <= pick < 2:
+                return _DOES_NOT_REPLAY
+            fits = type(output) is Point and line.contains(output) and point_on_circle(circle, output)
+            return None if fits and pick % 2 == ((output.x, output.y) > (c.x, c.y)) else _DIFFERS
+        crossings = points_of(intersect_line_circle(line, circle))
+        if not -len(crossings) <= pick < len(crossings):
+            return _DOES_NOT_REPLAY
+        return None if crossings[pick] == output else _DIFFERS
+    if kind is StepKind.MARK_RESULT:
+        _expect(len(inputs) == 1, "mark-result takes 1 input")
+        return None if _input(outputs, inputs[0], Point, "point") == output else _DIFFERS
+    if kind is StepKind.DRAW_LINE:
+        _expect(len(inputs) == 2, "draw-line takes 2 inputs")
+        p = _input(outputs, inputs[0], Point, "point")
+        q = _input(outputs, inputs[1], Point, "point")
+        if p == q:
+            return _DOES_NOT_REPLAY
+        return None if type(output) is Line and output.contains(p) and output.contains(q) else _DIFFERS
+    if kind is StepKind.INTERSECT_LINES:
+        _expect(len(inputs) == 2, "intersect-lines takes 2 inputs")
+        m = _input(outputs, inputs[0], Line, "line")
+        n = _input(outputs, inputs[1], Line, "line")
+        # Lines are canonical, so equal normals say parallel or the same line.
+        if m.a == n.a and m.b == n.b:
+            return _DOES_NOT_REPLAY
+        return None if type(output) is Point and m.contains(output) and n.contains(output) else _DIFFERS
+    if kind is StepKind.TAKE_CIRCLE_VERTEX:
+        _expect(len(inputs) == 1, "take-circle-vertex takes 1 input")
+        _expect(isinstance(step.vertex, CircleVertex), "take-circle-vertex needs a vertex name")
+        corner = circle_vertex(_input(outputs, inputs[0], TaxicabCircle, "circle"), step.vertex)
+        return None if corner == output else _DIFFERS
+    if kind is StepKind.PLACE_POINT:
+        _expect(not inputs, "place-point takes no inputs")
+        return None
+    raise MalformedTraceError(f"unknown step kind {kind!r}")
 
 
 def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     """Check every recorded output and claim of a trace exactly.
 
-    A drawn line or circle, a crossing of two lines, and a crossing of a
-    line with a circle whose center it passes through are checked by their
-    incidences (see :func:`_step_checks`); any other step, and any step that
-    fails its check, is replayed through :func:`_step_output` and compared.
-    Either way the verdict is the replay's.
+    Each step is checked by :func:`_check_step`, the one definition of its
+    kind: a drawn figure or a crossing by its incidences, a corner or a mark
+    by computing it.
 
     Structural problems (a trace that is not a :class:`ConstructionTrace`,
     steps that are not a sequence of :class:`TraceStep`, forward or
@@ -426,16 +384,9 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
             raise MalformedTraceError(f"step {index} has a vertex, which only take-circle-vertex takes")
         if step.radius is not None and (kind is not StepKind.DRAW_CIRCLE or len(inputs) != 1):
             raise MalformedTraceError(f"step {index} has a radius, which only a one-input draw-circle takes")
-        if kind is StepKind.PLACE_POINT:
-            _expect(not inputs, "place-point takes no inputs")
-        elif not _step_checks(step, outputs):
-            replayed = _step_output(kind, inputs, outputs, step.pick, step.radius, step.vertex)
-            if replayed is None:
-                return VerificationReport(False, index, StepFailure(index, "step does not replay"))
-            if replayed != step.output:
-                return VerificationReport(
-                    False, index, StepFailure(index, "recorded output differs from replay")
-                )
+        failure = _check_step(step, outputs)
+        if failure is not None:
+            return VerificationReport(False, index, StepFailure(index, failure))
         for claim in claims:
             # Claims are only defined on points; a claim on any other output
             # is not yet reported as a malformed trace.
@@ -457,78 +408,77 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
 
 
 class _TraceBuilder:
-    """Records the steps of a construction; the builder itself makes only
-    the choices: which corner, which crossing.  It writes claims only on
-    marks; the incidences of every other step are the verifier's to check.
+    """Records the steps of a construction, each output computed straight
+    from the kernel; the builder itself makes only the choices: which
+    corner, which crossing.  It writes claims only on marks; the incidences
+    of every other step are the verifier's to check.
 
-    Each step's output comes from :func:`_step_output`, except a crossing
-    of a line with a circle.  Every line that the constructions meet with a
-    circle passes through the circle's center c, so it crosses the diamond
-    at c - w and c + w, where w runs along the line and has taxicab length
-    r.  Each crossing is therefore named by the direction w it lies in from
-    the center, and the builder records c + w itself, with
-    :func:`circle_point_toward`, instead of solving the line against the
-    circle.  The kernel's solve returns the two crossings in (x, y) order,
-    so c + w comes second exactly when w is lexicographically positive, and
-    the step's ``pick`` follows from w's signs.
+    Every line that the constructions meet with a circle passes through the
+    circle's center c, so it crosses the diamond at c - w and c + w, where w
+    runs along the line and has taxicab length r.  Each crossing is
+    therefore named by the direction w it lies in from the center, and the
+    builder records c + w with :func:`circle_point_toward` instead of
+    solving the line against the circle.  The kernel's solve returns the two
+    crossings in (x, y) order, so c + w comes second exactly when w is
+    lexicographically positive, and the step's ``pick`` follows from w's
+    signs.
     """
 
     def __init__(self) -> None:
         self._steps: list[TraceStep] = []
-        self._outputs: list[Primitive] = []
 
-    def point(self, ref: int) -> Point:
-        return _input(self._outputs, ref, Point, "point")
-
-    def _push(self, step: TraceStep) -> int:
-        self._steps.append(step)
-        self._outputs.append(step.output)
-        return len(self._steps) - 1
+    def output(self, ref: int) -> Primitive:
+        return self._steps[ref].output
 
     def _add(
         self,
         kind: StepKind,
         inputs: tuple[int, ...],
+        output: Primitive,
         claims: tuple[Claim, ...] = (),
         label: str | None = None,
-        vertex: CircleVertex | None = None,
-        radius: Fraction | None = None,
+        **fields: object,
     ) -> int:
-        output = _step_output(kind, inputs, self._outputs, radius=radius, vertex=vertex)
-        if output is None:
-            raise ConstructionError(f"the {kind.value} step cannot be carried out")
-        step = TraceStep(kind, inputs, output, claims, label, vertex=vertex, radius=radius)
-        return self._push(step)
+        self._steps.append(TraceStep(kind, inputs, output, claims, label, **fields))
+        return len(self._steps) - 1
 
     def place_point(self, p: Point, label: str | None = None) -> int:
-        return self._push(TraceStep(StepKind.PLACE_POINT, (), p, label=label))
+        return self._add(StepKind.PLACE_POINT, (), p, label=label)
 
     def draw_line(self, p_ref: int, q_ref: int) -> int:
-        return self._add(StepKind.DRAW_LINE, (p_ref, q_ref))
+        line = line_through(self.output(p_ref), self.output(q_ref))
+        return self._add(StepKind.DRAW_LINE, (p_ref, q_ref), line)
 
-    def draw_circle(self, center_ref: int, span: tuple[int, ...] = (), radius: Fraction | None = None) -> int:
-        return self._add(StepKind.DRAW_CIRCLE, (center_ref, *span), radius=radius)
+    def draw_circle(self, center_ref: int, radius: Fraction, span: tuple[int, int] | None = None) -> int:
+        """The circle of this radius about a point: spanned by the two
+        points ``span``, which lie that far apart, or else with the radius
+        recorded as a fixed compass opening."""
+        circle = TaxicabCircle(self.output(center_ref), radius)
+        if span is None:
+            return self._add(StepKind.DRAW_CIRCLE, (center_ref,), circle, radius=radius)
+        return self._add(StepKind.DRAW_CIRCLE, (center_ref, *span), circle)
 
     def take_vertex(self, circle_ref: int, which: CircleVertex) -> int:
-        return self._add(StepKind.TAKE_CIRCLE_VERTEX, (circle_ref,), vertex=which)
+        corner = circle_vertex(self.output(circle_ref), which)
+        return self._add(StepKind.TAKE_CIRCLE_VERTEX, (circle_ref,), corner, vertex=which)
 
     def intersect_with_circle(
         self, line_ref: int, circle_ref: int, toward: Direction, label: str | None = None
     ) -> int:
         """The crossing of a line through the circle's center that lies in
         direction ``toward`` from the center (see the class docstring)."""
-        circle = _input(self._outputs, circle_ref, TaxicabCircle, "circle")
+        crossing = circle_point_toward(self.output(circle_ref), toward)
         pick = 1 if (toward.dx, toward.dy) > (0, 0) else 0
-        crossing = circle_point_toward(circle, toward)
-        return self._push(
-            TraceStep(StepKind.INTERSECT_LINE_CIRCLE, (line_ref, circle_ref), crossing, label=label, pick=pick)
-        )
+        inputs = (line_ref, circle_ref)
+        return self._add(StepKind.INTERSECT_LINE_CIRCLE, inputs, crossing, label=label, pick=pick)
 
     def intersect_two_lines(self, first_ref: int, second_ref: int) -> int:
-        return self._add(StepKind.INTERSECT_LINES, (first_ref, second_ref))
+        # The constructions meet only lines that cross in one point.
+        crossing = intersect_lines(self.output(first_ref), self.output(second_ref)).point
+        return self._add(StepKind.INTERSECT_LINES, (first_ref, second_ref), crossing)
 
     def mark_result(self, point_ref: int, claims: tuple[Claim, ...], label: str | None = None) -> int:
-        return self._add(StepKind.MARK_RESULT, (point_ref,), claims, label)
+        return self._add(StepKind.MARK_RESULT, (point_ref,), self.output(point_ref), claims, label)
 
     def build(self) -> ConstructionTrace:
         """The trace so far, with its last step as the result."""
@@ -571,17 +521,20 @@ def _append_nsect(builder: _TraceBuilder, a_ref: int, b_ref: int, n: int, every:
     circle about M(k-1) spanned by A and M1 crosses the line at M(k-2) and
     at M(k), the crossing farther from A.  The line passes through the
     circle's center, so it never runs along an edge and each walk step has
-    two crossings.  That is three steps per further mark.
+    two crossings.  That is three steps per further mark.  The length L is
+    measured once: each circle is drawn with the opening it spans, L, or
+    L / n for the walk.
     """
-    a = builder.point(a_ref)
-    b = builder.point(b_ref)
+    a = builder.output(a_ref)
+    b = builder.output(b_ref)
     onward = b - a
     low_corner, high_corner = _corner_pair(onward)
     length = taxicab_distance(a, b)
+    part = length / n
 
     base_ref = builder.draw_line(a_ref, b_ref)
-    circle_b = builder.draw_circle(b_ref, span=(a_ref, b_ref))
-    circle_a = builder.draw_circle(a_ref, span=(a_ref, b_ref))
+    circle_b = builder.draw_circle(b_ref, length, span=(a_ref, b_ref))
+    circle_a = builder.draw_circle(a_ref, length, span=(a_ref, b_ref))
 
     if n == 2:
         low = builder.take_vertex(circle_a, low_corner)
@@ -593,24 +546,24 @@ def _append_nsect(builder: _TraceBuilder, a_ref: int, b_ref: int, n: int, every:
         outward = a - b
         for _ in range(n - 3):
             next_center = builder.intersect_with_circle(base_ref, last_circle, outward)
-            last_circle = builder.draw_circle(next_center, span=(a_ref, b_ref))
+            last_circle = builder.draw_circle(next_center, length, span=(a_ref, b_ref))
         low = builder.take_vertex(last_circle, low_corner)
         toward_b = builder.draw_line(low, b_ref)
         # The line from the low corner meets the circle about B first on
         # the corner's side of B.
         p_label = None if every else "P"
-        p_ref = builder.intersect_with_circle(toward_b, circle_b, builder.point(low) - b, label=p_label)
+        p_ref = builder.intersect_with_circle(toward_b, circle_b, builder.output(low) - b, label=p_label)
         high = builder.take_vertex(circle_a, high_corner)
         back_ref = builder.draw_line(p_ref, high)
         c_ref = builder.intersect_two_lines(back_ref, base_ref)
 
     between = BetweenClaim(a_ref, b_ref)
-    m1_ref = builder.mark_result(c_ref, (between, DistanceClaim(a_ref, length / n)), "M1" if every else "C")
+    m1_ref = builder.mark_result(c_ref, (between, DistanceClaim(a_ref, part)), "M1" if every else "C")
     if not every:
         return
     mark_ref = m1_ref
     for k in range(2, n):
-        step_circle = builder.draw_circle(mark_ref, span=(a_ref, m1_ref))
+        step_circle = builder.draw_circle(mark_ref, part, span=(a_ref, m1_ref))
         next_ref = builder.intersect_with_circle(base_ref, step_circle, onward)
         mark_ref = builder.mark_result(next_ref, (between, DistanceClaim(a_ref, length * k / n)), f"M{k}")
 
@@ -729,7 +682,7 @@ def _chord_trace(
     reach = TaxicabCircle(vertex, 2 * radius)
     h1_ref = builder.place_point(circle_point_toward(reach, first_side))
     h2_ref = builder.place_point(circle_point_toward(reach, second_side))
-    circle_ref = builder.draw_circle(v_ref, radius=radius)
+    circle_ref = builder.draw_circle(v_ref, radius)
 
     side1_line = builder.draw_line(v_ref, h1_ref)
     q1_ref = builder.intersect_with_circle(side1_line, circle_ref, first_side, label="B")

@@ -27,13 +27,12 @@ through the center c along w crosses the circle in direction w, which the
 trace builder records for each such crossing instead of solving the
 line against the circle.
 
-``verify_trace`` checks most trace steps with those predicates alone: a
-drawn line contains its two points, a drawn circle has its center and its
-radius, and a crossing of two lines, or of a line with a circle whose
-center it passes through, lies on both figures.  Through the solvers above
-it replays the rest: each corner, each mark, each crossing of a line that
-misses the center, and any step that fails its check, whose replay names
-the failure.
+``verify_trace`` checks trace steps with those predicates: a drawn line
+contains its two points, a drawn circle has its center and its radius, and
+a crossing of two lines, or of a line with a circle whose center it passes
+through, lies on both figures.  It computes each corner and each mark, and
+calls a solver only for a crossing of a line that misses the center, which
+no builder records.
 """
 
 from __future__ import annotations

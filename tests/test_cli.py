@@ -243,6 +243,20 @@ def test_section_bad_radius_names_the_option(radius, capsys):
     assert capsys.readouterr().err.startswith("error: bad --radius: ")
 
 
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--a", ["nsect", "--a", "1/0,0", "--b", "1,1", "--n", "2"]),
+        ("--d1", ["section", "--d1", "1/0,0", "--d2", "0,1", "--n", "2"]),
+        ("--radius", ["section", "--d1", "1,0", "--d2", "0,1", "--n", "2", "--radius", "1/0"]),
+    ],
+)
+def test_zero_denominator_names_the_literal(option, argv, capsys):
+    """As a script reports it: the option and the literal, not a Fraction."""
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: bad {option}: division by zero in '1/0'\n"
+
+
 def test_section_degenerate_exits_two(capsys):
     assert main(["section", "--d1", "1,0", "--d2", "2,0", "--n", "3"]) == 2
     capsys.readouterr()

@@ -26,12 +26,17 @@ from taxisect.constructions import (
 )
 from taxisect.kernel import (
     CircleVertex,
+    CoincidentLinesError,
     Direction,
+    GeometryError,
     Line,
+    OnePoint,
     Point,
     Ray,
     TaxicabCircle,
+    circle_vertex,
     intersect_line_circle,
+    intersect_lines,
     line_through,
     point_on_circle,
     points_of,
@@ -805,6 +810,26 @@ def test_chord_trace_runs_one_segment_nsection(monkeypatch):
     assert calls == [16]
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: nsect_segment(pt(F(1, 3), -2), pt(5, F(7, 2)), 16), lambda: section_angle(EDGE_ANGLE, 16)],
+    ids=["nsect", "chord"],
+)
+def test_build_measures_the_segment_once(monkeypatch, build):
+    """Every circle is drawn with the opening it spans, L or L / n, so the
+    length L is the one distance a build computes."""
+    calls = []
+    original = constructions.taxicab_distance
+
+    def counted(p, q):
+        calls.append((p, q))
+        return original(p, q)
+
+    monkeypatch.setattr(constructions, "taxicab_distance", counted)
+    build()
+    assert len(calls) == 1
+
+
 def test_chord_mark_off_its_ray_is_refused(monkeypatch):
     original = constructions._chord_trace
 
@@ -903,6 +928,55 @@ def _fraction_claim_holds(claim, subject: Point, outputs) -> bool:
     return isinstance(anchor, Point) and taxicab_distance(anchor, subject) == claim.value
 
 
+def _step_output(kind, inputs, outputs, pick=None, radius=None, vertex=None):
+    """The one output of a computed step, replayed with the kernel's solvers
+    from the outputs of the steps before it, or None when the step cannot
+    be carried out.  A wrong number or kind of inputs, or a ``pick`` that is
+    not an int, raises :class:`MalformedTraceError`."""
+    expect, take = constructions._expect, constructions._input
+    if kind is StepKind.DRAW_CIRCLE:
+        expect(len(inputs) in (1, 3), "draw-circle takes 1 or 3 inputs")
+        center = take(outputs, inputs[0], Point, "point")
+        if len(inputs) == 3:
+            p, q = take(outputs, inputs[1], Point, "point"), take(outputs, inputs[2], Point, "point")
+            radius = taxicab_distance(p, q)
+        else:
+            expect(constructions._is_exact(radius), "draw-circle needs an integer or Fraction radius")
+        try:
+            return TaxicabCircle(center, radius)
+        except GeometryError:  # the radius is not positive
+            return None
+    if kind is StepKind.DRAW_LINE:
+        expect(len(inputs) == 2, "draw-line takes 2 inputs")
+        p = take(outputs, inputs[0], Point, "point")
+        q = take(outputs, inputs[1], Point, "point")
+        return line_through(p, q) if p != q else None
+    if kind is StepKind.INTERSECT_LINE_CIRCLE:
+        expect(len(inputs) == 2, "intersect-line-circle takes 2 inputs")
+        line = take(outputs, inputs[0], Line, "line")
+        circle = take(outputs, inputs[1], TaxicabCircle, "circle")
+        expect(constructions._is_int(pick), "intersect-line-circle needs an integer pick index")
+        crossings = points_of(intersect_line_circle(line, circle))
+        return crossings[pick] if -len(crossings) <= pick < len(crossings) else None
+    if kind is StepKind.INTERSECT_LINES:
+        expect(len(inputs) == 2, "intersect-lines takes 2 inputs")
+        first = take(outputs, inputs[0], Line, "line")
+        second = take(outputs, inputs[1], Line, "line")
+        try:
+            hit = intersect_lines(first, second)
+        except CoincidentLinesError:
+            return None
+        return hit.point if isinstance(hit, OnePoint) else None
+    if kind is StepKind.TAKE_CIRCLE_VERTEX:
+        expect(len(inputs) == 1, "take-circle-vertex takes 1 input")
+        expect(isinstance(vertex, CircleVertex), "take-circle-vertex needs a vertex name")
+        return circle_vertex(take(outputs, inputs[0], TaxicabCircle, "circle"), vertex)
+    if kind is StepKind.MARK_RESULT:
+        expect(len(inputs) == 1, "mark-result takes 1 input")
+        return take(outputs, inputs[0], Point, "point")
+    raise MalformedTraceError(f"unknown step kind {kind!r}")
+
+
 def replay_verify_trace(trace):
     """The verifier as it was before steps were checked by their
     incidences: every computed step replayed through ``_step_output`` and
@@ -944,7 +1018,7 @@ def replay_verify_trace(trace):
                 raise MalformedTraceError("place-point takes no inputs")
             replayed = step.output
         else:
-            replayed = constructions._step_output(kind, inputs, outputs, step.pick, step.radius, step.vertex)
+            replayed = _step_output(kind, inputs, outputs, step.pick, step.radius, step.vertex)
         if replayed is None:
             return VerificationReport(False, index, StepFailure(index, "step does not replay"))
         if replayed != step.output:
@@ -1143,11 +1217,40 @@ ALONG_AN_EDGE = (pt(3, -1), pt(-1, 3))
         (AT_A_CORNER, pt(0, 2), -2, DOES_NOT_REPLAY),
         (ALONG_AN_EDGE, pt(1, 1), 0, DOES_NOT_REPLAY),
         (ALONG_AN_EDGE, pt(1, 1), 1, DOES_NOT_REPLAY),
+        # Out of range on a line that misses the center, however far off
+        # the recorded point lies: the one case that is solved.
+        (MISSING_CENTER, pt(1, 1), -3, DOES_NOT_REPLAY),
+        (MISSING_CENTER, pt(0, 1), 2, DOES_NOT_REPLAY),
+        (AT_A_CORNER, pt(1, 1), 1, DOES_NOT_REPLAY),
+        (AT_A_CORNER, pt(1, 1), -2, DOES_NOT_REPLAY),
     ],
 )
 def test_crossing_of_a_line_and_a_circle(line, crossing, pick, failure):
     report = assert_same_verdict(_line_across(*line, crossing, pick))
     assert report.failure == failure
+
+
+def test_genuine_traces_verify_without_a_solver(monkeypatch):
+    """The builders meet every line with a circle through its center, so
+    no step of theirs is checked by solving an intersection."""
+    a = pt(F(1, 3), F(-2, 7))
+    traces = [
+        nsect_segment(a, a + d(*move).scaled(F(5, 4)), n)[1] for move in HOSTILE_DIRECTIONS for n in range(2, 13)
+    ]
+    traces += [
+        section_angle(_edge_angle(F(start, 4), 4, swap), n)[1]
+        for start in range(32)
+        for swap in (False, True)
+        for n in (2, 3, 16)
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a step was solved")
+
+    monkeypatch.setattr(constructions, "intersect_line_circle", refuse)
+    monkeypatch.setattr(constructions, "intersect_lines", refuse)
+    for trace in traces:
+        assert verify_trace(trace) == VerificationReport(True, len(trace.steps))
 
 
 @pytest.mark.parametrize(
