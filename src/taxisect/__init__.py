@@ -31,7 +31,6 @@ _EXPORTS = {
         "StepKind",
         "TraceStep",
         "VerificationReport",
-        "last_circle_south_vertex",
         "nsect_segment",
         "section_angle",
         "verify_trace",
@@ -61,7 +60,7 @@ _EXPORTS = {
         "point_on_circle",
         "taxicab_distance",
     ),
-    "numeric": ("Rational", "format_rational", "parse_rational"),
+    "numeric": ("parse_rational",),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -495,22 +495,6 @@ def _corner_pair(direction: Direction) -> tuple[CircleVertex, CircleVertex]:
     return (CircleVertex.SOUTH, CircleVertex.NORTH)
 
 
-def last_circle_south_vertex(a: Point, b: Point, n: int) -> Point:
-    """South vertex of the final chained circle for the n-section of AB.
-
-    The chain walks the extension of AB beyond A, so the final circle is
-    centered at a - (n - 3)(b - a); its south vertex sits a radius below.
-    Defined for n >= 3 (for n == 3 the "last" circle is the one about A).
-    """
-    if n < 3:
-        raise ConstructionError(f"the circle chain needs n >= 3, got n = {n}")
-    if a == b:
-        raise ConstructionError("degenerate segment")
-    radius = taxicab_distance(a, b)
-    center = a + (a - b).scaled(n - 3) if n > 3 else a
-    return Point(center.x, center.y - radius)
-
-
 def _append_nsect(builder: _TraceBuilder, a_ref: int, b_ref: int, n: int, every: bool = False) -> None:
     """Append the n-section steps for the segment AB between two already
     placed points.  They mark C at d_t(A, C) = L / n, labelled "C" with its

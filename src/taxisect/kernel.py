@@ -27,12 +27,9 @@ through the center c along w crosses the circle in direction w, which the
 trace builder records for each such crossing instead of solving the
 line against the circle.
 
-``verify_trace`` checks trace steps with those predicates: a drawn line
-contains its two points, a drawn circle has its center and its radius, and
-a crossing of two lines, or of a line with a circle whose center it passes
-through, lies on both figures.  It computes each corner and each mark, and
-calls a solver only for a crossing of a line that misses the center, which
-no builder records.
+The predicates exist so that a trace step can be checked by its incidences
+without solving it again; ``constructions._check_step`` is the one
+definition of what each step kind checks.
 """
 
 from __future__ import annotations

@@ -1,21 +1,20 @@
 """Exact rational scalars shared by every geometry module.
 
-All kernel arithmetic happens over arbitrary-precision rationals; floating
-point never enters a computation.  ``Rational`` is the standard library
-``fractions.Fraction``, which already maintains the invariants the kernel
-relies on: positive denominators, lowest-terms storage, and a unique zero.
-The kernel's hot paths compute on the integer numerators over a common
+All kernel arithmetic happens over arbitrary-precision rationals, the
+standard library ``fractions.Fraction``; floating point never enters a
+computation.  Fraction already keeps the invariants the kernel relies on:
+positive denominators, lowest-terms storage, and a unique zero.  The
+kernel's hot paths compute on the integer numerators over a common
 denominator and build a Fraction only for each value they return.
-This module pins down the interchange text format ("p/q", with "/q" dropped
-for integers) and exact conversion of decimal literals.
+This module defines the accepted literal grammar ("p/q", a plain integer,
+or a decimal, which converts exactly) and exact conversion to Fraction.
+Values are written back as ``str(Fraction)``: "p/q", or "p" for an integer.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-
-Rational = Fraction
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _DECIMAL_RE = re.compile(r"^[+-]?\d+\.\d+$")
@@ -36,11 +35,6 @@ def parse_rational(text: str) -> Fraction:
     if _FRACTION_RE.match(stripped) or _DECIMAL_RE.match(stripped):
         return Fraction(stripped)
     raise RationalParseError(f"invalid rational literal: {text!r}")
-
-
-def format_rational(value: Fraction) -> str:
-    """Canonical text form; inverse of :func:`parse_rational`."""
-    return str(value)
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import taxisect
 from taxisect.cli import main
@@ -287,3 +290,63 @@ def test_render_demo_unknown_figure(capsys):
     err = capsys.readouterr().err
     for name in FIGURES:
         assert name in err
+
+
+# ------------------------------------------------------ generated arguments
+
+
+_OPTIONS = {
+    "nsect": ("--a", "--b", "--n", "--trace"),
+    "section": ("--vertex", "--d1", "--d2", "--n", "--radius", "--trace"),
+    "measure": ("--vertex", "--d1", "--d2"),
+}
+_COMPONENTS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/2", "0.25", " 3 "])
+# Well-formed values; some still name no segment or angle (equal points,
+# a zero direction, n < 2).
+_VALUES = {
+    "--n": st.sampled_from(["2", "3", "4", "1", "0", "-2"]),
+    "--radius": _COMPONENTS,
+}
+_PAIRS = st.tuples(_COMPONENTS, _COMPONENTS).map(",".join)
+_BAD_VALUES = st.sampled_from(["1/0", "x", "1e3", "2/-3", "", "1,2,3", "1/0,1", "1,x", "1e3,0", "-1"])
+
+
+@st.composite
+def cli_argvs(draw) -> list[str]:
+    """A subcommand with every option in any order, each with a well-formed
+    value, and then at most one fault: a malformed value, a dropped option,
+    an unknown option, or an option with no value at the end."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv, values = [command], []
+    for option in draw(st.permutations(_OPTIONS[command])):
+        if option != "--trace":
+            argv += [option, draw(_VALUES.get(option, _PAIRS))]
+            values.append(len(argv) - 1)
+        elif draw(st.booleans()):
+            argv.append(option)
+    fault = draw(st.integers(0, 4))
+    if fault == 1:
+        argv[draw(st.sampled_from(values))] = draw(_BAD_VALUES)
+    elif fault == 2:
+        i = draw(st.sampled_from(values))
+        del argv[i - 1 : i + 1]
+    elif fault == 3:
+        argv += ["--bogus", "1"]
+    elif fault == 4:
+        argv.append("--n")
+    return argv
+
+
+@given(cli_argvs())
+@settings(max_examples=300, deadline=None)
+def test_generated_arguments_exit_with_a_code(argv):
+    """Every argument vector ends in exit 0, 1 or 2, never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().strip()

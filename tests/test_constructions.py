@@ -19,7 +19,6 @@ from taxisect.constructions import (
     StepKind,
     TraceStep,
     VerificationReport,
-    last_circle_south_vertex,
     nsect_segment,
     section_angle,
     verify_trace,
@@ -119,15 +118,40 @@ def test_circle_count_grows_with_n():
         assert len(drawn_circles(trace)) == expected
 
 
-def test_last_circle_south_vertex_examples():
-    assert last_circle_south_vertex(pt(0, 0), pt(1, 1), 3) == pt(0, -2)
-    assert last_circle_south_vertex(pt(0, 0), pt(1, 1), 5) == pt(-2, -4)
-    assert last_circle_south_vertex(pt(0, 0), pt(2, 1), 4) == pt(-2, -4)
+def chain_corner(a: Point, b: Point, n: int) -> TraceStep:
+    """The first take-circle-vertex step of the n-section of AB, n >= 3,
+    checked against where the chain walks: the circle it takes a corner of
+    has radius d_t(A, B) and center A - (n - 3)(B - A), and the corner is
+    the low one that ``_corner_pair`` names."""
+    _, trace = nsect_segment(a, b, n)
+    corner = next(s for s in trace.steps if s.kind is StepKind.TAKE_CIRCLE_VERTEX)
+    circle = trace.steps[corner.inputs[0]].output
+    center = Point(a.x - (n - 3) * (b.x - a.x), a.y - (n - 3) * (b.y - a.y))
+    assert circle == TaxicabCircle(center, taxicab_distance(a, b))
+    assert corner.vertex is constructions._corner_pair(b - a)[0]
+    assert corner.output == circle_vertex(circle, corner.vertex)
+    return corner
 
 
-def test_last_circle_south_vertex_needs_three_parts():
-    with pytest.raises(ConstructionError):
-        last_circle_south_vertex(pt(0, 0), pt(1, 1), 2)
+def test_chain_corner_examples():
+    for b, n, south in [((1, 1), 3, (0, -2)), ((1, 1), 5, (-2, -4)), ((2, 1), 4, (-2, -4))]:
+        corner = chain_corner(pt(0, 0), pt(*b), n)
+        assert (corner.vertex, corner.output) == (CircleVertex.SOUTH, pt(*south))
+
+
+@given(
+    wide_points,
+    st.one_of(
+        st.tuples(small_rationals, small_rationals).filter(any).map(lambda t: Direction(*t)),
+        small_rationals.filter(lambda l: l > 0).map(lambda l: Direction(l, l)),
+    ),
+    st.integers(3, 12),
+)
+@settings(max_examples=60, deadline=None)
+def test_chain_corner_sits_behind_a(a, move, n):
+    corner = chain_corner(a, a + move, n)
+    if move.dx == move.dy > 0:
+        assert corner.vertex is CircleVertex.SOUTH
 
 
 def test_slope_one_intermediate_formulas():
@@ -1156,6 +1180,80 @@ genuine_traces = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_mutated_trace_gets_the_replay_verdict(trace, data):
     assert_same_verdict(_mutated(data.draw, trace))
+
+
+# Placed coordinates on a small grid with halves, so that lines meet
+# circles off their centers, along an edge and at a corner.
+_GRID = st.sampled_from([F(k) for k in range(-3, 4)] + [F(1, 2), F(-1, 2), F(-3, 2)])
+_GRID_POINTS = st.builds(Point, _GRID, _GRID)
+
+# Each computed step kind with the kinds of its inputs.  A line-circle
+# crossing comes three times, so that most traces meet one.
+_SIGNATURES = [
+    (StepKind.DRAW_LINE, (Point, Point)),
+    (StepKind.DRAW_CIRCLE, (Point,)),
+    (StepKind.DRAW_CIRCLE, (Point, Point, Point)),
+    (StepKind.INTERSECT_LINES, (Line, Line)),
+    (StepKind.TAKE_CIRCLE_VERTEX, (TaxicabCircle,)),
+] + [(StepKind.INTERSECT_LINE_CIRCLE, (Line, TaxicabCircle))] * 3
+
+
+@st.composite
+def grammar_traces(draw) -> ConstructionTrace:
+    """A trace written from the step grammar, not mutated from a genuine
+    one: placed grid points, then computed steps on inputs of the right
+    kinds, each recording its replayed output or, now and then, another
+    earlier output or a fresh point, and last a mark with an optional
+    between claim and distance claim."""
+    placed = draw(st.lists(_GRID_POINTS, min_size=3, max_size=5))
+    steps = [TraceStep(StepKind.PLACE_POINT, (), p) for p in placed]
+
+    def refs(want: type) -> list[int]:
+        return [i for i, step in enumerate(steps) if isinstance(step.output, want)]
+
+    for _ in range(draw(st.integers(0, 10))):
+        usable = [sig for sig in _SIGNATURES if all(refs(want) for want in sig[1])]
+        kind, wants = draw(st.sampled_from(usable))
+        inputs = ()
+        for want in wants:
+            # Not the input just drawn, which would draw a line through one
+            # point or meet a line with itself.
+            pool = [ref for ref in refs(want) if inputs[-1:] != (ref,)] or refs(want)
+            inputs += (draw(st.sampled_from(pool)),)
+        fields = {}
+        if kind is StepKind.DRAW_CIRCLE and len(inputs) == 1:
+            fields["radius"] = draw(st.sampled_from([F(1), F(2), F(1, 2), F(3, 2)]))
+        elif kind is StepKind.INTERSECT_LINE_CIRCLE:
+            fields["pick"] = draw(st.integers(-2, 1))
+        elif kind is StepKind.TAKE_CIRCLE_VERTEX:
+            fields["vertex"] = draw(st.sampled_from(CircleVertex))
+        outputs = [step.output for step in steps]
+        output = _step_output(kind, inputs, outputs, **fields) if draw(st.integers(0, 9)) else None
+        if output is None:
+            output = draw(st.one_of(st.sampled_from(outputs), _GRID_POINTS))
+        steps.append(TraceStep(kind, inputs, output, **fields))
+
+    point_refs = st.sampled_from(refs(Point))
+    subject = draw(point_refs)
+    claims = []
+    if draw(st.booleans()):
+        claims.append(BetweenClaim(draw(point_refs), draw(point_refs)))
+    if draw(st.booleans()):
+        anchor = draw(point_refs)
+        if draw(st.booleans()):
+            value = taxicab_distance(steps[anchor].output, steps[subject].output)  # a claim that holds
+        else:
+            value = draw(st.fractions(min_value=-1, max_value=6, max_denominator=4))
+        claims.append(DistanceClaim(anchor, value))
+    output = steps[subject].output if draw(st.integers(0, 3)) else draw(_GRID_POINTS)
+    steps.append(TraceStep(StepKind.MARK_RESULT, (subject,), output, tuple(claims)))
+    return ConstructionTrace(tuple(steps), len(steps) - 1)
+
+
+@given(grammar_traces())
+@settings(max_examples=300, deadline=None)
+def test_grammar_trace_gets_the_replay_verdict(trace):
+    assert_same_verdict(trace)
 
 
 # Hand-made traces for check paths the builders never take.  Steps 0-1:

@@ -1,4 +1,5 @@
 import re
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -321,3 +322,54 @@ def test_tokenize_locates_a_bad_character_after_crlf_and_tabs():
         script._tokenize(source)
     assert (info.value.line, info.value.col) == (3, 6)
     assert tokens_or_error(script._tokenize, source) == tokens_or_error(reference_tokenize, source)
+
+
+# ---------------------------------------------------------- generated sources
+
+
+_ATOMS = st.sampled_from([
+    "A", "B", "C", "0", "1", "-1", "2", "3", "1/2", "-3/2", "0.5", "1/0", '"N"', '"Q"',
+    "(1, 2)", "(0, 0)", "(-1/2, 3)",
+])
+# Not edist2: it squares, so bindings chained through it could ask for an
+# n-section into millions of parts.
+_CALLS = st.sampled_from(sorted(set(script._BUILTINS) - {"edist2"}))
+
+
+def _calls(inner):
+    """A builtin applied to arguments of its arity."""
+    def applied(name):
+        arities = script._BUILTINS[name].arities
+        args = st.lists(inner, min_size=arities.start, max_size=arities.stop - 1)
+        return args.map(lambda args: f"{name}({', '.join(args)})")
+    return _CALLS.flatmap(applied)
+
+
+_EXPRS = st.recursive(_ATOMS, _calls, max_leaves=10)
+_STATEMENTS = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(["A", "B", "C"]), _EXPRS),
+    st.builds("assert_eq {} {}".format, _EXPRS, _EXPRS),
+    # The second render cannot write below the file the first one wrote.
+    st.sampled_from(["dump", 'render "out.svg"', 'render "out.svg/x.svg"']),
+)
+_LOOSE_LINES = st.lists(
+    st.sampled_from(["A", "point", "nsect", "assert_eq", "render", "1", "-2", "1/2", '"S"', "(", ")", ",", "=", "/"]),
+    max_size=8,
+).map(" ".join)
+_SOURCES = st.builds(
+    lambda statements, loose: "\n".join(statements + loose),
+    st.lists(_STATEMENTS, max_size=6),
+    st.lists(_LOOSE_LINES, max_size=1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SOURCES)
+def test_generated_sources_run_or_raise_a_script_error(source):
+    """A source made of builtin names, literals and punctuation runs, or
+    fails with a located ScriptError; nothing else escapes."""
+    with tempfile.TemporaryDirectory() as out:  # for what a render writes
+        try:
+            run_source(source, Path(out))
+        except script.ScriptError as exc:
+            assert exc.line >= 1 and exc.col >= 1
