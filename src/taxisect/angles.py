@@ -45,16 +45,22 @@ def param_to_point(t: Fraction | int) -> Point:
     """The unit-circle point at arc parameter t; inverse of
     :func:`direction_to_param` up to direction scaling."""
     t = as_rational(t)
-    # With t = n/d, both coordinates are ints over 2d.
     n, d = t.as_integer_ratio()
     if not 0 <= n < 8 * d:
         raise GeometryError(f"arc parameter {t} outside [0, 8)")
+    x, y, den = param_to_ints(n, d)
+    return Point(Fraction(x, den), Fraction(y, den))
+
+
+def param_to_ints(n: int, d: int) -> tuple[int, int, int]:
+    """The unit-circle point at arc parameter t = n/d, 0 <= n < 8d, as
+    ints (x, y, 2d): both coordinates over 2d."""
     den = 2 * d
     if n <= 4 * d:
         x = den - n  # x = 1 - t/2
-        return Point(Fraction(x, den), Fraction(den - abs(x), den))
+        return x, den - abs(x), den
     x = n - 6 * d  # x = (t - 6)/2
-    return Point(Fraction(x, den), Fraction(abs(x) - den, den))
+    return x, abs(x) - den, den
 
 
 def sweep_ccw(t_from: Fraction, t_to: Fraction) -> Fraction:

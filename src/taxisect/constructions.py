@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union, get_args
 
-from .angles import Angle, direction_to_param, param_to_point, sweep_ccw
+from .angles import Angle, direction_to_param, param_to_ints, sweep_ccw
 from .kernel import (
     CircleVertex,
     Direction,
@@ -51,6 +51,7 @@ from .kernel import (
     Point,
     Ray,
     TaxicabCircle,
+    _common2,
     at_taxicab_distance,
     circle_point_toward,
     circle_vertex,
@@ -408,20 +409,20 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
 
 
 class _TraceBuilder:
-    """Records the steps of a construction, each output computed straight
-    from the kernel; the builder itself makes only the choices: which
-    corner, which crossing.  It writes claims only on marks; the incidences
-    of every other step are the verifier's to check.
+    """Records the steps of a construction; the builder itself makes only
+    the choices: which corner, which crossing.  It writes claims only on
+    marks; the incidences of every other step are the verifier's to check.
 
     Every line that the constructions meet with a circle passes through the
     circle's center c, so it crosses the diamond at c - w and c + w, where w
     runs along the line and has taxicab length r.  Each crossing is
-    therefore named by the direction w it lies in from the center, and the
-    builder records c + w with :func:`circle_point_toward` instead of
-    solving the line against the circle.  The kernel's solve returns the two
+    therefore named by the direction w it lies in from the center, and is
+    never solved: the n-section computes a crossing on line AB in closed
+    form (see :func:`_append_nsect`), and any other is c + w from
+    :func:`circle_point_toward`.  The kernel's solve returns the two
     crossings in (x, y) order, so c + w comes second exactly when w is
-    lexicographically positive, and the step's ``pick`` follows from w's
-    signs.
+    lexicographically positive, and the step's ``pick`` follows from the
+    signs of w's (dx, dy).
     """
 
     def __init__(self) -> None:
@@ -430,24 +431,16 @@ class _TraceBuilder:
     def output(self, ref: int) -> Primitive:
         return self._steps[ref].output
 
-    def _add(
-        self,
-        kind: StepKind,
-        inputs: tuple[int, ...],
-        output: Primitive,
-        claims: tuple[Claim, ...] = (),
-        label: str | None = None,
-        **fields: object,
-    ) -> int:
-        self._steps.append(TraceStep(kind, inputs, output, claims, label, **fields))
+    def _add(self, step: TraceStep) -> int:
+        self._steps.append(step)
         return len(self._steps) - 1
 
     def place_point(self, p: Point, label: str | None = None) -> int:
-        return self._add(StepKind.PLACE_POINT, (), p, label=label)
+        return self._add(TraceStep(StepKind.PLACE_POINT, (), p, (), label))
 
     def draw_line(self, p_ref: int, q_ref: int) -> int:
         line = line_through(self.output(p_ref), self.output(q_ref))
-        return self._add(StepKind.DRAW_LINE, (p_ref, q_ref), line)
+        return self._add(TraceStep(StepKind.DRAW_LINE, (p_ref, q_ref), line))
 
     def draw_circle(self, center_ref: int, radius: Fraction, span: tuple[int, int] | None = None) -> int:
         """The circle of this radius about a point: spanned by the two
@@ -455,42 +448,48 @@ class _TraceBuilder:
         recorded as a fixed compass opening."""
         circle = TaxicabCircle(self.output(center_ref), radius)
         if span is None:
-            return self._add(StepKind.DRAW_CIRCLE, (center_ref,), circle, radius=radius)
-        return self._add(StepKind.DRAW_CIRCLE, (center_ref, *span), circle)
+            return self._add(TraceStep(StepKind.DRAW_CIRCLE, (center_ref,), circle, (), None, None, None, radius))
+        return self._add(TraceStep(StepKind.DRAW_CIRCLE, (center_ref, *span), circle))
 
     def take_vertex(self, circle_ref: int, which: CircleVertex) -> int:
         corner = circle_vertex(self.output(circle_ref), which)
-        return self._add(StepKind.TAKE_CIRCLE_VERTEX, (circle_ref,), corner, vertex=which)
+        return self._add(TraceStep(StepKind.TAKE_CIRCLE_VERTEX, (circle_ref,), corner, (), None, None, which))
 
     def intersect_with_circle(
-        self, line_ref: int, circle_ref: int, toward: Direction, label: str | None = None
+        self, line_ref: int, circle_ref: int, crossing: Point, toward: tuple, label: str | None = None
     ) -> int:
-        """The crossing of a line through the circle's center that lies in
-        direction ``toward`` from the center (see the class docstring)."""
-        crossing = circle_point_toward(self.output(circle_ref), toward)
-        pick = 1 if (toward.dx, toward.dy) > (0, 0) else 0
+        """Record ``crossing``, where a line through the circle's center
+        crosses it in direction ``toward`` = (dx, dy) from the center (see
+        the class docstring)."""
+        pick = 1 if toward > (0, 0) else 0
         inputs = (line_ref, circle_ref)
-        return self._add(StepKind.INTERSECT_LINE_CIRCLE, inputs, crossing, label=label, pick=pick)
+        return self._add(TraceStep(StepKind.INTERSECT_LINE_CIRCLE, inputs, crossing, (), label, pick))
+
+    def cross_toward(self, line_ref: int, circle_ref: int, w: Direction, label: str | None = None) -> int:
+        """The crossing of a line through the circle's center that lies in
+        direction w from the center."""
+        crossing = circle_point_toward(self.output(circle_ref), w)
+        return self.intersect_with_circle(line_ref, circle_ref, crossing, (w.dx, w.dy), label)
 
     def intersect_two_lines(self, first_ref: int, second_ref: int) -> int:
         # The constructions meet only lines that cross in one point.
         crossing = intersect_lines(self.output(first_ref), self.output(second_ref)).point
-        return self._add(StepKind.INTERSECT_LINES, (first_ref, second_ref), crossing)
+        return self._add(TraceStep(StepKind.INTERSECT_LINES, (first_ref, second_ref), crossing))
 
     def mark_result(self, point_ref: int, claims: tuple[Claim, ...], label: str | None = None) -> int:
-        return self._add(StepKind.MARK_RESULT, (point_ref,), self.output(point_ref), claims, label)
+        return self._add(TraceStep(StepKind.MARK_RESULT, (point_ref,), self.output(point_ref), claims, label))
 
     def build(self) -> ConstructionTrace:
         """The trace so far, with its last step as the result."""
         return ConstructionTrace(tuple(self._steps), len(self._steps) - 1)
 
 
-def _corner_pair(direction: Direction) -> tuple[CircleVertex, CircleVertex]:
+def _corner_pair(dx: Fraction | int, dy: Fraction | int) -> tuple[CircleVertex, CircleVertex]:
     """Corner names (low side of the chain, high side of the circle about a)
-    for the given segment direction; see the module docstring."""
-    if direction.dx == 0:
+    for the segment direction of signs (dx, dy); see the module docstring."""
+    if dx == 0:
         return (CircleVertex.EAST, CircleVertex.WEST)
-    if direction.dy < 0:
+    if dy < 0:
         return (CircleVertex.NORTH, CircleVertex.SOUTH)
     return (CircleVertex.SOUTH, CircleVertex.NORTH)
 
@@ -508,13 +507,26 @@ def _append_nsect(builder: _TraceBuilder, a_ref: int, b_ref: int, n: int, every:
     two crossings.  That is three steps per further mark.  The length L is
     measured once: each circle is drawn with the opening it spans, L, or
     L / n for the walk.
+
+    Every crossing on line AB is a point a + t(b - a) that the builder
+    already knows, so it is computed in closed form from A and B over
+    their per-axis common denominators, one ``Fraction`` per coordinate,
+    not solved.  A circle of radius L = |b - a|_1 about a point c of the
+    line meets it at c - (b - a) and c + (b - a), so the chain centers are
+    a - k(b - a); the walk circle of radius L / n about M(k-1) meets it at
+    M(k-1) -/+ (b - a)/n, so the walk marks are a + k(b - a)/n.  Only P,
+    on the line from the low corner to B, is computed by
+    :func:`circle_point_toward`.
     """
     a = builder.output(a_ref)
     b = builder.output(b_ref)
-    onward = b - a
-    low_corner, high_corner = _corner_pair(onward)
+    # x coordinates as ints over xd, y over yd.
+    ax, bx, xd = _common2(a.x, b.x)
+    ay, by, yd = _common2(a.y, b.y)
+    dx, dy = bx - ax, by - ay
+    low_corner, high_corner = _corner_pair(dx, dy)
     length = taxicab_distance(a, b)
-    part = length / n
+    ln, ld = length.as_integer_ratio()
 
     base_ref = builder.draw_line(a_ref, b_ref)
     circle_b = builder.draw_circle(b_ref, length, span=(a_ref, b_ref))
@@ -527,29 +539,34 @@ def _append_nsect(builder: _TraceBuilder, a_ref: int, b_ref: int, n: int, every:
         c_ref = builder.intersect_two_lines(cross_ref, base_ref)
     else:
         last_circle = circle_a
-        outward = a - b
-        for _ in range(n - 3):
-            next_center = builder.intersect_with_circle(base_ref, last_circle, outward)
+        for k in range(1, n - 2):
+            center = Point(Fraction(ax - k * dx, xd), Fraction(ay - k * dy, yd))
+            next_center = builder.intersect_with_circle(base_ref, last_circle, center, (-dx, -dy))
             last_circle = builder.draw_circle(next_center, length, span=(a_ref, b_ref))
         low = builder.take_vertex(last_circle, low_corner)
         toward_b = builder.draw_line(low, b_ref)
         # The line from the low corner meets the circle about B first on
         # the corner's side of B.
         p_label = None if every else "P"
-        p_ref = builder.intersect_with_circle(toward_b, circle_b, builder.output(low) - b, label=p_label)
+        p_ref = builder.cross_toward(toward_b, circle_b, builder.output(low) - b, label=p_label)
         high = builder.take_vertex(circle_a, high_corner)
         back_ref = builder.draw_line(p_ref, high)
         c_ref = builder.intersect_two_lines(back_ref, base_ref)
 
+    part = Fraction(ln, ld * n)
     between = BetweenClaim(a_ref, b_ref)
     m1_ref = builder.mark_result(c_ref, (between, DistanceClaim(a_ref, part)), "M1" if every else "C")
     if not every:
         return
     mark_ref = m1_ref
+    # M(k) = a + k(b - a)/n: x over n*xd, y over n*yd.
+    nax, nay, nxd, nyd = n * ax, n * ay, n * xd, n * yd
     for k in range(2, n):
         step_circle = builder.draw_circle(mark_ref, part, span=(a_ref, m1_ref))
-        next_ref = builder.intersect_with_circle(base_ref, step_circle, onward)
-        mark_ref = builder.mark_result(next_ref, (between, DistanceClaim(a_ref, length * k / n)), f"M{k}")
+        mark = Point(Fraction(nax + k * dx, nxd), Fraction(nay + k * dy, nyd))
+        next_ref = builder.intersect_with_circle(base_ref, step_circle, mark, (dx, dy))
+        distance = DistanceClaim(a_ref, Fraction(k * ln, n * ld))
+        mark_ref = builder.mark_result(next_ref, (between, distance), f"M{k}")
 
 
 def _check_part_count(n: int, what: str) -> None:
@@ -568,6 +585,9 @@ def nsect_segment(a: Point, b: Point, n: int) -> tuple[Point, ConstructionTrace]
     raises :class:`PostconditionError` with the trace attached.
     """
     _check_part_count(n, "segment sectioning")
+    for name, end in (("a", a), ("b", b)):
+        if not isinstance(end, Point):
+            raise ConstructionError(f"segment sectioning needs a Point {name}, got {name} = {end!r}")
     if a == b:
         raise ConstructionError("cannot section a degenerate segment")
     builder = _TraceBuilder()
@@ -600,6 +620,13 @@ def section_angle(
     :class:`PostconditionError` with the trace attached.
     """
     _check_part_count(n, "angle sectioning")
+    if not (
+        isinstance(angle, Angle)
+        and isinstance(angle.vertex, Point)
+        and isinstance(angle.side1, Direction)
+        and isinstance(angle.side2, Direction)
+    ):
+        raise ConstructionError(f"angle sectioning needs an Angle of a Point and two Directions, got {angle!r}")
     radius = as_rational(radius)
     if radius <= 0:
         raise ConstructionError("sectioning circle radius must be positive")
@@ -614,15 +641,14 @@ def section_angle(
         first, second = second, first
         start, sweep = (start + sweep) % 8, 8 - sweep
 
-    # t_k = start + sweep*k/n mod 8, every t_k an int over one denominator.
+    # t_k = start + sweep*k/n mod 8, every t_k an int over one denominator,
+    # and each ray's direction the unit-circle point at t_k.
     (sn, sd), (wn, wd) = start.as_integer_ratio(), sweep.as_integer_ratio()
     base = lcm(sd, wd)
     den = base * n
     first_t, step_t, turn = sn * (base // sd) * n, wn * (base // wd), 8 * den
-    rays = tuple(
-        Ray(angle.vertex, _as_direction(param_to_point(Fraction((first_t + step_t * k) % turn, den))))
-        for k in range(1, n)
-    )
+    units = (param_to_ints((first_t + step_t * k) % turn, den) for k in range(1, n))
+    rays = tuple(Ray(angle.vertex, Direction(Fraction(x, u), Fraction(y, u))) for x, y, u in units)
 
     if start + sweep > 2 * (start // 2 + 1):  # the sweep passes a corner
         return rays, None
@@ -647,10 +673,6 @@ def _is_at(p: Point, base: Point, t: Fraction, step: Direction) -> bool:
     return True
 
 
-def _as_direction(unit_point: Point) -> Direction:
-    return Direction(unit_point.x, unit_point.y)
-
-
 def _chord_trace(
     vertex: Point, first_side: Direction, second_side: Direction, n: int, radius: Fraction
 ) -> ConstructionTrace:
@@ -669,8 +691,8 @@ def _chord_trace(
     circle_ref = builder.draw_circle(v_ref, radius)
 
     side1_line = builder.draw_line(v_ref, h1_ref)
-    q1_ref = builder.intersect_with_circle(side1_line, circle_ref, first_side, label="B")
+    q1_ref = builder.cross_toward(side1_line, circle_ref, first_side, label="B")
     side2_line = builder.draw_line(v_ref, h2_ref)
-    q2_ref = builder.intersect_with_circle(side2_line, circle_ref, second_side, label="C")
+    q2_ref = builder.cross_toward(side2_line, circle_ref, second_side, label="C")
     _append_nsect(builder, q1_ref, q2_ref, n, every=True)
     return builder.build()

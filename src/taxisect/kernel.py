@@ -24,8 +24,10 @@ which compare ints and build no ``Fraction`` at all, and ``circle_vertex``,
 which builds one for the coordinate it moves.  ``circle_point_toward``
 builds one per coordinate: it is the point c + w*r/|w| at which a line
 through the center c along w crosses the circle in direction w, which the
-trace builder records for each such crossing instead of solving the
-line against the circle.
+trace builder records for such a crossing whose point it does not already
+know, instead of solving the line against the circle.  A line keeps its
+int form: it is computed the first time the line is met or tested, and
+every later test or solve with that line reuses it.
 
 The predicates exist so that a trace step can be checked by its incidences
 without solving it again; ``constructions._check_step`` is the one
@@ -37,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .numeric import as_rational
@@ -91,7 +94,7 @@ class Direction:
             object.__setattr__(self, "dx", as_rational(self.dx))
         if type(self.dy) is not Fraction:
             object.__setattr__(self, "dy", as_rational(self.dy))
-        if self.dx == 0 and self.dy == 0:
+        if not self.dx.numerator and not self.dy.numerator:
             raise GeometryError("zero direction")
 
     def scaled(self, factor: Fraction | int) -> Direction:
@@ -110,6 +113,8 @@ class Line:
 
     Canonical means the first nonzero coefficient of (a, b) equals 1, so two
     Line values describe the same locus exactly when they compare equal.
+    ``_ints`` is (a, b, c) times their least common denominator, computed
+    the first time a predicate or a solve asks for it and kept.
     """
 
     a: Fraction
@@ -134,9 +139,14 @@ class Line:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
 
+    @cached_property
+    def _ints(self) -> tuple[int, int, int]:
+        a, b, c, _ = _common3(self.a, self.b, self.c)
+        return a, b, c
+
     def contains(self, p: Point) -> bool:
         # a*x + b*y = c, with (a, b, c) over d and (x, y) over e.
-        a, b, c, _ = _common3(self.a, self.b, self.c)
+        a, b, c = self._ints
         x, y, e = _common2(p.x, p.y)
         return a * x + b * y == c * e
 
@@ -204,7 +214,7 @@ class TaxicabCircle:
             raise GeometryError("circle center must be a point")
         if type(self.radius) is not Fraction:
             object.__setattr__(self, "radius", as_rational(self.radius))
-        if self.radius <= 0:
+        if self.radius.numerator <= 0:
             raise GeometryError("circle radius must be positive")
 
 
@@ -303,8 +313,8 @@ def line_through(p: Point, q: Point) -> Line:
 
 
 def intersect_lines(m: Line, n: Line) -> Intersection:
-    ma, mb, mc, _ = _common3(m.a, m.b, m.c)
-    na, nb, nc, _ = _common3(n.a, n.b, n.c)
+    ma, mb, mc = m._ints
+    na, nb, nc = n._ints
     det = ma * nb - na * mb
     if det == 0:
         if ma * nc == na * mc and mb * nc == nb * mc:
@@ -332,7 +342,7 @@ def intersect_line_circle(line: Line, circle: TaxicabCircle) -> Intersection:
     The solve runs in ints: the line over its common denominator, and the
     circle over its own, m, so (U, V) = m*(u, v) and edges su*U + sv*V = R.
     """
-    a, b, c, _ = _common3(line.a, line.b, line.c)
+    a, b, c = line._ints
     cx, cy, r, m = _common3(circle.center.x, circle.center.y, circle.radius)
     c = c * m - a * cx - b * cy
     # The numerator of U depends only on sv (north or south edge), that of

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from taxisect.angles import Angle, direction_to_param, measure_angle, measure_between, param_to_point
 import taxisect.constructions as constructions
+import taxisect.kernel as kernel
 from taxisect.constructions import (
     BetweenClaim,
     ConstructionError,
@@ -106,6 +109,20 @@ def test_nsect_rejects_bad_input():
         nsect_segment(pt(2, 2), pt(2, 2), 3)
 
 
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ((0, 0), (1, 1), "segment sectioning needs a Point a, got a = (0, 0)"),
+        (pt(0, 0), (1, 1), "segment sectioning needs a Point b, got b = (1, 1)"),
+        (pt(0, 0), "b", "segment sectioning needs a Point b, got b = 'b'"),
+    ],
+)
+def test_nsect_rejects_an_end_that_is_not_a_point(a, b, message):
+    with pytest.raises(ConstructionError) as caught:
+        nsect_segment(a, b, 3)
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("n", [F(5, 2), 3.0, True, "3"])
 def test_nsect_rejects_non_integer_parts(n):
     with pytest.raises(ConstructionError):
@@ -128,7 +145,7 @@ def chain_corner(a: Point, b: Point, n: int) -> TraceStep:
     circle = trace.steps[corner.inputs[0]].output
     center = Point(a.x - (n - 3) * (b.x - a.x), a.y - (n - 3) * (b.y - a.y))
     assert circle == TaxicabCircle(center, taxicab_distance(a, b))
-    assert corner.vertex is constructions._corner_pair(b - a)[0]
+    assert corner.vertex is constructions._corner_pair(b.x - a.x, b.y - a.y)[0]
     assert corner.output == circle_vertex(circle, corner.vertex)
     return corner
 
@@ -594,6 +611,23 @@ def test_quarter_straight_angle():
     assert hits == (pt(F(1, 2), F(1, 2)), pt(0, 1), pt(F(-1, 2), F(1, 2)))
 
 
+@pytest.mark.parametrize(
+    "angle",
+    [
+        "x",
+        Angle(ORIGIN, (1, 0), d(1, 1)),
+        Angle(ORIGIN, d(1, 0), (1, 1)),
+        Angle((0, 0), d(1, 0), d(1, 1)),
+        (ORIGIN, d(1, 0), d(1, 1)),
+    ],
+    ids=["text", "tuple-side1", "tuple-side2", "tuple-vertex", "tuple-angle"],
+)
+def test_section_rejects_an_angle_that_is_not_an_angle(angle):
+    with pytest.raises(ConstructionError) as caught:
+        section_angle(angle, 3)
+    assert str(caught.value) == f"angle sectioning needs an Angle of a Point and two Directions, got {angle!r}"
+
+
 def test_section_rejects_bad_input():
     with pytest.raises(ConstructionError):
         section_angle(Angle(ORIGIN, d(1, 0), d(2, 0)), 3)
@@ -854,6 +888,52 @@ def test_build_measures_the_segment_once(monkeypatch, build):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "build, solved",
+    [(lambda: nsect_segment(pt(F(1, 3), -2), pt(5, F(7, 2)), 16), 1), (lambda: section_angle(EDGE_ANGLE, 16), 5)],
+    ids=["nsect", "chord"],
+)
+def test_build_computes_crossings_on_the_segment_in_closed_form(monkeypatch, build, solved):
+    """Only P and, in a chord trace, the two helper points and the two side
+    crossings are computed by ``circle_point_toward``: the chain centers and
+    the walk marks on line AB are written down from A and B."""
+    calls = []
+    original = constructions.circle_point_toward
+
+    def counted(circle, w):
+        calls.append(w)
+        return original(circle, w)
+
+    monkeypatch.setattr(constructions, "circle_point_toward", counted)
+    build()
+    assert len(calls) == solved
+
+
+def test_verify_computes_each_lines_int_form_once(monkeypatch):
+    """A line keeps its int form, so checking the 14 walk marks against the
+    chord line does not take that line over its denominator again for each."""
+    _, trace = section_angle(EDGE_ANGLE, 16)
+    # Fresh lines, equal to the built ones, that have not yet been met.
+    steps = tuple(
+        dataclasses.replace(step, output=Line(step.output.a, step.output.b, step.output.c))
+        if step.kind is StepKind.DRAW_LINE
+        else step
+        for step in trace.steps
+    )
+    lines = [(line.a, line.b, line.c) for line in drawn_lines(ConstructionTrace(steps, trace.result))]
+    assert len(set(lines)) == len(lines) == 5
+    forms = []
+    original = kernel._common3
+
+    def counted(x, y, z):
+        forms.append((x, y, z))
+        return original(x, y, z)
+
+    monkeypatch.setattr(kernel, "_common3", counted)
+    assert verify_trace(ConstructionTrace(steps, trace.result)).ok
+    assert sorted(form for form in forms if form in lines) == sorted(lines)
+
+
 def test_chord_mark_off_its_ray_is_refused(monkeypatch):
     original = constructions._chord_trace
 
@@ -873,7 +953,7 @@ def test_chord_mark_off_its_ray_is_refused(monkeypatch):
 
 def test_nsect_from_swapped_corners_is_refused(monkeypatch):
     original = constructions._corner_pair
-    monkeypatch.setattr(constructions, "_corner_pair", lambda direction: original(direction)[::-1])
+    monkeypatch.setattr(constructions, "_corner_pair", lambda dx, dy: original(dx, dy)[::-1])
     with pytest.raises(PostconditionError) as caught:
         nsect_segment(pt(1, 2), pt(-3, 7), 5)
     assert str(caught.value) == "construction produced (7/3, 1/3), expected (1/5, 3)"
@@ -1443,3 +1523,40 @@ def test_drawn_figure_fits_its_inputs(step, failure):
     trace = _about_origin(TraceStep(StepKind.PLACE_POINT, (), pt(1, 1)), step)
     expected = None if failure is None else StepFailure(3, failure)
     assert assert_same_verdict(trace).failure == expected
+
+
+# ------------------------------------------------------- trace identity
+
+
+def _identity_cases() -> list[str]:
+    """The reprs of 120 segment n-sections (n = 2..16) and 120 angle
+    sectionings, same-edge and cross-edge, from one fixed seed."""
+    rng = random.Random(20111)
+
+    def rational() -> F:
+        return F(rng.randint(-60, 60), rng.randint(1, 14))
+
+    out = []
+    for i in range(120):
+        a = Point(rational(), rational())
+        b = a
+        while b == a:
+            b = Point(rational(), rational())
+        out.append(repr(nsect_segment(a, b, 2 + i % 15)))
+    for i in range(120):
+        d1 = d2 = None
+        while d1 is None or direction_to_param(d1) == direction_to_param(d2):
+            d1 = Direction(rational(), rational()) if rng.random() < 0.5 else d(1, rational())
+            d2 = Direction(rational(), rational()) if rng.random() < 0.5 else d(1, rational())
+        radius = F(rng.randint(1, 9), rng.randint(1, 5))
+        out.append(repr(section_angle(Angle(Point(rational(), rational()), d1, d2), 2 + i % 15, radius)))
+    return out
+
+
+def test_traces_and_rays_are_unchanged():
+    """Every trace, ray and mark equals the one recorded before the
+    builder computed its points in ints, field for field."""
+    cases = _identity_cases()
+    assert sum(not case.endswith(", None)") for case in cases[120:]) == 34  # chord traces
+    digest = hashlib.sha256("\n".join(cases).encode()).hexdigest()
+    assert digest == "6363df7529b50bfa5f0c969fd3c342542b2d8ada39746601899665cb0b52a51d"
