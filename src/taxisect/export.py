@@ -1,11 +1,17 @@
 """Deterministic rendering of scenes to SVG and of values to canonical JSON.
 
 Scenes are flat ordered lists of drawable items with small enumerated style
-classes; nothing here ever touches floating point.  Exact rational
-coordinates survive until the final SVG serialization, where each value is
-expanded to at most 12 significant decimal digits with half-even rounding.
-Two emissions of the same scene are byte-identical.  JSON takes values only:
-rationals, kernel primitives and containers of them, such as bindings.
+classes; nothing here ever touches floating point.  The SVG exporter
+computes in ints: the view box is found by comparing coordinates as
+numerator and denominator pairs, the view is then taken over one common
+denominator, and each point, circle corner, label anchor and clipped end of
+a line or ray maps to an exact SVG coordinate kept as an int pair
+(numerator, denominator).  Only the four bounds of the view box become
+Fractions.  Each SVG number is printed from its pair, expanded to at most
+12 significant decimal digits with half-even rounding by one exact Decimal
+division.  Two emissions of the same scene are byte-identical.  JSON takes
+values only: rationals, kernel primitives and containers of them, such as
+bindings.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .constructions import ConstructionTrace, StepKind, verify_trace
@@ -26,8 +33,8 @@ from .kernel import (
     Ray,
     Segment,
     TaxicabCircle,
-    circle_vertex,
-    CircleVertex,
+    _common2,
+    _common3,
 )
 
 Geometry = Union[Point, Segment, Line, Ray, TaxicabCircle, tuple[Point, ...]]
@@ -77,41 +84,52 @@ class Scene:
     items: tuple[SceneItem, ...]
 
 
-def _finite_points(geometry: Geometry) -> tuple[Point, ...]:
-    if isinstance(geometry, Point):
-        return (geometry,)
-    if isinstance(geometry, Segment):
-        return (geometry.p, geometry.q)
-    if isinstance(geometry, Ray):
-        return (geometry.origin,)
-    if isinstance(geometry, TaxicabCircle):
-        return tuple(circle_vertex(geometry, which) for which in _CORNERS)
-    if isinstance(geometry, tuple):
-        return geometry
-    return ()  # an infinite line constrains nothing
+def _bounds(values: list[tuple[int, int]]) -> tuple[Fraction, Fraction]:
+    """The least and greatest of some (numerator, denominator) pairs with
+    positive denominators, moved 1 apart when they are equal, then each
+    moved out by a tenth of the distance between them."""
+    (lo_n, lo_d) = (hi_n, hi_d) = values[0]
+    for n, d in values:
+        if n * lo_d < lo_n * d:
+            lo_n, lo_d = n, d
+        elif n * hi_d > hi_n * d:
+            hi_n, hi_d = n, d
+    if lo_n * hi_d == hi_n * lo_d:
+        lo_n, hi_n = lo_n - lo_d, hi_n + hi_d
+    # lo - (hi - lo)/10 and hi + (hi - lo)/10, over 10 * lo_d * hi_d
+    den = 10 * lo_d * hi_d
+    return Fraction(11 * lo_n * hi_d - hi_n * lo_d, den), Fraction(11 * hi_n * lo_d - lo_n * hi_d, den)
 
 
 def compute_viewbox(scene: Scene) -> ViewBox:
     """Bounding box of all finite geometry, padded by 10% on each side."""
-    xs: list[Fraction] = []
-    ys: list[Fraction] = []
+    xs: list[tuple[int, int]] = []
+    ys: list[tuple[int, int]] = []
     for item in scene.items:
-        for p in _finite_points(item.geometry):
-            xs.append(p.x)
-            ys.append(p.y)
+        geometry = item.geometry
+        if isinstance(geometry, TaxicabCircle):
+            cx, cy, r, m = _common3(geometry.center.x, geometry.center.y, geometry.radius)
+            xs += ((cx - r, m), (cx + r, m))
+            ys += ((cy - r, m), (cy + r, m))
+            continue
+        if isinstance(geometry, Point):
+            points: tuple[Point, ...] = (geometry,)
+        elif isinstance(geometry, Segment):
+            points = (geometry.p, geometry.q)
+        elif isinstance(geometry, Ray):
+            points = (geometry.origin,)
+        elif isinstance(geometry, tuple):
+            points = geometry
+        else:
+            continue  # an infinite line constrains nothing
+        for p in points:
+            xs.append(p.x.as_integer_ratio())
+            ys.append(p.y.as_integer_ratio())
     if not xs:
         return ViewBox(Fraction(-1), Fraction(-1), Fraction(1), Fraction(1))
-    min_x, max_x = min(xs), max(xs)
-    min_y, max_y = min(ys), max(ys)
-    if min_x == max_x:
-        min_x -= 1
-        max_x += 1
-    if min_y == max_y:
-        min_y -= 1
-        max_y += 1
-    pad_x = (max_x - min_x) / 10
-    pad_y = (max_y - min_y) / 10
-    return ViewBox(min_x - pad_x, min_y - pad_y, max_x + pad_x, max_y + pad_y)
+    min_x, max_x = _bounds(xs)
+    min_y, max_y = _bounds(ys)
+    return ViewBox(min_x, min_y, max_x, max_y)
 
 
 def scene_from_trace(trace: ConstructionTrace) -> Scene:
@@ -164,7 +182,7 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-_CANVAS_WIDTH = Fraction(560)
+_CANVAS_WIDTH = 560
 
 _STROKE_STYLE = {
     Stroke.BASE: ("#111111", "2"),
@@ -182,16 +200,18 @@ _POINT_RADIUS = {
 
 _DASH_PATTERN = "6 4"
 
-_CORNERS = (CircleVertex.EAST, CircleVertex.NORTH, CircleVertex.WEST, CircleVertex.SOUTH)
-
 _DECIMAL = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
+# An SVG coordinate as an int pair (num, den) with den > 0.
+_Pair = tuple[int, int]
 
-def _decimal_text(value: Fraction) -> str:
-    """Decimal form with at most 12 significant digits, half-even rounded."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    quotient = _DECIMAL.divide(Decimal(value.numerator), Decimal(value.denominator))
+
+def _decimal_text(num: int, den: int) -> str:
+    """num/den, for den > 0, in decimal with at most 12 significant digits,
+    half-even rounded."""
+    if not num % den:
+        return str(num // den)
+    quotient = _DECIMAL.divide(Decimal(num), Decimal(den))
     text = format(quotient, "f")
     if "." in text:
         text = text.rstrip("0").rstrip(".")
@@ -199,42 +219,70 @@ def _decimal_text(value: Fraction) -> str:
 
 
 class _Mapper:
-    """Affine map from math coordinates to SVG user units (y flipped)."""
+    """Affine map from math coordinates to SVG user units (y flipped), in ints.
+
+    The view is taken over one common denominator d once, as the corners
+    (x0, y0)/d and (x1, y1)/d.  With w = x1 - x0, a math x = n/e lands at
+    (n*d - x0*e) * 560 / (e*w) and a math y = n/e at
+    (y1*e - n*d) * 560 / (e*w); both are kept as int pairs.
+    """
 
     def __init__(self, view: ViewBox) -> None:
-        self.view = view
-        self.scale = _CANVAS_WIDTH / view.width()
-        self.height = view.height() * self.scale
+        ratios = [v.as_integer_ratio() for v in (view.min_x, view.min_y, view.max_x, view.max_y)]
+        self.d = d = lcm(*(den for _, den in ratios))
+        self.x0, self.y0, self.x1, self.y1 = (n * (d // den) for n, den in ratios)
+        self.w = self.x1 - self.x0
+        self.height = ((self.y1 - self.y0) * _CANVAS_WIDTH, self.w)
 
-    def to_svg(self, p: Point) -> tuple[Fraction, Fraction]:
-        return ((p.x - self.view.min_x) * self.scale, (self.view.max_y - p.y) * self.scale)
+    def x(self, n: int, e: int) -> _Pair:
+        return (n * self.d - self.x0 * e) * _CANVAS_WIDTH, e * self.w
 
-    def svg_xy(self, p: Point) -> tuple[str, str]:
-        x, y = self.to_svg(p)
-        return (_decimal_text(x), _decimal_text(y))
+    def y(self, n: int, e: int) -> _Pair:
+        return (self.y1 * e - n * self.d) * _CANVAS_WIDTH, e * self.w
+
+    def point(self, p: Point) -> tuple[_Pair, _Pair]:
+        return self.x(*p.x.as_integer_ratio()), self.y(*p.y.as_integer_ratio())
 
 
-def _visible_span(ray: Ray, view: ViewBox, lo: Fraction | None = None) -> tuple[Fraction, Fraction] | None:
-    """Parameter range of ray.origin + t * ray.direction inside the view, with
-    t >= lo when lo is given; None when that range is empty or one point."""
-    hi: Fraction | None = None
-    for coord, delta, low, high in (
-        (ray.origin.x, ray.direction.dx, view.min_x, view.max_x),
-        (ray.origin.y, ray.direction.dy, view.min_y, view.max_y),
-    ):
-        if delta == 0:
-            if not low <= coord <= high:
+def _xy_text(xy: tuple[_Pair, _Pair]) -> str:
+    return f"{_decimal_text(*xy[0])},{_decimal_text(*xy[1])}"
+
+
+def _visible_span(
+    mapper: _Mapper, ox: int, oy: int, e: int, dx: int, dy: int, ray: bool
+) -> tuple[tuple[_Pair, _Pair], tuple[_Pair, _Pair]] | None:
+    """The SVG ends of the piece inside the view of the line through
+    (ox, oy)/e along (dx, dy), from the origin on for a ray; None when that
+    piece is empty or one point.
+
+    The view's bounds are n/d, so the line meets the bound n on the x axis
+    at the parameter (n*e - ox*d) / (dx*d*e); every parameter shares the
+    positive factor 1/(d*e), and is kept as its s = (n*e - ox*d) / dx.
+    """
+    d = mapper.d
+    lo: _Pair | None = (0, 1) if ray else None
+    hi: _Pair | None = None
+    for o, delta, low, high in ((ox, dx, mapper.x0, mapper.x1), (oy, dy, mapper.y0, mapper.y1)):
+        if not delta:
+            if not low * e <= o * d <= high * e:
                 return None
             continue
+        n0, n1 = low * e - o * d, high * e - o * d
         if delta < 0:
-            low, high = high, low
-        t0 = (low - coord) / delta
-        t1 = (high - coord) / delta
-        lo = t0 if lo is None or t0 > lo else lo
-        hi = t1 if hi is None or t1 < hi else hi
+            n0, n1, delta = -n1, -n0, -delta
+        if lo is None or n0 * lo[1] > lo[0] * delta:
+            lo = (n0, delta)
+        if hi is None or n1 * hi[1] < hi[0] * delta:
+            hi = (n1, delta)
     # the direction is nonzero, so at least one axis set both ends
     assert lo is not None and hi is not None
-    return (lo, hi) if lo < hi else None
+    if lo[0] * hi[1] >= hi[0] * lo[1]:
+        return None
+    # The point at s = sn/sd is (o*d*sd + delta*sn) / (d*e*sd) on each axis.
+    return tuple(
+        (mapper.x(ox * d * sd + dx * sn, d * e * sd), mapper.y(oy * d * sd + dy * sn, d * e * sd))
+        for sn, sd in (lo, hi)
+    )
 
 
 def _stroke_attributes(item: SceneItem) -> str:
@@ -247,48 +295,58 @@ def _item_elements(mapper: _Mapper, item: SceneItem) -> list[str]:
     geometry = item.geometry
     color = _STROKE_STYLE[item.stroke][0]
     pieces: list[str] = []
-    label_anchor: Point | None = None
-    ends: tuple[Point, Point] | None = None
+    label_at: tuple[_Pair, _Pair] | None = None
+    ends: tuple[tuple[_Pair, _Pair], tuple[_Pair, _Pair]] | None = None
 
     if isinstance(geometry, Point):
-        cx, cy = mapper.svg_xy(geometry)
+        label_at = (x, y) = mapper.point(geometry)
         pieces.append(
-            f'<circle cx="{cx}" cy="{cy}" r="{_POINT_RADIUS[item.stroke]}" fill="{color}"/>'
+            f'<circle cx="{_decimal_text(*x)}" cy="{_decimal_text(*y)}" '
+            f'r="{_POINT_RADIUS[item.stroke]}" fill="{color}"/>'
         )
-        label_anchor = geometry
     elif isinstance(geometry, Segment):
-        ends = (geometry.p, geometry.q)
-        label_anchor = geometry.q
+        label_at = mapper.point(geometry.q)
+        ends = (mapper.point(geometry.p), label_at)
     elif isinstance(geometry, TaxicabCircle):
-        corners = " ".join(
-            ",".join(mapper.svg_xy(circle_vertex(geometry, which))) for which in _CORNERS
-        )
-        pieces.append(f'<polygon points="{corners}" fill="none" {_stroke_attributes(item)}/>')
-        label_anchor = circle_vertex(geometry, CircleVertex.NORTH)
-    elif isinstance(geometry, (Line, Ray)):
-        if isinstance(geometry, Ray):
-            ray, lo, label_anchor = geometry, Fraction(0), geometry.origin
+        # The corners east, north, west, south: the center plus or minus r.
+        cx, cy, r, m = _common3(geometry.center.x, geometry.center.y, geometry.radius)
+        x, y = mapper.x(cx, m), mapper.y(cy, m)
+        corners = [(mapper.x(cx + r, m), y), (x, mapper.y(cy + r, m)),
+                   (mapper.x(cx - r, m), y), (x, mapper.y(cy - r, m))]
+        points = " ".join(map(_xy_text, corners))
+        pieces.append(f'<polygon points="{points}" fill="none" {_stroke_attributes(item)}/>')
+        label_at = corners[1]
+    elif isinstance(geometry, Line):
+        # Through (c/a, 0), or (0, c/b) when a = 0, along (b, -a).
+        a, b, c = geometry._ints
+        if a:
+            ends = _visible_span(mapper, c, 0, a, b, -a, False)
         else:
-            ray, lo = Ray(geometry.some_point(), geometry.direction()), None
-        span = _visible_span(ray, mapper.view, lo)
-        if span is not None:
-            ends = (ray.point_at(span[0]), ray.point_at(span[1]))
+            ends = _visible_span(mapper, 0, c, b, b, 0, False)
+    elif isinstance(geometry, Ray):
+        ox, oy, e = _common2(geometry.origin.x, geometry.origin.y)
+        dx, dy, _ = _common2(geometry.direction.dx, geometry.direction.dy)
+        ends = _visible_span(mapper, ox, oy, e, dx, dy, True)
+        label_at = mapper.point(geometry.origin)
     elif isinstance(geometry, tuple):
         if len(geometry) >= 2:
-            joined = " ".join(",".join(mapper.svg_xy(p)) for p in geometry)
+            mapped = [mapper.point(p) for p in geometry]
+            joined = " ".join(map(_xy_text, mapped))
             pieces.append(f'<polyline points="{joined}" fill="none" {_stroke_attributes(item)}/>')
-            label_anchor = geometry[-1]
+            label_at = mapped[-1]
     else:
         raise GeometryError(f"cannot render {type(geometry).__name__}")
 
     if ends is not None:
-        x1, y1 = mapper.svg_xy(ends[0])
-        x2, y2 = mapper.svg_xy(ends[1])
-        pieces.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {_stroke_attributes(item)}/>')
-    if item.label and label_anchor is not None:
-        x, y = mapper.to_svg(label_anchor)
+        (x1, y1), (x2, y2) = ends
         pieces.append(
-            f'<text x="{_decimal_text(x + 6)}" y="{_decimal_text(y - 6)}" '
+            f'<line x1="{_decimal_text(*x1)}" y1="{_decimal_text(*y1)}" '
+            f'x2="{_decimal_text(*x2)}" y2="{_decimal_text(*y2)}" {_stroke_attributes(item)}/>'
+        )
+    if item.label and label_at is not None:
+        (xn, xd), (yn, yd) = label_at
+        pieces.append(
+            f'<text x="{_decimal_text(xn + 6 * xd, xd)}" y="{_decimal_text(yn - 6 * yd, yd)}" '
             f'font-family="Helvetica, Arial, sans-serif" font-size="14" '
             f'font-style="italic" fill="{color}">{escape(item.label)}</text>'
         )
@@ -297,10 +355,9 @@ def _item_elements(mapper: _Mapper, item: SceneItem) -> list[str]:
 
 def emit_svg(scene: Scene) -> str:
     """Serialize a scene to standalone SVG 1.1 text, byte-stable per scene."""
-    view = compute_viewbox(scene)
-    mapper = _Mapper(view)
-    w = _decimal_text(_CANVAS_WIDTH)
-    h = _decimal_text(mapper.height)
+    mapper = _Mapper(compute_viewbox(scene))
+    w = str(_CANVAS_WIDTH)
+    h = _decimal_text(*mapper.height)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',

@@ -7,8 +7,11 @@ positive denominators, lowest-terms storage, and a unique zero.  The
 kernel's hot paths compute on the integer numerators over a common
 denominator and build a Fraction only for each value they return.
 This module defines the accepted literal grammar ("p/q", a plain integer,
-or a decimal, which converts exactly) and exact conversion to Fraction.
-Values are written back as ``str(Fraction)``: "p/q", or "p" for an integer.
+or a decimal, which converts exactly), in one pattern that the script
+front end and the CLI both parse with, and exact conversion to Fraction:
+the Fraction is built from the literal's ints, not by parsing the text
+again.  Values are written back as ``str(Fraction)``: "p/q", or "p" for an
+integer.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-_DECIMAL_RE = re.compile(r"^[+-]?\d+\.\d+$")
+# "p", "p/q" or "p.f": a signed integer p, then a denominator q or digits f.
+_LITERAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+)|\.(\d+))?")
 
 
 class RationalParseError(ValueError):
@@ -31,10 +34,16 @@ def parse_rational(text: str) -> Fraction:
     involved.  A zero denominator raises :class:`ZeroDivisionError` rather
     than a parse error: the text is well-formed but names no number.
     """
-    stripped = text.strip()
-    if _FRACTION_RE.match(stripped) or _DECIMAL_RE.match(stripped):
-        return Fraction(stripped)
-    raise RationalParseError(f"invalid rational literal: {text!r}")
+    match = _LITERAL_RE.fullmatch(text.strip())
+    if match is None:
+        raise RationalParseError(f"invalid rational literal: {text!r}")
+    whole, denominator, digits = match.groups()
+    if denominator is not None:
+        return Fraction(int(whole), int(denominator))
+    if digits is not None:
+        # "-0.5" is -05 tenths: the sign stays with the digits.
+        return Fraction(int(whole + digits), 10 ** len(digits))
+    return Fraction(int(whole))
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:

@@ -19,13 +19,18 @@ Failed assertions are recorded and execution continues; type errors, unbound
 or rebound names, and domain errors from the geometry kernel halt execution.
 All errors and failures carry the 1-based line and column of the statement
 that caused them.
+
+The lexer makes one pass over the token matches of a source and checks that
+only blanks lie between them.  Syntax-tree nodes are plain slotted classes
+whose equality and hash leave out the source location.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Union
 
@@ -77,9 +82,8 @@ class _Token(NamedTuple):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<number>-?\d+\.\d+|-?\d+)
+    (?P<comment>\#[^\n]*)
+  | (?P<number>-?\d+(?:\.\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"[^"\n]*")
   | (?P<symbol>[()=,/])
@@ -87,30 +91,46 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# Token kind by group name; a symbol is its own kind.
-_KIND = {"number": "NUMBER", "ident": "IDENT", "string": "STRING"}
+# Token kind by group name: a symbol is its own kind, and a comment is no token.
+_KIND = {"comment": None, "number": "NUMBER", "ident": "IDENT", "string": "STRING", "symbol": ""}
+
+# What may stand between two tokens.
+_BLANK = " \t\r\n"
+
+# A token built straight from its fields, without NamedTuple's Python-level
+# __new__.
+_make_token = partial(tuple.__new__, _Token)
 
 
 def _tokenize(source: str) -> list[_Token]:
+    """The tokens of a source, from one pass over the token matches; the
+    text between two matches, and after the last, must be blank."""
     tokens: list[_Token] = []
     line = 1
     line_start = 0
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            col = pos - line_start + 1
-            raise TaxiSyntaxError(f"unexpected character {source[pos]!r}", line, col)
-        kind = match.lastgroup
-        text = match.group()
-        if kind == "ws":
-            newlines = text.count("\n")
+    end = 0
+    for match in (*_TOKEN_RE.finditer(source), None):
+        start = len(source) if match is None else match.start()
+        if start != end:
+            gap = source[end:start]
+            rest = gap.lstrip(_BLANK)
+            if rest:
+                # no token starts at the first character that is not blank
+                gap = gap[: len(gap) - len(rest)]
+            newlines = gap.count("\n")
             if newlines:
                 line += newlines
-                line_start = pos + text.rindex("\n") + 1
-        elif kind != "comment":
-            tokens.append(_Token(_KIND.get(kind, text), text, line, pos - line_start + 1))
-        pos = match.end()
+                line_start = end + gap.rindex("\n") + 1
+            if rest:
+                col = end + len(gap) - line_start + 1
+                raise TaxiSyntaxError(f"unexpected character {rest[0]!r}", line, col)
+        if match is None:
+            break
+        end = match.end()
+        kind = _KIND[match.lastgroup]
+        if kind is not None:
+            text = match.group()
+            tokens.append(_make_token((kind or text, text, line, start - line_start + 1)))
     tokens.append(_Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
@@ -119,70 +139,118 @@ def _tokenize(source: str) -> list[_Token]:
 # Syntax tree.  Locations are excluded from equality, so the same statements
 # laid out differently in the source parse to equal trees.
 
-@dataclass(frozen=True)
-class Loc:
+class Loc(NamedTuple):
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class RationalLit:
-    text: str
-    loc: Loc = field(compare=False)
+_make_loc = partial(tuple.__new__, Loc)
 
 
-@dataclass(frozen=True)
-class PointLit:
-    x: RationalLit
-    y: RationalLit
-    loc: Loc = field(compare=False)
+def _loc(token: _Token) -> Loc:
+    return _make_loc(token[2:])  # a token ends with its line and column
 
 
-@dataclass(frozen=True)
-class StringLit:
-    value: str
-    loc: Loc = field(compare=False)
+class _Node:
+    """A syntax-tree node: plain slots, its fields named by its class's
+    ``__slots__``, and its ``loc`` where it starts in the source.  Nodes of
+    one class are equal, and hash alike, when their fields are equal; the
+    location does not take part.  Nothing changes a node once it is built."""
+
+    __slots__ = ("loc",)
+
+    def _fields(self) -> tuple[object, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._fields()))
+
+    def __repr__(self) -> str:
+        fields = [f"{name}={getattr(self, name)!r}" for name in (*self.__slots__, "loc")]
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
-@dataclass(frozen=True)
-class NameRef:
-    name: str
-    loc: Loc = field(compare=False)
+class RationalLit(_Node):
+    __slots__ = ("text",)
+
+    def __init__(self, text: str, loc: Loc) -> None:
+        self.text = text
+        self.loc = loc
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple[Expr, ...]
-    loc: Loc = field(compare=False)
+class PointLit(_Node):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: RationalLit, y: RationalLit, loc: Loc) -> None:
+        self.x = x
+        self.y = y
+        self.loc = loc
+
+
+class StringLit(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str, loc: Loc) -> None:
+        self.value = value
+        self.loc = loc
+
+
+class NameRef(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str, loc: Loc) -> None:
+        self.name = name
+        self.loc = loc
+
+
+class Call(_Node):
+    __slots__ = ("func", "args")
+
+    def __init__(self, func: str, args: tuple[Expr, ...], loc: Loc) -> None:
+        self.func = func
+        self.args = args
+        self.loc = loc
 
 
 Expr = Union[RationalLit, PointLit, StringLit, NameRef, Call]
 
 
-@dataclass(frozen=True)
-class Binding:
-    name: str
-    expr: Expr
-    loc: Loc = field(compare=False)
+class Binding(_Node):
+    __slots__ = ("name", "expr")
+
+    def __init__(self, name: str, expr: Expr, loc: Loc) -> None:
+        self.name = name
+        self.expr = expr
+        self.loc = loc
 
 
-@dataclass(frozen=True)
-class AssertEq:
-    lhs: Expr
-    rhs: Expr
-    loc: Loc = field(compare=False)
+class AssertEq(_Node):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Expr, rhs: Expr, loc: Loc) -> None:
+        self.lhs = lhs
+        self.rhs = rhs
+        self.loc = loc
 
 
-@dataclass(frozen=True)
-class Render:
-    path: str
-    loc: Loc = field(compare=False)
+class Render(_Node):
+    __slots__ = ("path",)
+
+    def __init__(self, path: str, loc: Loc) -> None:
+        self.path = path
+        self.loc = loc
 
 
-@dataclass(frozen=True)
-class Dump:
-    loc: Loc = field(compare=False)
+class Dump(_Node):
+    __slots__ = ()
+
+    def __init__(self, loc: Loc) -> None:
+        self.loc = loc
 
 
 Statement = Union[Binding, AssertEq, Render, Dump]
@@ -226,7 +294,7 @@ class _Parser:
         token = self._peek()
         if token.kind != "IDENT":
             raise TaxiSyntaxError(f"expected a statement, found {token.text!r}", token.line, token.col)
-        loc = Loc(token.line, token.col)
+        loc = _loc(token)
         if token.text == "assert_eq":
             self._next()
             lhs = self._expr()
@@ -262,10 +330,10 @@ class _Parser:
             self._expect(",")
             y = self._rational()
             self._expect(")")
-            return PointLit(x, y, Loc(open_paren.line, open_paren.col))
+            return PointLit(x, y, _loc(open_paren))
         if token.kind == "STRING":
             self._next()
-            return StringLit(token.text[1:-1], Loc(token.line, token.col))
+            return StringLit(token.text[1:-1], _loc(token))
         if token.kind == "IDENT":
             self._next()
             if token.text in _KEYWORDS:
@@ -276,7 +344,7 @@ class _Parser:
                 # looks like foo(A, ...): a call to something we do not know,
                 # not a name followed by a point literal
                 raise TaxiSyntaxError(f"unknown function {token.text!r}", token.line, token.col)
-            return NameRef(token.text, Loc(token.line, token.col))
+            return NameRef(token.text, _loc(token))
         shown = token.text if token.kind != "EOF" else "end of input"
         raise TaxiSyntaxError(f"expected an expression, found {shown!r}", token.line, token.col)
 
@@ -289,7 +357,7 @@ class _Parser:
             if "." in denom.text or denom.text.startswith("-"):
                 raise TaxiSyntaxError("denominator must be a plain integer", denom.line, denom.col)
             text = f"{text}/{denom.text}"
-        return RationalLit(text, Loc(head.line, head.col))
+        return RationalLit(text, _loc(head))
 
     def _call(self, name: _Token) -> Call:
         self._expect("(")
@@ -306,7 +374,7 @@ class _Parser:
             raise TaxiSyntaxError(
                 f"{name.text} takes {expected} arguments, got {len(args)}", name.line, name.col
             )
-        return Call(name.text, tuple(args), Loc(name.line, name.col))
+        return Call(name.text, tuple(args), _loc(name))
 
 
 def parse(source: str) -> Script:
@@ -427,8 +495,8 @@ class _Executor:
             raise TypeError(f"unknown statement {stmt!r}")
 
     def _accumulate(self, name: str, value: Value) -> None:
-        if isinstance(value, Fraction):
-            return  # scalars are not drawable
+        if isinstance(value, (Fraction, Direction)):
+            return  # scalars and directions have no place to be drawn
         if isinstance(value, tuple):
             for i, ray in enumerate(value):
                 self.items.append(SceneItem(ray, label=f"{name}[{i}]"))

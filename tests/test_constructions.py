@@ -888,6 +888,57 @@ def test_build_measures_the_segment_once(monkeypatch, build):
     assert len(calls) == 1
 
 
+def test_verify_measures_each_span_once(monkeypatch):
+    """Every chain circle spans A and B and every walk circle A and M1, so
+    checking the spanned circles of a chord trace at n = 16 measures two
+    distances, not one per circle."""
+    _, trace = section_angle(EDGE_ANGLE, 16)
+    spanned = [s for s in trace.steps if s.kind is StepKind.DRAW_CIRCLE and len(s.inputs) == 3]
+    assert len(spanned) > 2
+    calls = []
+    original = constructions.taxicab_distance
+
+    def counted(p, q):
+        calls.append((p, q))
+        return original(p, q)
+
+    monkeypatch.setattr(constructions, "taxicab_distance", counted)
+    assert verify_trace(trace).ok
+    assert len(calls) == 2
+
+
+class AliasRef(int):
+    """A step reference that hashes and compares like another one."""
+
+    def __new__(cls, value, alias):
+        ref = super().__new__(cls, value)
+        ref.alias = alias
+        return ref
+
+    def __hash__(self):
+        return hash(self.alias)
+
+    def __eq__(self, other):
+        return other == self.alias
+
+
+def test_a_span_is_not_taken_from_a_reference_that_compares_like_another():
+    """The circle about A spanned by A and C has radius 1, not the 2 that
+    A and B span, even when the references to A and C hash and compare like
+    those to A and B."""
+    K = StepKind
+    steps = (
+        TraceStep(K.PLACE_POINT, (), pt(0, 0)),
+        TraceStep(K.PLACE_POINT, (), pt(2, 0)),
+        TraceStep(K.PLACE_POINT, (), pt(1, 0)),
+        TraceStep(K.DRAW_CIRCLE, (0, 0, 1), TaxicabCircle(pt(0, 0), F(2))),
+        TraceStep(K.DRAW_CIRCLE, (0, AliasRef(0, 0), AliasRef(2, 1)), TaxicabCircle(pt(0, 0), F(2))),
+        TraceStep(K.MARK_RESULT, (0,), pt(0, 0)),
+    )
+    report = verify_trace(ConstructionTrace(steps, 5))
+    assert not report.ok and report.failure.step == 4
+
+
 @pytest.mark.parametrize(
     "build, solved",
     [(lambda: nsect_segment(pt(F(1, 3), -2), pt(5, F(7, 2)), 16), 1), (lambda: section_angle(EDGE_ANGLE, 16), 5)],

@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction as F
 from pathlib import Path
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape as sax_escape
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from taxisect.constructions import (
     BetweenClaim,
@@ -21,6 +22,7 @@ from taxisect.constructions import (
     nsect_segment,
 )
 import taxisect
+from taxisect import export
 from taxisect.export import (
     Dash,
     GeometryError,
@@ -38,12 +40,14 @@ from taxisect.export import (
     _Mapper,
 )
 from taxisect.kernel import (
+    CircleVertex,
     Direction,
     Line,
     Point,
     Ray,
     Segment,
     TaxicabCircle,
+    circle_vertex,
     line_through,
     point_on_circle,
     taxicab_distance,
@@ -357,12 +361,240 @@ def test_lines_and_rays_draw_the_reference_endpoints(x, y, w, h, s, t, direction
     view = ViewBox(x, y, x + w, y + h)
     anchor = Point(x + s * w, y + t * h)
     geometry = Ray(anchor, direction) if as_ray else line_through(anchor, anchor + direction)
-    mapper = _Mapper(view)
     drawn = [re.search(r'x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)"', piece).groups()
-             for piece in _item_elements(mapper, SceneItem(geometry)) if piece.startswith("<line ")]
+             for piece in _item_elements(_Mapper(view), SceneItem(geometry)) if piece.startswith("<line ")]
     ends = reference_ends(geometry, view)
+    mapper = ReferenceMapper(view)
     expected = [] if ends is None else [(*mapper.svg_xy(ends[0]), *mapper.svg_xy(ends[1]))]
     assert drawn == expected
+
+
+# The exporter as it was before it mapped in ints, kept to check the int
+# mapper against: every SVG number is a Fraction until it is printed.
+
+_REFERENCE_DECIMAL = Context(prec=12, rounding=ROUND_HALF_EVEN)
+_REFERENCE_CORNERS = (CircleVertex.EAST, CircleVertex.NORTH, CircleVertex.WEST, CircleVertex.SOUTH)
+
+
+def reference_decimal_text(value: F) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    quotient = _REFERENCE_DECIMAL.divide(Decimal(value.numerator), Decimal(value.denominator))
+    text = format(quotient, "f")
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return text if text not in ("-0", "") else "0"
+
+
+class ReferenceMapper:
+    def __init__(self, view: ViewBox) -> None:
+        self.view = view
+        self.scale = F(560) / view.width()
+        self.height = view.height() * self.scale
+
+    def to_svg(self, p: Point) -> tuple[F, F]:
+        return ((p.x - self.view.min_x) * self.scale, (self.view.max_y - p.y) * self.scale)
+
+    def svg_xy(self, p: Point) -> tuple[str, str]:
+        x, y = self.to_svg(p)
+        return (reference_decimal_text(x), reference_decimal_text(y))
+
+
+def reference_viewbox(scene: Scene) -> ViewBox:
+    xs, ys = [], []
+    for item in scene.items:
+        geometry = item.geometry
+        if isinstance(geometry, Point):
+            points = (geometry,)
+        elif isinstance(geometry, Segment):
+            points = (geometry.p, geometry.q)
+        elif isinstance(geometry, Ray):
+            points = (geometry.origin,)
+        elif isinstance(geometry, TaxicabCircle):
+            points = tuple(circle_vertex(geometry, which) for which in _REFERENCE_CORNERS)
+        elif isinstance(geometry, tuple):
+            points = geometry
+        else:
+            points = ()
+        xs += [p.x for p in points]
+        ys += [p.y for p in points]
+    if not xs:
+        return ViewBox(F(-1), F(-1), F(1), F(1))
+    min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
+    if min_x == max_x:
+        min_x, max_x = min_x - 1, max_x + 1
+    if min_y == max_y:
+        min_y, max_y = min_y - 1, max_y + 1
+    pad_x, pad_y = (max_x - min_x) / 10, (max_y - min_y) / 10
+    return ViewBox(min_x - pad_x, min_y - pad_y, max_x + pad_x, max_y + pad_y)
+
+
+def reference_visible_span(ray: Ray, view: ViewBox, lo=None):
+    hi = None
+    for coord, delta, low, high in (
+        (ray.origin.x, ray.direction.dx, view.min_x, view.max_x),
+        (ray.origin.y, ray.direction.dy, view.min_y, view.max_y),
+    ):
+        if delta == 0:
+            if not low <= coord <= high:
+                return None
+            continue
+        if delta < 0:
+            low, high = high, low
+        t0 = (low - coord) / delta
+        t1 = (high - coord) / delta
+        lo = t0 if lo is None or t0 > lo else lo
+        hi = t1 if hi is None or t1 < hi else hi
+    return (lo, hi) if lo < hi else None
+
+
+def reference_item_elements(mapper: ReferenceMapper, item: SceneItem) -> list[str]:
+    """What the exporter wrote for one item, with the style attributes,
+    which the int mapper does not touch, taken from the exporter."""
+    geometry = item.geometry
+    color = export._STROKE_STYLE[item.stroke][0]
+    style = export._stroke_attributes(item)
+    pieces, label_anchor, ends = [], None, None
+    if isinstance(geometry, Point):
+        cx, cy = mapper.svg_xy(geometry)
+        pieces.append(f'<circle cx="{cx}" cy="{cy}" r="{export._POINT_RADIUS[item.stroke]}" fill="{color}"/>')
+        label_anchor = geometry
+    elif isinstance(geometry, Segment):
+        ends, label_anchor = (geometry.p, geometry.q), geometry.q
+    elif isinstance(geometry, TaxicabCircle):
+        corners = " ".join(",".join(mapper.svg_xy(circle_vertex(geometry, w))) for w in _REFERENCE_CORNERS)
+        pieces.append(f'<polygon points="{corners}" fill="none" {style}/>')
+        label_anchor = circle_vertex(geometry, CircleVertex.NORTH)
+    elif isinstance(geometry, (Line, Ray)):
+        if isinstance(geometry, Ray):
+            ray, lo, label_anchor = geometry, F(0), geometry.origin
+        else:
+            ray, lo = Ray(geometry.some_point(), geometry.direction()), None
+        span = reference_visible_span(ray, mapper.view, lo)
+        if span is not None:
+            ends = (ray.point_at(span[0]), ray.point_at(span[1]))
+    elif len(geometry) >= 2:
+        joined = " ".join(",".join(mapper.svg_xy(p)) for p in geometry)
+        pieces.append(f'<polyline points="{joined}" fill="none" {style}/>')
+        label_anchor = geometry[-1]
+    if ends is not None:
+        x1, y1 = mapper.svg_xy(ends[0])
+        x2, y2 = mapper.svg_xy(ends[1])
+        pieces.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style}/>')
+    if item.label and label_anchor is not None:
+        x, y = mapper.to_svg(label_anchor)
+        pieces.append(
+            f'<text x="{reference_decimal_text(x + 6)}" y="{reference_decimal_text(y - 6)}" '
+            f'font-family="Helvetica, Arial, sans-serif" font-size="14" '
+            f'font-style="italic" fill="{color}">{export.escape(item.label)}</text>'
+        )
+    return pieces
+
+
+huge = st.integers(-10**20, 10**20)
+huge_positive = st.integers(1, 10**20)
+huge_rationals = st.builds(F, huge, huge_positive)
+huge_extents = st.builds(F, huge_positive, huge_positive)
+huge_views = st.builds(lambda x, y, w, h: ViewBox(x, y, x + w, y + h),
+                       huge_rationals, huge_rationals, huge_extents, huge_extents)
+# Where a point sits in a view, as a fraction of its width or height: often
+# inside, so that lines through it cross the view.
+huge_relative = st.one_of(
+    st.sampled_from([F(0), F(1)]),
+    st.builds(F, st.integers(-10**20, 2 * 10**20), st.just(10**20)),
+    huge_rationals,
+)
+
+
+@st.composite
+def views_and_items(draw):
+    view = draw(huge_views)
+
+    def point():
+        s, t = draw(huge_relative), draw(huge_relative)
+        return Point(view.min_x + s * view.width(), view.min_y + t * view.height())
+
+    def direction():
+        axis = draw(st.sampled_from(["x", "y", "any"]))
+        dx = F(0) if axis == "y" else draw(huge_rationals.filter(bool))
+        dy = F(0) if axis == "x" else draw(huge_rationals.filter(bool))
+        return Direction(dx, dy)
+
+    kind = draw(st.sampled_from(["point", "segment", "circle", "line", "ray", "polyline"]))
+    if kind == "point":
+        geometry = point()
+    elif kind == "segment":
+        p, q = point(), point()
+        assume(p != q)
+        geometry = Segment(p, q)
+    elif kind == "circle":
+        geometry = TaxicabCircle(point(), draw(huge_extents))
+    elif kind == "line":
+        p = point()
+        geometry = line_through(p, p + direction())
+    elif kind == "ray":
+        geometry = Ray(point(), direction())
+    else:
+        geometry = tuple(point() for _ in range(draw(st.integers(0, 3))))
+    label = draw(st.sampled_from([None, "", "A", "a<b"]))
+    stroke = draw(st.sampled_from(list(Stroke)))
+    dash = draw(st.sampled_from(list(Dash)))
+    return view, SceneItem(geometry, label=label, stroke=stroke, dash=dash)
+
+
+@given(views_and_items())
+@settings(max_examples=500, deadline=None)
+def test_int_mapper_prints_what_the_fraction_mapper_printed(view_and_item):
+    view, item = view_and_item
+    assert _item_elements(_Mapper(view), item) == reference_item_elements(ReferenceMapper(view), item)
+
+
+@given(st.lists(views_and_items().map(lambda pair: pair[1]), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_viewbox_and_height_match_the_fraction_exporter(items):
+    scene = Scene(tuple(items))
+    view = reference_viewbox(scene)
+    assert compute_viewbox(scene) == view
+    height = reference_decimal_text(ReferenceMapper(view).height)
+    assert emit_svg(scene).startswith(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="560" height="{height}" viewBox="0 0 560 {height}">\n'
+    )
+
+
+@given(huge, huge_positive)
+def test_decimal_text_matches_the_fraction_form(num, den):
+    assert export._decimal_text(num, den) == reference_decimal_text(F(num, den))
+
+
+def fractions_built(action) -> int:
+    """How many Fractions ``action()`` builds."""
+    built = 0
+    new = F.__new__.__code__
+
+    def profile(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code is new:
+            built += 1
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return built
+
+
+def test_emit_svg_builds_only_the_view_box_fractions():
+    """Points, circles, clipped lines and rays, labels and polylines are
+    mapped in ints: the four bounds of the view box are the only Fractions."""
+    _, trace = nsect_segment(pt(F(1, 3), -2), pt(5, F(7, 2)), 5)
+    items = scene_from_trace(trace).items + (
+        SceneItem(Ray(pt(0, 0), Direction(F(1), F(2, 3))), label="r"),
+        SceneItem((pt(0, 0), pt(1, F(1, 7)), pt(2, 0)), label="poly"),
+    )
+    assert any(isinstance(item.geometry, Line) for item in items)
+    scene = Scene(items)
+    assert fractions_built(lambda: emit_svg(scene)) == 4
 
 
 def test_svg_deterministic_across_fresh_builds():

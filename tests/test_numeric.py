@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,46 @@ def test_parse_rational_rejects_garbage(bad):
 def test_parse_rational_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         parse_rational("1/0")
+
+
+# The literal grammar as first written, two patterns and Fraction's own
+# string parser, kept to check the one-pattern int parser against.
+_REFERENCE_FRACTION_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_REFERENCE_DECIMAL_RE = re.compile(r"^[+-]?\d+\.\d+$")
+
+
+def reference_parse_rational(text: str) -> Fraction:
+    stripped = text.strip()
+    if _REFERENCE_FRACTION_RE.match(stripped) or _REFERENCE_DECIMAL_RE.match(stripped):
+        return Fraction(stripped)
+    raise RationalParseError(f"invalid rational literal: {text!r}")
+
+
+def parse_outcome(parse, text: str):
+    try:
+        value = parse(text)
+    except (RationalParseError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(value), value.numerator, value.denominator
+
+
+_LITERAL_PIECES = st.sampled_from([
+    "0", "1", "7", "00", "12", "305", "+", "-", "/", ".", "_", " ", "\t", "\n", "\u00a0", "e", "1/0", "0/0",
+    "\u0663", "\u0660", "\U0001d7d5", "\uff19", "\u00b2",
+])
+
+
+@pytest.mark.parametrize("text", [
+    "1/0", "-1/0", "0/0", " +3/6 ", "1_000", "1_0/2", "1/2_0", "\u0663.\u0665", "-0.0", "007", "+0.50",
+    "\u00a03/4\n", "-\uff19/\u0663", "\u00b2", "1/-2", "+-1", "1.5/2",
+])
+def test_parse_rational_matches_the_reference_on_examples(text):
+    assert parse_outcome(parse_rational, text) == parse_outcome(reference_parse_rational, text)
+
+
+@given(st.lists(_LITERAL_PIECES, max_size=8).map("".join))
+def test_parse_rational_matches_the_reference(text):
+    assert parse_outcome(parse_rational, text) == parse_outcome(reference_parse_rational, text)
 
 
 @given(rationals)

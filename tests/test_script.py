@@ -10,10 +10,16 @@ from taxisect import script
 from taxisect.export import emit_json, emit_svg
 from taxisect.kernel import Point, Ray
 from taxisect.script import (
+    AssertEq,
     Binding,
     Call,
+    Dump,
+    Loc,
+    NameRef,
     PointLit,
     RationalLit,
+    Render,
+    StringLit,
     TaxiRuntimeError,
     TaxiSyntaxError,
     execute,
@@ -211,6 +217,12 @@ def test_render_and_dump(tmp_path):
     assert '"C":["1","1"]' in result.dumps[0]
 
 
+def test_a_bound_direction_is_not_drawn(tmp_path):
+    result = run_source('D = dir(0, 1)\nA = point(1, 1)\nrender "out.svg"\n', output_root=tmp_path)
+    assert [item.label for item in result.scene.items] == ["A"]
+    assert (tmp_path / "out.svg").read_text().count("<circle ") == 1
+
+
 @pytest.mark.parametrize("target", ["afile/out.svg", "adir"])
 def test_render_to_unwritable_path_is_located(tmp_path, target):
     (tmp_path / "afile").write_text("a regular file\n")
@@ -242,6 +254,33 @@ def test_layout_does_not_change_the_tree():
     assert parse(relaid).statements[1].loc != parse(SAMPLE_SOURCE).statements[1].loc
 
 
+def test_node_equality_ignores_location():
+    half, third = RationalLit("1/2", Loc(1, 5)), RationalLit("1/3", Loc(1, 5))
+    moved = RationalLit("1/2", Loc(7, 2))
+    assert half == moved and not half != moved and hash(half) == hash(moved)
+    assert half != third and not half == third
+    assert NameRef("A", Loc(1, 1)) != StringLit("A", Loc(1, 1))
+    assert Dump(Loc(1, 1)) == Dump(Loc(4, 1)) and hash(Dump(Loc(1, 1))) == hash(Dump(Loc(4, 1)))
+    first = Binding("C", Call("nsect", (NameRef("A", Loc(1, 11)), half), Loc(1, 5)), Loc(1, 1))
+    second = Binding("C", Call("nsect", (NameRef("A", Loc(2, 20)), moved), Loc(2, 9)), Loc(2, 3))
+    assert first == second and hash(first) == hash(second)
+    assert first != Binding("D", second.expr, second.loc)
+    assert len({first, second, AssertEq(half, moved, Loc(3, 1)), AssertEq(moved, half, Loc(5, 1))}) == 2
+    assert PointLit(half, third, Loc(1, 1)) != PointLit(third, half, Loc(1, 1))
+    assert Render("a.svg", Loc(1, 1)) == Render("a.svg", Loc(9, 9)) != Render("b.svg", Loc(1, 1))
+
+
+def test_node_repr_names_the_fields():
+    assert repr(RationalLit("1/2", Loc(1, 5))) == "RationalLit(text='1/2', loc=Loc(line=1, col=5))"
+    assert repr(Dump(Loc(2, 1))) == "Dump(loc=Loc(line=2, col=1))"
+    call = parse("C = nsect(A, B, 3)").statements[0]
+    assert repr(call) == (
+        "Binding(name='C', expr=Call(func='nsect', args=(NameRef(name='A', loc=Loc(line=1, col=11)), "
+        "NameRef(name='B', loc=Loc(line=1, col=14)), RationalLit(text='3', loc=Loc(line=1, col=17))), "
+        "loc=Loc(line=1, col=5)), loc=Loc(line=1, col=1))"
+    )
+
+
 def test_execution_is_deterministic(tmp_path):
     first = run_source(SAMPLE_SOURCE, output_root=tmp_path / "a")
     second = run_source(SAMPLE_SOURCE, output_root=tmp_path / "b")
@@ -260,17 +299,50 @@ def test_readme_builtin_table_matches_the_script_table():
 
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+
+
+@pytest.mark.parametrize("stem", ["construction_n4_general", "render_figure"])
+def test_render_writes_the_golden_svg(tmp_path, stem):
+    """No binding follows the render directive in either script, so the
+    file it writes shows the script's final scene: its golden SVG."""
+    source = (CORPUS / f"{stem}.taxi").read_text(encoding="utf-8")
+    statements = parse(source).statements
+    renders = [i for i, stmt in enumerate(statements) if isinstance(stmt, Render)]
+    assert len(renders) == 1
+    assert not any(isinstance(stmt, Binding) for stmt in statements[renders[0]:])
+    result = run_source(source, output_root=tmp_path)
+    assert len(result.rendered) == 1
+    assert Path(result.rendered[0]).read_bytes() == (GOLDENS / f"{stem}.svg").read_bytes()
+
+
+
+
+# The lexer's first pattern, whitespace included, kept here so that the
+# reference does not share a pattern with the lexer it checks.
+REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<number>-?\d+\.\d+|-?\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<string>"[^"\n]*")
+  | (?P<symbol>[()=,/])
+    """,
+    re.VERBOSE,
+)
 
 
 def reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
-    """The tokenizer as first written, one newline test per character, kept
-    to check the faster one against; tokens come back as plain tuples."""
+    """The tokenizer as first written, one match per token or run of
+    blanks and one newline test per character, kept to check the faster
+    one against; tokens come back as plain tuples."""
     tokens = []
     line = 1
     line_start = 0
     pos = 0
     while pos < len(source):
-        match = script._TOKEN_RE.match(source, pos)
+        match = REFERENCE_TOKEN_RE.match(source, pos)
         if match is None:
             col = pos - line_start + 1
             raise TaxiSyntaxError(f"unexpected character {source[pos]!r}", line, col)
@@ -306,7 +378,7 @@ def test_tokenize_matches_the_reference_on_the_corpus(path):
 _FRAGMENTS = st.sampled_from([
     "A", "rays_2", "point", "3", "-7", "2.50", "-0.5", '"out.svg"', "(", ")", "=", ",", "/",
     " ", "  ", "\t", "\n", "\r\n", "\n\n", " \t\r\n ", "# a comment", "#", "\r",
-    "@", "!", "\u00e9", '"open', "\f",
+    "@", "!", "\u00e9", '"open', "\f", "\u0663", "\u00a0",
 ])
 
 
