@@ -243,9 +243,7 @@ _DOES_NOT_REPLAY = "step does not replay"
 _DIFFERS = "recorded output differs from replay"
 
 
-def _check_step(
-    step: TraceStep, outputs: Sequence[Primitive], spans: dict[tuple[int, int], Fraction]
-) -> str | None:
+def _check_step(step: TraceStep, outputs: Sequence[Primitive]) -> str | None:
     """None if a step's recorded output is the one its kind produces from
     the outputs of the steps before it, else why not: the one definition of
     each step kind.  A drawn figure and a crossing are checked by their
@@ -253,10 +251,9 @@ def _check_step(
 
     - draw-line: p != q, and the line contains both;
     - draw-circle: the center is the input, and the radius is the recorded
-      radius or the spanned distance, measured once per pair of points and
-      kept in ``spans`` for the rest of the trace;
-    - intersect-lines: the lines are not parallel, and both contain the
-      point, which is then their one crossing;
+      radius or the spanned distance;
+    - intersect-lines: the normals (A, B) are not parallel, and both lines
+      contain the point, which is then their one crossing;
     - intersect-line-circle, when the line contains the circle's center c:
       the point is on the line and the circle, so it is c + w or c - w for
       w along the line (see :class:`_TraceBuilder`).  The kernel orders the
@@ -282,17 +279,11 @@ def _check_step(
         if len(inputs) == 3:
             p = _input(outputs, inputs[1], Point, "point")
             q = _input(outputs, inputs[2], Point, "point")
-            # Keyed by the points themselves, which stay in ``outputs``: a
-            # reference may be an int subclass with its own hash and equality.
-            key = (id(p), id(q))
-            span = spans.get(key)
-            if span is None:
-                span = spans[key] = taxicab_distance(p, q)
             # A circle's radius is positive, so a circle that fits has p != q.
-            fits = type(output) is TaxicabCircle and output.radius == span
+            fits = type(output) is TaxicabCircle and at_taxicab_distance(p, q, output.radius)
             if fits and center == output.center:
                 return None
-            return _DIFFERS if span else _DOES_NOT_REPLAY
+            return _DOES_NOT_REPLAY if p == q else _DIFFERS
         radius = step.radius
         _expect(_is_exact(radius), "draw-circle needs an integer or Fraction radius")
         if radius <= 0:
@@ -329,8 +320,9 @@ def _check_step(
         _expect(len(inputs) == 2, "intersect-lines takes 2 inputs")
         m = _input(outputs, inputs[0], Line, "line")
         n = _input(outputs, inputs[1], Line, "line")
-        # Lines are canonical, so equal normals say parallel or the same line.
-        if m.a == n.a and m.b == n.b:
+        ma, mb, _ = m._ints
+        na, nb, _ = n._ints
+        if ma * nb == na * mb:
             return _DOES_NOT_REPLAY
         return None if type(output) is Point and m.contains(output) and n.contains(output) else _DIFFERS
     if kind is StepKind.TAKE_CIRCLE_VERTEX:
@@ -365,7 +357,6 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     if not isinstance(steps, (tuple, list)):
         raise MalformedTraceError("trace steps are not a sequence")
     outputs: list[Primitive] = []
-    spans: dict[tuple[int, int], Fraction] = {}
     for index, step in enumerate(steps):
         # Raised directly, not through _expect, so that a step that passes
         # formats no message.
@@ -395,7 +386,7 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
             raise MalformedTraceError(f"step {index} has a vertex, which only take-circle-vertex takes")
         if step.radius is not None and (kind is not StepKind.DRAW_CIRCLE or len(inputs) != 1):
             raise MalformedTraceError(f"step {index} has a radius, which only a one-input draw-circle takes")
-        failure = _check_step(step, outputs, spans)
+        failure = _check_step(step, outputs)
         if failure is not None:
             return VerificationReport(False, index, StepFailure(index, failure))
         for claim in claims:

@@ -25,9 +25,9 @@ which builds one for the coordinate it moves.  ``circle_point_toward``
 builds one per coordinate: it is the point c + w*r/|w| at which a line
 through the center c along w crosses the circle in direction w, which the
 trace builder records for such a crossing whose point it does not already
-know, instead of solving the line against the circle.  A line keeps its
-int form: it is computed the first time the line is met or tested, and
-every later test or solve with that line reuses it.
+know, instead of solving the line against the circle.  A line is stored
+once, as its int form: ``line_through`` builds that form straight from
+the two points' ints, and every test or solve with the line reads it.
 
 The predicates exist so that a trace step can be checked by its incidences
 without solving it again; ``constructions._check_step`` is the one
@@ -39,14 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .numeric import as_rational
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class GeometryError(ValueError):
@@ -107,62 +102,52 @@ class Direction:
         return f"({self.dx}, {self.dy})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Line:
-    """The locus a*x + b*y = c, stored in canonical form.
+    """The locus a*x + b*y = c, stored as its one field ``_ints`` = (A, B, C):
+    ints with gcd 1 and the first nonzero of A, B positive.  That form is
+    unique, so two Line values describe the same locus exactly when they
+    compare equal.  ``a``, ``b`` and ``c`` are A, B and C over that first
+    nonzero: the canonical form, in Fractions."""
 
-    Canonical means the first nonzero coefficient of (a, b) equals 1, so two
-    Line values describe the same locus exactly when they compare equal.
-    ``_ints`` is (a, b, c) times their least common denominator, computed
-    the first time a predicate or a solve asks for it and kept.
-    """
+    _ints: tuple[int, int, int]
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    def __init__(self, a: Fraction | int | str, b: Fraction | int | str, c: Fraction | int | str) -> None:
+        an, bn, cn, _ = _common3(as_rational(a), as_rational(b), as_rational(c))
+        if not an and not bn:
+            raise GeometryError("line requires (a, b) != (0, 0)")
+        object.__setattr__(self, "_ints", _primitive(an, bn, cn))
 
-    def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
-        exact = type(a) is Fraction and type(b) is Fraction and type(c) is Fraction
-        if not exact:
-            a, b, c = as_rational(a), as_rational(b), as_rational(c)
-        if a == 1 or (a == 0 and b == 1):  # already canonical
-            if exact:
-                return
-        else:
-            an, bn, cn, _ = _common3(a, b, c)
-            scale = an or bn
-            if not scale:
-                raise GeometryError("line requires (a, b) != (0, 0)")
-            a, b, c = Fraction(an, scale), Fraction(bn, scale), Fraction(cn, scale)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+    @property
+    def a(self) -> Fraction:
+        a, b, _ = self._ints
+        return Fraction(a, a or b)
 
-    @cached_property
-    def _ints(self) -> tuple[int, int, int]:
-        a, b, c, _ = _common3(self.a, self.b, self.c)
-        return a, b, c
+    @property
+    def b(self) -> Fraction:
+        a, b, _ = self._ints
+        return Fraction(b, a or b)
+
+    @property
+    def c(self) -> Fraction:
+        a, b, c = self._ints
+        return Fraction(c, a or b)
+
+    def __repr__(self) -> str:
+        return f"Line(a={self.a!r}, b={self.b!r}, c={self.c!r})"
 
     def contains(self, p: Point) -> bool:
-        # a*x + b*y = c, with (a, b, c) over d and (x, y) over e.
+        # A*x + B*y = C, with (x, y) over e.
         a, b, c = self._ints
         x, y, e = _common2(p.x, p.y)
         return a * x + b * y == c * e
 
     def slope(self) -> Fraction | None:
         """Slope of the line, or None when vertical."""
-        if self.b == 0:
+        a, b, _ = self._ints
+        if not b:
             return None
-        return -self.a / self.b
-
-    def direction(self) -> Direction:
-        return Direction(self.b, -self.a)
-
-    def some_point(self) -> Point:
-        if self.a != 0:
-            return Point(self.c / self.a, Fraction(0))
-        return Point(Fraction(0), self.c / self.b)
+        return Fraction(-a, b)
 
 
 @dataclass(frozen=True)
@@ -298,18 +283,26 @@ def euclidean_distance_squared(p: Point, q: Point) -> Fraction:
     return (q.x - p.x) ** 2 + (q.y - p.y) ** 2
 
 
+def _primitive(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """(a, b, c) over their gcd, signed so that the first nonzero of a, b
+    is positive; (a, b) != (0, 0)."""
+    g = gcd(a, b, c)
+    if (a or b) < 0:
+        g = -g
+    return a // g, b // g, c // g
+
+
 def line_through(p: Point, q: Point) -> Line:
     # The normal of (dx, dy) is (dy, -dx): dy*x - dx*y = dy*px - dx*py,
-    # divided by dy, or by -dx when dy = 0.  x ints over xden, y over yden.
+    # multiplied through by xden*yden for x ints over xden, y over yden.
     px, qx, xden = _common2(p.x, q.x)
     py, qy, yden = _common2(p.y, q.y)
     dx, dy = qx - px, qy - py
-    if dy:
-        den = xden * dy
-        return Line(_ONE, Fraction(-dx * yden, den), Fraction(px * dy - dx * py, den))
-    if dx:
-        return Line(_ZERO, _ONE, p.y)
-    raise GeometryError("line through coincident points is undefined")
+    if not dx and not dy:
+        raise GeometryError("line through coincident points is undefined")
+    line = object.__new__(Line)
+    object.__setattr__(line, "_ints", _primitive(dy * xden, -dx * yden, dy * px - dx * py))
+    return line
 
 
 def intersect_lines(m: Line, n: Line) -> Intersection:
@@ -317,7 +310,7 @@ def intersect_lines(m: Line, n: Line) -> Intersection:
     na, nb, nc = n._ints
     det = ma * nb - na * mb
     if det == 0:
-        if ma * nc == na * mc and mb * nc == nb * mc:
+        if m == n:
             raise CoincidentLinesError("lines coincide; intersection is the whole line")
         return Empty()
     return OnePoint(Point(Fraction(mc * nb - nc * mb, det), Fraction(ma * nc - na * mc, det)))

@@ -17,6 +17,7 @@ integer.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 # "p", "p/q" or "p.f": a signed integer p, then a denominator q or digits f.
@@ -38,12 +39,16 @@ def parse_rational(text: str) -> Fraction:
     if match is None:
         raise RationalParseError(f"invalid rational literal: {text!r}")
     whole, denominator, digits = match.groups()
-    if denominator is not None:
-        return Fraction(int(whole), int(denominator))
-    if digits is not None:
-        # "-0.5" is -05 tenths: the sign stays with the digits.
-        return Fraction(int(whole + digits), 10 ** len(digits))
-    return Fraction(int(whole))
+    try:
+        if denominator is not None:
+            return Fraction(int(whole), int(denominator))
+        if digits is not None:
+            # "-0.5" is -05 tenths: the sign stays with the digits.
+            return Fraction(int(whole + digits), 10 ** len(digits))
+        return Fraction(int(whole))
+    except ValueError:  # int() converts at most sys.get_int_max_str_digits() digits
+        limit = sys.get_int_max_str_digits()
+        raise RationalParseError(f"rational literal has an integer of more than {limit} digits") from None
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:

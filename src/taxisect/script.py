@@ -47,7 +47,7 @@ from .kernel import (
     Segment,
     TaxicabCircle,
 )
-from .numeric import parse_rational
+from .numeric import RationalParseError, parse_rational
 
 Value = Union[Fraction, Point, Direction, Line, Ray, Segment, TaxicabCircle, tuple[Ray, ...]]
 
@@ -263,6 +263,9 @@ class Script:
 
 _KEYWORDS = {"assert_eq", "render", "dump"}
 
+# Calls nest at most this deep: the parser and the executor recurse per call.
+_MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]) -> None:
@@ -320,7 +323,8 @@ class _Parser:
             )
         return Binding(name.text, expr, loc)
 
-    def _expr(self) -> Expr:
+    def _expr(self, depth: int = 0) -> Expr:
+        """An expression inside ``depth`` calls."""
         token = self._peek()
         if token.kind == "NUMBER":
             return self._rational()
@@ -339,7 +343,7 @@ class _Parser:
             if token.text in _KEYWORDS:
                 raise TaxiSyntaxError(f"{token.text!r} is a keyword", token.line, token.col)
             if token.text in _BUILTINS:
-                return self._call(token)
+                return self._call(token, depth)
             if self._peek().kind == "(" and self._tokens[self._pos + 1].kind in ("IDENT", "STRING"):
                 # looks like foo(A, ...): a call to something we do not know,
                 # not a name followed by a point literal
@@ -359,14 +363,16 @@ class _Parser:
             text = f"{text}/{denom.text}"
         return RationalLit(text, _loc(head))
 
-    def _call(self, name: _Token) -> Call:
+    def _call(self, name: _Token, depth: int) -> Call:
+        if depth == _MAX_NESTING:
+            raise TaxiSyntaxError(f"calls nested more than {_MAX_NESTING} deep", name.line, name.col)
         self._expect("(")
         args: list[Expr] = []
         if self._peek().kind != ")":
-            args.append(self._expr())
+            args.append(self._expr(depth + 1))
             while self._peek().kind == ",":
                 self._next()
-                args.append(self._expr())
+                args.append(self._expr(depth + 1))
         self._expect(")")
         arities = _BUILTINS[name.text].arities
         if len(args) not in arities:
@@ -483,10 +489,11 @@ class _Executor:
             path = Path(stmt.path)
             if not path.is_absolute():
                 path = (self.output_root or Path.cwd()) / path
+            svg = emit_svg(Scene(tuple(self.items)))
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(emit_svg(Scene(tuple(self.items))), encoding="utf-8")
-            except OSError as exc:
+                path.write_text(svg, encoding="utf-8")
+            except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
                 raise TaxiRuntimeError(f"cannot write {stmt.path}: {exc}", stmt.loc.line, stmt.loc.col) from exc
             self.rendered.append(str(path))
         elif isinstance(stmt, Dump):
@@ -512,6 +519,8 @@ class _Executor:
                 raise TaxiRuntimeError(
                     f"division by zero in {expr.text!r}", expr.loc.line, expr.loc.col
                 ) from None
+            except RationalParseError as exc:
+                raise TaxiRuntimeError(str(exc), expr.loc.line, expr.loc.col) from None
         if isinstance(expr, PointLit):
             return Point(self._eval(expr.x), self._eval(expr.y))
         if isinstance(expr, StringLit):

@@ -107,6 +107,35 @@ def test_run_render_to_unwritable_path_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_limit = pytest.mark.skipif(not INT_DIGITS, reason="int() converts any number of digits")
+
+
+@pytest.mark.parametrize(
+    "source, error",
+    [
+        pytest.param(
+            "O = point(0, 0)\nX = " + "point(tdist(" * 60 + "O" + ", O), 0)" * 60 + "\n",
+            "line 2, col 605: calls nested more than 100 deep",
+            id="deep-nesting",
+        ),
+        pytest.param(
+            'render "a\0b.svg"\n', "line 1, col 1: cannot write a\0b.svg: embedded null byte", id="nul-path"
+        ),
+        pytest.param(
+            f"x = {'7' * (INT_DIGITS + 1)}\n",
+            f"line 1, col 5: rational literal has an integer of more than {INT_DIGITS} digits",
+            id="long-literal",
+            marks=needs_int_limit,
+        ),
+    ],
+)
+def test_run_hostile_script_exits_two_with_one_located_line(tmp_path, capsys, source, error):
+    path = write_script(tmp_path, source)
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_run_dump_goes_to_stdout(tmp_path, capsys):
     path = write_script(tmp_path, "A = point(1, 2)\ndump\n")
     assert main(["run", path, "--quiet"]) == 0
@@ -171,6 +200,13 @@ def test_nsect_small_n_exits_two(capsys):
 def test_nsect_bad_rational_exits_two(capsys):
     assert main(["nsect", "--a", "zero,0", "--b", "1,1", "--n", "2"]) == 2
     assert "invalid rational" in capsys.readouterr().err
+
+
+@needs_int_limit
+def test_nsect_literal_past_the_int_limit_exits_two(capsys):
+    digits = "7" * (INT_DIGITS + 1)
+    assert main(["nsect", "--a", f"{digits},0", "--b", "1,1", "--n", "3"]) == 2
+    assert capsys.readouterr().err == f"error: bad --a: rational literal has an integer of more than {INT_DIGITS} digits\n"
 
 
 def test_nsect_outputs(tmp_path, capsys):

@@ -888,25 +888,6 @@ def test_build_measures_the_segment_once(monkeypatch, build):
     assert len(calls) == 1
 
 
-def test_verify_measures_each_span_once(monkeypatch):
-    """Every chain circle spans A and B and every walk circle A and M1, so
-    checking the spanned circles of a chord trace at n = 16 measures two
-    distances, not one per circle."""
-    _, trace = section_angle(EDGE_ANGLE, 16)
-    spanned = [s for s in trace.steps if s.kind is StepKind.DRAW_CIRCLE and len(s.inputs) == 3]
-    assert len(spanned) > 2
-    calls = []
-    original = constructions.taxicab_distance
-
-    def counted(p, q):
-        calls.append((p, q))
-        return original(p, q)
-
-    monkeypatch.setattr(constructions, "taxicab_distance", counted)
-    assert verify_trace(trace).ok
-    assert len(calls) == 2
-
-
 class AliasRef(int):
     """A step reference that hashes and compares like another one."""
 
@@ -960,19 +941,20 @@ def test_build_computes_crossings_on_the_segment_in_closed_form(monkeypatch, bui
     assert len(calls) == solved
 
 
-def test_verify_computes_each_lines_int_form_once(monkeypatch):
-    """A line keeps its int form, so checking the 14 walk marks against the
-    chord line does not take that line over its denominator again for each."""
+def test_verify_takes_no_line_over_a_denominator(monkeypatch):
+    """A line is stored as its int form, so checking the 14 walk marks
+    against the chord line never takes that line's coefficients over a
+    common denominator."""
     _, trace = section_angle(EDGE_ANGLE, 16)
-    # Fresh lines, equal to the built ones, that have not yet been met.
+    # Fresh lines, equal to the built ones.
     steps = tuple(
         dataclasses.replace(step, output=Line(step.output.a, step.output.b, step.output.c))
         if step.kind is StepKind.DRAW_LINE
         else step
         for step in trace.steps
     )
-    lines = [(line.a, line.b, line.c) for line in drawn_lines(ConstructionTrace(steps, trace.result))]
-    assert len(set(lines)) == len(lines) == 5
+    lines = {(line.a, line.b, line.c) for line in drawn_lines(ConstructionTrace(steps, trace.result))}
+    assert len(lines) == 5
     forms = []
     original = kernel._common3
 
@@ -982,7 +964,8 @@ def test_verify_computes_each_lines_int_form_once(monkeypatch):
 
     monkeypatch.setattr(kernel, "_common3", counted)
     assert verify_trace(ConstructionTrace(steps, trace.result)).ok
-    assert sorted(form for form in forms if form in lines) == sorted(lines)
+    assert forms
+    assert not [form for form in forms if form in lines]
 
 
 def test_chord_mark_off_its_ray_is_refused(monkeypatch):

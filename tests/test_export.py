@@ -319,11 +319,21 @@ def reference_clip(anchor: Point, direction: Direction, view: ViewBox):
     return (lo, hi)
 
 
+def reference_anchor(line: Line) -> tuple[Point, Direction]:
+    """A point of a line and its direction (b, -a), from its Fraction
+    coefficients: where the reference exporter started and walked a line."""
+    if line.a != 0:
+        anchor = Point(line.c / line.a, F(0))
+    else:
+        anchor = Point(F(0), line.c / line.b)
+    return anchor, Direction(line.b, -line.a)
+
+
 def reference_ends(geometry, view: ViewBox):
     """Endpoints of the drawn piece of a line or ray under the reference
     rules, or None when nothing is drawn."""
     if isinstance(geometry, Line):
-        anchor, direction = geometry.some_point(), geometry.direction()
+        anchor, direction = reference_anchor(geometry)
         span = reference_clip(anchor, direction, view)
         if span is None or not span[0] < span[1]:
             return None
@@ -469,7 +479,7 @@ def reference_item_elements(mapper: ReferenceMapper, item: SceneItem) -> list[st
         if isinstance(geometry, Ray):
             ray, lo, label_anchor = geometry, F(0), geometry.origin
         else:
-            ray, lo = Ray(geometry.some_point(), geometry.direction()), None
+            ray, lo = Ray(*reference_anchor(geometry)), None
         span = reference_visible_span(ray, mapper.view, lo)
         if span is not None:
             ends = (ray.point_at(span[0]), ray.point_at(span[1]))
@@ -615,6 +625,10 @@ def test_point_encoding():
 
 def test_rational_encoding():
     assert emit_json(F(8, 7)) == '"8/7"\n'
+
+
+def test_direction_encoding():
+    assert emit_json(Direction(F(-1, 2), 3)) == '{"direction":["-1/2","3"]}\n'
 
 
 def test_env_encoding_contains_division_point():

@@ -514,6 +514,32 @@ def test_line_canonical_form_matches_fraction_formula(a, b, c):
         assert_same(coefficients(Line(0, -b, c)), _reference_canonical(0, -b, c))
 
 
+@settings(max_examples=300)
+@given(
+    st.one_of(wide_rationals, st.integers(-5, 5)),
+    st.one_of(wide_rationals, st.integers(-5, 5)),
+    wide_rationals,
+    wide_rationals,
+    wide_rationals,
+)
+def test_line_is_the_line_through_two_of_its_points(a, b, c, s, t):
+    """A line stored as ints reads back the Fraction canonical form, prints
+    the repr that form printed, and is the line through any two of its
+    points."""
+    assume((a != 0 or b != 0) and s != t)
+    line = Line(a, b, c)
+    want = _reference_canonical(a, b, c)
+    assert_same(coefficients(line), want)
+    assert repr(line) == "Line(a={!r}, b={!r}, c={!r})".format(*want)
+    # Points at s and t along the direction (b, -a) from one point of the line.
+    ra, rb, rc = want
+    base = Point(rc / ra, F(0)) if ra else Point(F(0), rc / rb)
+    p, q = (Point(base.x + rb * u, base.y - ra * u) for u in (s, t))
+    through = line_through(p, q)
+    assert through == line and hash(through) == hash(line)
+    assert repr(through) == repr(line)
+
+
 @st.composite
 def line_pairs(draw):
     """Two lines: through random points, parallel, or the same line."""
@@ -739,6 +765,23 @@ def test_ray_circle_pointing_away():
     ray = Ray(pt(3, 3), Direction(F(1), F(1)))
     got = intersect_ray_circle(ray, TaxicabCircle(pt(0, 0), F(2)))
     assert got == Empty()
+
+
+@pytest.mark.parametrize(
+    "origin, want",
+    [
+        ((3, -1), OverlapSegment(Segment(pt(2, 0), pt(0, 2)))),
+        ((1, 1), OverlapSegment(Segment(pt(1, 1), pt(0, 2)))),
+        ((0, 2), OnePoint(pt(0, 2))),
+        ((-1, 3), Empty()),
+    ],
+    ids=["whole-edge", "from-inside-the-edge", "from-its-end", "past-it"],
+)
+def test_ray_along_a_circle_edge(origin, want):
+    """A ray up the line x + y = 2, which supports the circle's edge from
+    (2, 0) to (0, 2): the part of the edge ahead of its origin."""
+    ray = Ray(pt(*origin), Direction(F(-1), F(1)))
+    assert intersect_ray_circle(ray, TaxicabCircle(pt(0, 0), F(2))) == want
 
 
 @given(points, directions, points, radii)

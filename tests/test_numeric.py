@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,20 @@ def test_parse_rational_rejects_garbage(bad):
 def test_parse_rational_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         parse_rational("1/0")
+
+
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="int() converts any number of digits")
+@pytest.mark.parametrize("form", ["{}", "-{}", "{}/3", "3/{}", "1.{}"])
+def test_parse_rational_refuses_an_integer_past_the_int_limit(form):
+    """Without echoing the literal; an integer at the limit parses."""
+    assert parse_rational("7" * INT_DIGITS) == int("7" * INT_DIGITS)
+    text = form.format("7" * (INT_DIGITS + 1))
+    with pytest.raises(RationalParseError) as err:
+        parse_rational(text)
+    assert str(err.value) == f"rational literal has an integer of more than {INT_DIGITS} digits"
 
 
 # The literal grammar as first written, two patterns and Fraction's own

@@ -1,4 +1,5 @@
 import re
+import sys
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -223,7 +224,7 @@ def test_a_bound_direction_is_not_drawn(tmp_path):
     assert (tmp_path / "out.svg").read_text().count("<circle ") == 1
 
 
-@pytest.mark.parametrize("target", ["afile/out.svg", "adir"])
+@pytest.mark.parametrize("target", ["afile/out.svg", "adir", "a\0b.svg"])
 def test_render_to_unwritable_path_is_located(tmp_path, target):
     (tmp_path / "afile").write_text("a regular file\n")
     (tmp_path / "adir").mkdir()
@@ -231,6 +232,94 @@ def test_render_to_unwritable_path_is_located(tmp_path, target):
         run_source(f'A = point(0, 0)\n\nrender "{target}"\n', output_root=tmp_path)
     assert (err.value.line, err.value.col) == (3, 1)
     assert err.value.message.startswith(f"cannot write {target}: ")
+
+
+@pytest.mark.parametrize(
+    "source, message, loc",
+    [
+        ('R = ray(point(0, 0), dir(1, 0))\nX = intersect(R, line_through(point(0, 1), point(1, 1)))',
+         "a ray can only be intersected with a circle", (2, 5)),
+        ("X = intersect(line_through(point(2, 0), point(0, 2)), circle(point(0, 0), 2))",
+         "intersection is a whole segment, not a point", (1, 5)),
+        ("X = intersect(line_through(point(5, 0), point(5, 1)), circle(point(0, 0), 2))",
+         "intersection is empty", (1, 5)),
+        ("X = intersect(line_through(point(-3, 0), point(3, 0)), circle(point(0, 0), 2), 2)",
+         "intersection index 2 out of range for 2 point(s)", (1, 5)),
+        ('C = circle(point(0, 0), 1)\nX = vertex(C, "Q")',
+         'vertex name must be "N", "S", "E", or "W", got "Q"', (2, 15)),
+        ("A = point(0, 0)\nB = point(3, 3)\nX = nsect(A, B, 3/2)",
+         "part count must be an integer, got 3/2", (3, 17)),
+    ],
+    ids=["ray-with-line", "whole-segment", "empty", "index-out-of-range", "vertex-name", "part-count"],
+)
+def test_builtin_errors_are_located(source, message, loc):
+    with pytest.raises(TaxiRuntimeError) as err:
+        run_source(source)
+    assert (err.value.message, (err.value.line, err.value.col)) == (message, loc)
+
+
+@pytest.mark.parametrize(
+    "source, message, loc",
+    [("x = 1/-2", "denominator must be a plain integer", (1, 7)), ("x = dump", "'dump' is a keyword", (1, 5))],
+)
+def test_misplaced_tokens_are_syntax_errors(source, message, loc):
+    with pytest.raises(TaxiSyntaxError) as err:
+        parse(source)
+    assert (err.value.message, (err.value.line, err.value.col)) == (message, loc)
+
+
+@pytest.mark.parametrize(
+    "binding, other, expected, actual",
+    [
+        ("ray(point(0, 0), dir(1, 0))", "ray(point(0, 0), dir(0, 1))",
+         "ray (0, 0) dir (0, 1)", "ray (0, 0) dir (1, 0)"),
+        ("section(point(0, 0), dir(1, 0), dir(0, 1), 3)", "section(point(0, 0), dir(1, 0), dir(-1, 0), 2)",
+         "[ray (0, 0) dir (0, 1)]", "[ray (0, 0) dir (2/3, 1/3), ray (0, 0) dir (1/3, 2/3)]"),
+        ("line_through(point(0, 0), point(2, 1))", "line_through(point(0, 0), point(0, 1))",
+         "line Line(a=Fraction(1, 1), b=Fraction(0, 1), c=Fraction(0, 1))",
+         "line Line(a=Fraction(1, 1), b=Fraction(-2, 1), c=Fraction(0, 1))"),
+    ],
+    ids=["ray", "raylist", "line"],
+)
+def test_failed_assertion_shows_both_values(binding, other, expected, actual):
+    result = run_source(f"X = {binding}\nY = {other}\nassert_eq X Y\n")
+    assert [failure.describe() for failure in result.failures] == [
+        f"line 3: expected {expected}, actual {actual}"
+    ]
+
+
+def nested_calls(depth: int) -> str:
+    """A binding of ``depth`` nested calls, alternating tdist and point,
+    that evaluates to the point (depth / 2 - 1, 1) for an even depth."""
+    expr = "O"
+    for level in range(depth):
+        expr = f"tdist({expr}, O)" if level % 2 == 0 else f"point({expr}, 1)"
+    return f"O = point(0, 0)\nX = {expr}\n"
+
+
+def test_calls_nested_to_the_limit_run():
+    assert run_source(nested_calls(script._MAX_NESTING)).env["X"] == Point(F(script._MAX_NESTING // 2 - 1), F(1))
+
+
+def test_calls_nested_past_the_limit_are_a_located_syntax_error():
+    source = nested_calls(script._MAX_NESTING + 1)
+    # The first call past the limit: the innermost one.
+    col = [m.start() for m in re.finditer(r"\w+\(", source.splitlines()[1])][-1] + 1
+    with pytest.raises(TaxiSyntaxError) as err:
+        parse(source)
+    assert (err.value.message, (err.value.line, err.value.col)) == ("calls nested more than 100 deep", (2, col))
+
+
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="int() converts any number of digits")
+def test_a_literal_past_the_int_limit_is_located():
+    digits = "7" * (INT_DIGITS + 1)
+    with pytest.raises(TaxiRuntimeError) as err:
+        run_source(f"A = point(0, 0)\nx = {digits}\n")
+    message = f"rational literal has an integer of more than {INT_DIGITS} digits"
+    assert (err.value.message, (err.value.line, err.value.col)) == (message, (2, 5))
 
 
 # ----------------------------------------------------------- layout, rerun
