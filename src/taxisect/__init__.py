@@ -12,17 +12,7 @@ __version__ = "0.1.0"
 
 # The home module of every public name.
 _EXPORTS = {
-    "angles": (
-        "FULL_TURN",
-        "HALF_TURN",
-        "PI_T",
-        "Angle",
-        "circumference",
-        "direction_to_param",
-        "measure_angle",
-        "measure_between",
-        "param_to_point",
-    ),
+    "angles": ("Angle", "direction_to_param", "measure_angle", "measure_between"),
     "constructions": (
         "ConstructionError",
         "ConstructionTrace",

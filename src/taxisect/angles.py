@@ -17,12 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import Direction, GeometryError, Point, TaxicabCircle
+from .kernel import Direction, Point
 from .numeric import as_rational
-
-FULL_TURN = Fraction(8)
-HALF_TURN = Fraction(4)
-PI_T = HALF_TURN
 
 
 @dataclass(frozen=True)
@@ -41,20 +37,10 @@ def direction_to_param(d: Direction) -> Fraction:
     return 6 + 2 * x
 
 
-def param_to_point(t: Fraction | int) -> Point:
-    """The unit-circle point at arc parameter t; inverse of
-    :func:`direction_to_param` up to direction scaling."""
-    t = as_rational(t)
-    n, d = t.as_integer_ratio()
-    if not 0 <= n < 8 * d:
-        raise GeometryError(f"arc parameter {t} outside [0, 8)")
-    x, y, den = param_to_ints(n, d)
-    return Point(Fraction(x, den), Fraction(y, den))
-
-
 def param_to_ints(n: int, d: int) -> tuple[int, int, int]:
     """The unit-circle point at arc parameter t = n/d, 0 <= n < 8d, as
-    ints (x, y, 2d): both coordinates over 2d."""
+    ints (x, y, 2d): both coordinates over 2d.  The inverse of
+    :func:`direction_to_param` up to direction scaling."""
     den = 2 * d
     if n <= 4 * d:
         x = den - n  # x = 1 - t/2
@@ -76,8 +62,3 @@ def measure_between(d1: Direction, d2: Direction) -> Fraction:
 def measure_angle(angle: Angle) -> Fraction:
     """Undirected t-radian measure, in [0, 4]."""
     return measure_between(angle.side1, angle.side2)
-
-
-def circumference(circle: TaxicabCircle) -> Fraction:
-    """Taxicab arc length of the whole boundary: always 8r."""
-    return 8 * circle.radius

@@ -9,8 +9,9 @@ Subcommands:
     render-demo  write one of the built-in demonstration figures
 
 Exit codes: 0 on success, 1 when a script assertion fails or the reader of
-stdout closes the pipe early, 2 for usage, parse, or domain errors.  Setting
-the environment variable TAXISECT_NO_COLOR disables ANSI styling in reports.
+stdout closes the pipe early, 2 for usage, parse, or domain errors, and for
+an exact result too large to print.  Setting the environment variable
+TAXISECT_NO_COLOR disables ANSI styling in reports.
 
 Each subcommand imports only the modules it runs, on first use: ``measure``
 loads the kernel and the angle measure, ``nsect`` and ``section`` the
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .kernel import Direction, GeometryError, Point, TaxicabCircle
-from .numeric import RationalParseError, parse_rational
+from .numeric import RationalParseError, is_digit_limit, parse_rational, too_many_digits
 
 if TYPE_CHECKING:
     from .constructions import ConstructionTrace
@@ -319,6 +320,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (UsageError, GeometryError, RationalParseError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        if not is_digit_limit(exc):
+            raise
+        print(f"error: {too_many_digits('result')}", file=sys.stderr)
         return 2
 
 

@@ -18,14 +18,14 @@ Line canonicalisation, ``line_through``, ``intersect_lines``,
 ``intersect_line_circle`` and ``taxicab_distance`` compute in plain ints:
 each line, circle or coordinate pair is taken over its common denominator,
 and a ``Fraction`` is built only for each value returned.  So do the
-incidence predicates ``Line.contains``, ``point_between`` (which
-``Segment.contains`` uses), ``at_taxicab_distance`` and ``point_on_circle``,
-which compare ints and build no ``Fraction`` at all, and ``circle_vertex``,
-which builds one for the coordinate it moves.  ``circle_point_toward``
-builds one per coordinate: it is the point c + w*r/|w| at which a line
-through the center c along w crosses the circle in direction w, which the
-trace builder records for such a crossing whose point it does not already
-know, instead of solving the line against the circle.  A line is stored
+incidence predicates ``Line.contains``, ``point_between``,
+``at_taxicab_distance`` and ``point_on_circle``, which compare ints and
+build no ``Fraction`` at all, and ``circle_vertex``, which builds one for
+the coordinate it moves.  ``circle_point_toward`` builds one per
+coordinate: it is the point c + w*r/|w| at which a line through the
+center c along w crosses the circle in direction w, which the trace
+builder records for such a crossing whose point it does not already know,
+instead of solving the line against the circle.  A line is stored
 once, as its int form: ``line_through`` builds that form straight from
 the two points' ints, and every test or solve with the line reads it.
 
@@ -168,13 +168,6 @@ class Ray:
     def supporting_line(self) -> Line:
         return line_through(self.origin, self.point_at(1))
 
-    def contains(self, p: Point) -> bool:
-        dxp = p.x - self.origin.x
-        dyp = p.y - self.origin.y
-        if dxp * self.direction.dy != dyp * self.direction.dx:
-            return False
-        return self.param_of(p) >= 0
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -184,9 +177,6 @@ class Segment:
     def __post_init__(self) -> None:
         if self.p == self.q:
             raise GeometryError("degenerate segment")
-
-    def contains(self, x: Point) -> bool:
-        return point_between(self.p, self.q, x)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ or a decimal, which converts exactly), in one pattern that the script
 front end and the CLI both parse with, and exact conversion to Fraction:
 the Fraction is built from the literal's ints, not by parsing the text
 again.  Values are written back as ``str(Fraction)``: "p/q", or "p" for an
-integer.
+integer.  Both ways go through CPython's limit on int-string conversion,
+``sys.get_int_max_str_digits()``, so an exact result past it cannot be
+printed, and the CLI and the script front end report that as an error.
 """
 
 from __future__ import annotations
@@ -47,8 +49,19 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(int(whole + digits), 10 ** len(digits))
         return Fraction(int(whole))
     except ValueError:  # int() converts at most sys.get_int_max_str_digits() digits
-        limit = sys.get_int_max_str_digits()
-        raise RationalParseError(f"rational literal has an integer of more than {limit} digits") from None
+        raise RationalParseError(too_many_digits("rational literal")) from None
+
+
+def too_many_digits(what: str) -> str:
+    """The message for a number whose integer is past CPython's limit on
+    int-string conversion: such a value can be neither read nor printed."""
+    return f"{what} has an integer of more than {sys.get_int_max_str_digits()} digits"
+
+
+def is_digit_limit(exc: ValueError) -> bool:
+    """Whether ``exc`` is CPython's refusal to convert an int past that
+    limit to or from a string."""
+    return "integer string conversion" in str(exc)
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:

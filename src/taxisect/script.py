@@ -21,14 +21,16 @@ All errors and failures carry the 1-based line and column of the statement
 that caused them.
 
 The lexer makes one pass over the token matches of a source and checks that
-only blanks lie between them.  Syntax-tree nodes are plain slotted classes
-whose equality and hash leave out the source location.
+only blanks lie between them.  Syntax-tree nodes are slotted dataclasses
+whose equality and hash leave out the source location.  They are not
+frozen, because a frozen dataclass's ``__init__`` costs about three times
+as much.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -47,7 +49,7 @@ from .kernel import (
     Segment,
     TaxicabCircle,
 )
-from .numeric import RationalParseError, parse_rational
+from .numeric import RationalParseError, is_digit_limit, parse_rational, too_many_digits
 
 Value = Union[Fraction, Point, Direction, Line, Ray, Segment, TaxicabCircle, tuple[Ray, ...]]
 
@@ -137,7 +139,8 @@ def _tokenize(source: str) -> list[_Token]:
 
 # ---------------------------------------------------------------------------
 # Syntax tree.  Locations are excluded from equality, so the same statements
-# laid out differently in the source parse to equal trees.
+# laid out differently in the source parse to equal trees.  Nothing changes a
+# node once it is built.
 
 class Loc(NamedTuple):
     line: int
@@ -151,106 +154,64 @@ def _loc(token: _Token) -> Loc:
     return _make_loc(token[2:])  # a token ends with its line and column
 
 
-class _Node:
-    """A syntax-tree node: plain slots, its fields named by its class's
-    ``__slots__``, and its ``loc`` where it starts in the source.  Nodes of
-    one class are equal, and hash alike, when their fields are equal; the
-    location does not take part.  Nothing changes a node once it is built."""
-
-    __slots__ = ("loc",)
-
-    def _fields(self) -> tuple[object, ...]:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash((type(self), self._fields()))
-
-    def __repr__(self) -> str:
-        fields = [f"{name}={getattr(self, name)!r}" for name in (*self.__slots__, "loc")]
-        return f"{type(self).__name__}({', '.join(fields)})"
+@dataclass(slots=True, unsafe_hash=True)
+class RationalLit:
+    text: str
+    loc: Loc = field(compare=False)
 
 
-class RationalLit(_Node):
-    __slots__ = ("text",)
-
-    def __init__(self, text: str, loc: Loc) -> None:
-        self.text = text
-        self.loc = loc
-
-
-class PointLit(_Node):
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: RationalLit, y: RationalLit, loc: Loc) -> None:
-        self.x = x
-        self.y = y
-        self.loc = loc
+@dataclass(slots=True, unsafe_hash=True)
+class PointLit:
+    x: RationalLit
+    y: RationalLit
+    loc: Loc = field(compare=False)
 
 
-class StringLit(_Node):
-    __slots__ = ("value",)
-
-    def __init__(self, value: str, loc: Loc) -> None:
-        self.value = value
-        self.loc = loc
+@dataclass(slots=True, unsafe_hash=True)
+class StringLit:
+    value: str
+    loc: Loc = field(compare=False)
 
 
-class NameRef(_Node):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str, loc: Loc) -> None:
-        self.name = name
-        self.loc = loc
+@dataclass(slots=True, unsafe_hash=True)
+class NameRef:
+    name: str
+    loc: Loc = field(compare=False)
 
 
-class Call(_Node):
-    __slots__ = ("func", "args")
-
-    def __init__(self, func: str, args: tuple[Expr, ...], loc: Loc) -> None:
-        self.func = func
-        self.args = args
-        self.loc = loc
+@dataclass(slots=True, unsafe_hash=True)
+class Call:
+    func: str
+    args: tuple[Expr, ...]
+    loc: Loc = field(compare=False)
 
 
 Expr = Union[RationalLit, PointLit, StringLit, NameRef, Call]
 
 
-class Binding(_Node):
-    __slots__ = ("name", "expr")
-
-    def __init__(self, name: str, expr: Expr, loc: Loc) -> None:
-        self.name = name
-        self.expr = expr
-        self.loc = loc
+@dataclass(slots=True, unsafe_hash=True)
+class Binding:
+    name: str
+    expr: Expr
+    loc: Loc = field(compare=False)
 
 
-class AssertEq(_Node):
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: Expr, rhs: Expr, loc: Loc) -> None:
-        self.lhs = lhs
-        self.rhs = rhs
-        self.loc = loc
+@dataclass(slots=True, unsafe_hash=True)
+class AssertEq:
+    lhs: Expr
+    rhs: Expr
+    loc: Loc = field(compare=False)
 
 
-class Render(_Node):
-    __slots__ = ("path",)
-
-    def __init__(self, path: str, loc: Loc) -> None:
-        self.path = path
-        self.loc = loc
+@dataclass(slots=True, unsafe_hash=True)
+class Render:
+    path: str
+    loc: Loc = field(compare=False)
 
 
-class Dump(_Node):
-    __slots__ = ()
-
-    def __init__(self, loc: Loc) -> None:
-        self.loc = loc
+@dataclass(slots=True, unsafe_hash=True)
+class Dump:
+    loc: Loc = field(compare=False)
 
 
 Statement = Union[Binding, AssertEq, Render, Dump]
@@ -443,6 +404,17 @@ def _format_value(value: Value) -> str:
     return f"{_type_name(value)} {value!r}"
 
 
+def _printable(show: Callable[[object], str], value: object, loc: Loc) -> str:
+    """``show(value)``, or a located error when the value has an integer
+    too long for ``str``."""
+    try:
+        return show(value)
+    except ValueError as exc:
+        if not is_digit_limit(exc):
+            raise
+        raise TaxiRuntimeError(too_many_digits("value"), loc.line, loc.col) from None
+
+
 class _Executor:
     def __init__(self, output_root: Path | None) -> None:
         self.output_root = output_root
@@ -480,16 +452,14 @@ class _Executor:
                     stmt.loc.col,
                 )
             if lhs != rhs:
-                self.failures.append(
-                    AssertionFailure(
-                        stmt.loc.line, stmt.loc.col, _format_value(rhs), _format_value(lhs)
-                    )
-                )
+                expected = _printable(_format_value, rhs, stmt.loc)
+                actual = _printable(_format_value, lhs, stmt.loc)
+                self.failures.append(AssertionFailure(stmt.loc.line, stmt.loc.col, expected, actual))
         elif isinstance(stmt, Render):
             path = Path(stmt.path)
             if not path.is_absolute():
                 path = (self.output_root or Path.cwd()) / path
-            svg = emit_svg(Scene(tuple(self.items)))
+            svg = _printable(emit_svg, Scene(tuple(self.items)), stmt.loc)
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(svg, encoding="utf-8")
@@ -497,7 +467,7 @@ class _Executor:
                 raise TaxiRuntimeError(f"cannot write {stmt.path}: {exc}", stmt.loc.line, stmt.loc.col) from exc
             self.rendered.append(str(path))
         elif isinstance(stmt, Dump):
-            self.dumps.append(emit_json(self.env))
+            self.dumps.append(_printable(emit_json, self.env, stmt.loc))
         else:
             raise TypeError(f"unknown statement {stmt!r}")
 

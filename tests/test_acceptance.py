@@ -14,25 +14,20 @@ from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
-from taxisect.angles import (
-    Angle,
-    circumference,
-    direction_to_param,
-    measure_angle,
-    measure_between,
-    param_to_point,
-)
+from taxisect.angles import Angle, direction_to_param, measure_angle, measure_between, param_to_ints
 from taxisect.cli import main
 from taxisect.constructions import StepKind, nsect_segment, section_angle, verify_trace
 from taxisect.export import emit_svg
 from taxisect.figures import FIGURES
 from taxisect.kernel import (
+    CircleVertex,
     Direction,
     Empty,
     OverlapSegment,
     Point,
     TaxicabCircle,
     TwoPoints,
+    circle_vertex,
     euclidean_distance_squared,
     intersect_line_circle,
     line_through,
@@ -64,6 +59,12 @@ def rand_rational(rng: random.Random, bound: int = 1000) -> F:
 
 def rand_point(rng: random.Random) -> Point:
     return Point(rand_rational(rng), rand_rational(rng))
+
+
+def unit_point(t: F) -> Point:
+    """The unit-circle point at arc parameter t in [0, 8)."""
+    x, y, den = param_to_ints(t.numerator, t.denominator)
+    return Point(F(x, den), F(y, den))
 
 
 def parametric(a: Point, b: Point, n: int) -> Point:
@@ -140,10 +141,11 @@ def test_criterion_4_tradian_suite():
             assert measure_angle(Angle(origin, d, flipped)) == 4
         for _ in range(50):
             r = F(rng.randint(1, 10**6), rng.randint(1, 10**4))
-            assert circumference(TaxicabCircle(origin, r)) == 8 * r
+            n, s, e, w = (circle_vertex(TaxicabCircle(origin, r), v) for v in CircleVertex)
+            assert sum(taxicab_distance(p, q) for p, q in ((e, n), (n, w), (w, s), (s, e))) == 8 * r
         for _ in range(500):
             t = F(rng.randint(0, 8 * 9973 - 1), 9973)
-            p = param_to_point(t)
+            p = unit_point(t)
             assert direction_to_param(Direction(p.x, p.y)) == t
 
 
@@ -160,7 +162,7 @@ def test_criterion_5_angle_sectioning():
                 sweep = (edge_end - start) * rng.randint(1, 8) / 8
                 if sweep == 0:
                     continue
-                p1, p2 = param_to_point(start), param_to_point((start + sweep) % 8)
+                p1, p2 = unit_point(start), unit_point((start + sweep) % 8)
                 d1, d2 = Direction(p1.x, p1.y), Direction(p2.x, p2.y)
             else:
                 raw = [rand_rational(rng, 60) for _ in range(4)]

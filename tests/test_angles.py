@@ -4,18 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from taxisect.angles import (
-    FULL_TURN,
-    HALF_TURN,
-    PI_T,
     Angle,
-    circumference,
     direction_to_param,
     measure_angle,
     measure_between,
-    param_to_point,
+    param_to_ints,
     sweep_ccw,
 )
-from taxisect.kernel import Direction, GeometryError, Point, TaxicabCircle, taxicab_distance
+from taxisect.kernel import CircleVertex, Direction, Point, TaxicabCircle, circle_vertex, taxicab_distance
 from taxisect.numeric import as_rational
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=48)
@@ -34,10 +30,25 @@ def d(dx, dy) -> Direction:
     return Direction(F(dx), F(dy))
 
 
+def unit_point(t) -> Point:
+    """The unit-circle point at arc parameter t in [0, 8), from
+    param_to_ints."""
+    x, y, den = param_to_ints(*as_rational(t).as_integer_ratio())
+    return Point(F(x, den), F(y, den))
+
+
+def perimeter(circle: TaxicabCircle) -> F:
+    """Taxicab length of the circle's boundary, vertex to vertex."""
+    n, w, s, e = (circle_vertex(circle, CircleVertex(v)) for v in "NWSE")
+    return sum(taxicab_distance(p, q) for p, q in ((e, n), (n, w), (w, s), (s, e)))
+
+
 def test_constants():
-    assert FULL_TURN == 8
-    assert HALF_TURN == 4
-    assert PI_T == 4
+    """A full turn measures 8 t-radians, the unit circle's perimeter, and a
+    straight angle measures 4."""
+    assert perimeter(TaxicabCircle(ORIGIN, F(1))) == 8
+    assert sweep_ccw(F(1), F(0)) + sweep_ccw(F(0), F(1)) == 8
+    assert measure_angle(Angle(ORIGIN, d(1, 0), d(-1, 0))) == 4
 
 
 @pytest.mark.parametrize(
@@ -80,22 +91,13 @@ def test_param_from_arc_length():
     ],
 )
 def test_param_to_point(t, point):
-    assert param_to_point(F(t)) == Point(F(point[0]), F(point[1]))
-
-
-def test_param_to_point_rejects_out_of_range():
-    with pytest.raises(GeometryError):
-        param_to_point(F(8))
-    with pytest.raises(GeometryError):
-        param_to_point(F(-1, 2))
+    assert unit_point(F(t)) == Point(F(point[0]), F(point[1]))
 
 
 def reference_param_to_point(t) -> Point:
-    """param_to_point in Fraction arithmetic: the reference for the int
-    version."""
+    """The unit-circle point at arc parameter t in [0, 8), in Fraction
+    arithmetic: the reference for param_to_ints."""
     t = as_rational(t)
-    if not 0 <= t < 8:
-        raise GeometryError(f"arc parameter {t} outside [0, 8)")
     if t <= 4:
         x = 1 - t / 2
         return Point(x, 1 - abs(x))
@@ -111,7 +113,7 @@ def assert_same(got, want):
 
 @pytest.mark.parametrize("t", [0, 2, 4, 6, 7, "0", "2", "4", "6", "15/2", "0.25", F(0), F(4), F(11, 3)])
 def test_param_to_point_matches_reference_at_corners_and_on_every_input_type(t):
-    assert_same(param_to_point(t), reference_param_to_point(t))
+    assert_same(unit_point(t), reference_param_to_point(t))
 
 
 # Parameters over denominators up to 2**200, anywhere in [0, 8).
@@ -120,24 +122,12 @@ wide_params = st.integers(1, 2**200).flatmap(lambda d: st.integers(0, 8 * d - 1)
 
 @given(st.one_of(params, wide_params))
 def test_param_to_point_matches_reference(t):
-    assert_same(param_to_point(t), reference_param_to_point(t))
-
-
-@pytest.mark.parametrize(
-    "t, shown",
-    [(8, "8"), (F(8), "8"), ("8", "8"), (F(-1, 3), "-1/3"), ("-1/3", "-1/3"), (F(80001, 10000), "80001/10000")],
-)
-def test_param_to_point_out_of_range_message(t, shown):
-    with pytest.raises(GeometryError) as want:
-        reference_param_to_point(t)
-    with pytest.raises(GeometryError) as got:
-        param_to_point(t)
-    assert str(got.value) == str(want.value) == f"arc parameter {shown} outside [0, 8)"
+    assert_same(unit_point(t), reference_param_to_point(t))
 
 
 @given(params)
 def test_param_round_trip(t):
-    p = param_to_point(t)
+    p = unit_point(t)
     assert abs(p.x) + abs(p.y) == 1
     assert direction_to_param(Direction(p.x, p.y)) == t
 
@@ -207,9 +197,9 @@ def test_measure_dihedral_invariance(d1, d2, i):
 def test_measure_additivity(t, s1, s2):
     if s1 + s2 > 4 or s1 == 0 or s2 == 0:
         return
-    r1 = param_to_point(t)
-    r2 = param_to_point((t + s1) % 8)
-    r3 = param_to_point((t + s1 + s2) % 8)
+    r1 = unit_point(t)
+    r2 = unit_point((t + s1) % 8)
+    r3 = unit_point((t + s1 + s2) % 8)
     as_dir = lambda p: Direction(p.x, p.y)
     total = measure_between(as_dir(r1), as_dir(r3))
     assert total == measure_between(as_dir(r1), as_dir(r2)) + measure_between(
@@ -226,11 +216,11 @@ def test_sweep_ccw_complements(t1, t2):
 
 
 def test_circumference_examples():
-    assert circumference(TaxicabCircle(ORIGIN, F(1))) == 8
-    assert circumference(TaxicabCircle(ORIGIN, F(1, 2))) == 4
-    assert circumference(TaxicabCircle(ORIGIN, F(6))) == 48
+    assert perimeter(TaxicabCircle(ORIGIN, F(1))) == 8
+    assert perimeter(TaxicabCircle(ORIGIN, F(1, 2))) == 4
+    assert perimeter(TaxicabCircle(Point(F(2), F(-1, 3)), F(6))) == 48
 
 
 def test_straight_angle_is_half_circumference():
-    half = circumference(TaxicabCircle(ORIGIN, F(1))) / 2
-    assert measure_angle(Angle(ORIGIN, d(1, 0), d(-1, 0))) == half == PI_T
+    half = perimeter(TaxicabCircle(ORIGIN, F(1))) / 2
+    assert measure_angle(Angle(ORIGIN, d(1, 0), d(-1, 0))) == half == 4

@@ -109,6 +109,11 @@ def test_run_render_to_unwritable_path_exits_two(tmp_path, capsys):
 
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_int_limit = pytest.mark.skipif(not INT_DIGITS, reason="int() converts any number of digits")
+# 1/10^k and 1/(10^k + 1), k = INT_DIGITS // 2 + 1: their difference, and
+# their mean, have a denominator of more than INT_DIGITS digits.
+BIG = f"1/1{'0' * (INT_DIGITS // 2 + 1)}"
+BIG_PLUS_ONE = f"1/1{'0' * (INT_DIGITS // 2)}1"
+PAST_INT_LIMIT = f"P = point({BIG}, 0)\nQ = point({BIG_PLUS_ONE}, 0)\nd = tdist(P, Q)\n"
 
 
 @pytest.mark.parametrize(
@@ -128,12 +133,41 @@ needs_int_limit = pytest.mark.skipif(not INT_DIGITS, reason="int() converts any 
             id="long-literal",
             marks=needs_int_limit,
         ),
+        pytest.param(
+            PAST_INT_LIMIT + "dump\n",
+            f"line 4, col 1: value has an integer of more than {INT_DIGITS} digits",
+            id="dump-past-int-limit",
+            marks=needs_int_limit,
+        ),
+        pytest.param(
+            PAST_INT_LIMIT + "assert_eq d 0\n",
+            f"line 4, col 1: value has an integer of more than {INT_DIGITS} digits",
+            id="assert-past-int-limit",
+            marks=needs_int_limit,
+        ),
     ],
 )
 def test_run_hostile_script_exits_two_with_one_located_line(tmp_path, capsys, source, error):
     path = write_script(tmp_path, source)
     assert main(["run", path]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@needs_int_limit
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nsect", "--a", f"{BIG},0", "--b", f"{BIG_PLUS_ONE},0", "--n", "2"],
+        ["run", "past.taxi", "--json", "env.json"],
+    ],
+    ids=["nsect", "run-json"],
+)
+def test_result_past_the_int_limit_exits_two(tmp_path, capsys, argv):
+    """The result is exact and legal, but too long for str()."""
+    (tmp_path / "past.taxi").write_text(PAST_INT_LIMIT)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: result has an integer of more than {INT_DIGITS} digits\n")
 
 
 def test_run_dump_goes_to_stdout(tmp_path, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taxisect.angles import Angle, direction_to_param, measure_angle, measure_between, param_to_point
+from taxisect.angles import Angle, direction_to_param, measure_angle, measure_between
 import taxisect.constructions as constructions
 import taxisect.kernel as kernel
 from taxisect.constructions import (
@@ -295,6 +295,24 @@ def test_result_must_be_a_mark():
     _, trace = nsect_segment(pt(0, 0), pt(3, 3), 3)
     with pytest.raises(MalformedTraceError):
         verify_trace(dataclasses.replace(trace, result=0))
+
+
+@pytest.mark.parametrize(
+    "result, message",
+    [
+        # -1 would index the last step, the genuine mark, from the end
+        (-1, "result reference out of range"),
+        ("len", "result reference out of range"),
+        (0, "result must reference a mark-result step"),
+    ],
+)
+def test_result_reference_must_be_in_range(result, message):
+    _, trace = nsect_segment(pt(0, 0), pt(3, 3), 3)
+    if result == "len":
+        result = len(trace.steps)
+    with pytest.raises(MalformedTraceError) as caught:
+        verify_trace(dataclasses.replace(trace, result=result))
+    assert str(caught.value) == message
 
 
 def test_coincident_lines_do_not_replay():
@@ -586,7 +604,8 @@ def test_bisect_edge_angle():
     angle = Angle(ORIGIN, d(1, 0), d(1, 1))
     rays, trace = section_angle(angle, 2)
     assert len(rays) == 1
-    assert rays[0].contains(pt(F(3, 4), F(1, 4)))
+    # the ray from the vertex through (3/4, 1/4)
+    assert rays[0].origin == ORIGIN and rays[0].direction.dx == 3 * rays[0].direction.dy > 0
     assert measure_between(d(1, 0), rays[0].direction) == F(1, 2)
     assert measure_between(rays[0].direction, d(1, 1)) == F(1, 2)
     assert trace is not None
@@ -597,7 +616,8 @@ def test_bisect_edge_angle():
 def test_bisect_quadrant():
     angle = Angle(ORIGIN, d(1, 0), d(0, 1))
     rays, trace = section_angle(angle, 2)
-    assert rays[0].contains(pt(F(1, 2), F(1, 2)))
+    # the ray from the vertex through (1/2, 1/2)
+    assert rays[0].origin == ORIGIN and rays[0].direction.dx == rays[0].direction.dy > 0
     assert measure_between(d(1, 0), rays[0].direction) == 1
     # both sides meet the same (closed) edge, so the chord trace exists
     assert trace is not None and verify_trace(trace).ok
@@ -714,8 +734,17 @@ def reference_section_rays(angle: Angle, n: int) -> tuple[Ray, ...]:
     sweep = (direction_to_param(angle.side2) - start) % 8
     if sweep > 4:
         start, sweep = (start + sweep) % 8, 8 - sweep
-    units = (param_to_point((start + sweep * k / n) % 8) for k in range(1, n))
-    return tuple(Ray(angle.vertex, Direction(u.x, u.y)) for u in units)
+    return tuple(Ray(angle.vertex, unit_direction((start + sweep * k / n) % 8)) for k in range(1, n))
+
+
+def unit_direction(t: F) -> Direction:
+    """The direction to the unit-circle point at arc parameter t in [0, 8),
+    in Fraction arithmetic."""
+    if t <= 4:
+        x = 1 - t / 2
+        return Direction(x, 1 - abs(x))
+    x = (t - 6) / 2
+    return Direction(x, abs(x) - 1)
 
 
 wide_directions_st = st.one_of(
@@ -751,17 +780,13 @@ def test_same_edge_sections_carry_matching_traces(start, n, eighths, radius):
     if sweep == 0:
         return
     vertex = pt(F(1, 3), F(-2, 7))
-    d1 = Direction(*astuple_point(param_to_point(start)))
-    d2 = Direction(*astuple_point(param_to_point((start + sweep) % 8)))
+    d1 = unit_direction(start)
+    d2 = unit_direction((start + sweep) % 8)
     angle = Angle(vertex, d1, d2)
     rays, trace = section_angle(angle, n, radius=radius)
     assert trace is not None
     assert verify_trace(trace).ok
     assert trace.marked_points() == crossing_points(vertex, rays, radius)
-
-
-def astuple_point(p: Point) -> tuple[F, F]:
-    return (p.x, p.y)
 
 
 # ------------------------------------------------------ chord trace length
@@ -831,8 +856,8 @@ def test_chord_trace_marks_m1_by_one_segment_nsection(start, n, eighths, radius)
     if sweep == 0:
         return
     vertex = pt(F(1, 3), F(-2, 7))
-    d1 = Direction(*astuple_point(param_to_point(start)))
-    d2 = Direction(*astuple_point(param_to_point((start + sweep) % 8)))
+    d1 = unit_direction(start)
+    d2 = unit_direction((start + sweep) % 8)
     _, trace = section_angle(Angle(vertex, d1, d2), n, radius=radius)
     q1, q2 = trace.steps[5].output, trace.steps[7].output
     _, segment = nsect_segment(q1, q2, n)
@@ -1034,8 +1059,8 @@ def test_nsect_meets_circles_through_their_centers(a, direction, scale, n):
 @settings(max_examples=60, deadline=None)
 def test_chord_trace_meets_circles_through_their_centers(start, n, eighths, radius, swap):
     sweep = (2 * (start // 2 + 1) - start) * eighths / 8
-    d1 = Direction(*astuple_point(param_to_point(start)))
-    d2 = Direction(*astuple_point(param_to_point((start + sweep) % 8)))
+    d1 = unit_direction(start)
+    d2 = unit_direction((start + sweep) % 8)
     if swap:
         d1, d2 = d2, d1
     _, trace = section_angle(Angle(pt(F(1, 3), F(-2, 7)), d1, d2), n, radius=radius)
@@ -1205,8 +1230,8 @@ def test_genuine_nsect_trace_gets_the_replay_verdict(a, b, n):
 def _edge_angle(start, eighths, swap) -> Angle:
     """An angle whose sides cross one edge of the circle about its vertex."""
     sweep = (2 * (start // 2 + 1) - start) * eighths / 8
-    d1 = Direction(*astuple_point(param_to_point(start)))
-    d2 = Direction(*astuple_point(param_to_point((start + sweep) % 8)))
+    d1 = unit_direction(start)
+    d2 = unit_direction((start + sweep) % 8)
     return Angle(pt(F(1, 3), F(-2, 7)), *((d2, d1) if swap else (d1, d2)))
 
 

@@ -49,6 +49,7 @@ from taxisect.kernel import (
     TaxicabCircle,
     circle_vertex,
     line_through,
+    point_between,
     point_on_circle,
     taxicab_distance,
 )
@@ -134,7 +135,7 @@ def test_labeled_points_satisfy_their_step_claims():
                     assert point_on_circle(outputs[claim.circle_step], subject)
                 elif isinstance(claim, BetweenClaim):
                     p, q = outputs[claim.p_step], outputs[claim.q_step]
-                    assert Segment(p, q).contains(subject)
+                    assert point_between(p, q, subject)
                 elif isinstance(claim, DistanceClaim):
                     assert taxicab_distance(outputs[claim.from_step], subject) == claim.value
 

@@ -25,6 +25,7 @@ from taxisect.kernel import (
     intersect_lines,
     intersect_ray_circle,
     line_through,
+    point_between,
     point_on_circle,
     points_of,
     taxicab_distance,
@@ -420,7 +421,7 @@ def test_segment_contains_matches_line_and_box(p, q, x, t):
     assume(p != q)
     along = Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
     for candidate in (x, along, p, q):
-        assert Segment(p, q).contains(candidate) == _reference_segment_contains(p, q, candidate)
+        assert point_between(p, q, candidate) == _reference_segment_contains(p, q, candidate)
 
 
 # ------------------------------------------- integer kernel vs Fraction formulas
@@ -602,9 +603,9 @@ def test_segment_contains_matches_fraction_formula(pair, x, t):
     assume(p != q)
     along = Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
     for candidate in (x, p, q, along):
-        assert Segment(p, q).contains(candidate) == _reference_segment_contains(p, q, candidate)
-    assert Segment(p, q).contains(p) and Segment(p, q).contains(q)
-    assert Segment(p, q).contains(along) == (0 <= t <= 1)
+        assert point_between(p, q, candidate) == _reference_segment_contains(p, q, candidate)
+    assert point_between(p, q, p) and point_between(p, q, q)
+    assert point_between(p, q, along) == (0 <= t <= 1)
 
 
 @settings(max_examples=300)
@@ -794,12 +795,20 @@ def test_ray_circle_hits_are_forward_and_ordered(origin, direction, center, radi
     for p, t in zip(hits, params):
         assert t >= 0
         assert point_on_circle(circle, p)
-        assert ray.contains(p)
+        assert_on_ray(ray, p)
     assert params == sorted(params)
     if isinstance(got, OverlapSegment):
         for e in (got.segment.p, got.segment.q):
-            assert ray.contains(e)
+            assert_on_ray(ray, e)
             assert point_on_circle(circle, e)
+
+
+def assert_on_ray(ray: Ray, p: Point) -> None:
+    """p is on the ray's supporting line and not behind its origin."""
+    u, v = p.x - ray.origin.x, p.y - ray.origin.y
+    d = ray.direction
+    assert u * d.dy == v * d.dx
+    assert u * d.dx + v * d.dy >= 0
 
 
 # ------------------------------------------------------------------ circles

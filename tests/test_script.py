@@ -322,6 +322,23 @@ def test_a_literal_past_the_int_limit_is_located():
     assert (err.value.message, (err.value.line, err.value.col)) == (message, (2, 5))
 
 
+def past_int_limit_source(statement: str) -> str:
+    """Two legal points whose taxicab distance has a denominator of more
+    digits than str() converts, then one statement on line 4."""
+    k = INT_DIGITS // 2 + 1
+    return f"P = point(1/1{'0' * k}, 0)\nQ = point(1/1{'0' * (k - 1)}1, 0)\nd = tdist(P, Q)\n{statement}\n"
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="str() converts any number of digits")
+@pytest.mark.parametrize("statement", ["dump", "assert_eq d 0", "assert_eq 0 d", 'render "d.svg"'])
+def test_a_result_past_the_int_limit_is_located(tmp_path, statement):
+    """Each statement prints d, or an SVG coordinate as long, in full."""
+    with pytest.raises(TaxiRuntimeError) as err:
+        run_source(past_int_limit_source(statement), output_root=tmp_path)
+    message = f"value has an integer of more than {INT_DIGITS} digits"
+    assert (err.value.message, (err.value.line, err.value.col)) == (message, (4, 1))
+
+
 # ----------------------------------------------------------- layout, rerun
 
 
