@@ -51,7 +51,7 @@ from .kernel import (
     Point,
     Ray,
     TaxicabCircle,
-    _common2,
+    _point,
     at_taxicab_distance,
     circle_point_toward,
     circle_vertex,
@@ -174,7 +174,8 @@ class TraceStep:
     opening for circles not spanned between two drawn points.  Each of these
     three belongs to one kind of step, and is None on every other:
     ``pick`` to intersect-line-circle, ``vertex`` to take-circle-vertex, and
-    ``radius`` to a draw-circle with one input.
+    ``radius`` to a draw-circle with one input.  ``label`` only names the
+    output for rendering: the checker ignores it.
     """
 
     kind: StepKind
@@ -300,8 +301,10 @@ def _check_step(step: TraceStep, outputs: Sequence[Primitive]) -> str | None:
         if line.contains(c):
             if not -2 <= pick < 2:
                 return _DOES_NOT_REPLAY
-            fits = type(output) is Point and line.contains(output) and point_on_circle(circle, output)
-            return None if fits and pick % 2 == ((output.x, output.y) > (c.x, c.y)) else _DIFFERS
+            if not (type(output) is Point and line.contains(output) and point_on_circle(circle, output)):
+                return _DIFFERS
+            (ox, oy, od), (cx, cy, cd) = output._ints, c._ints
+            return None if pick % 2 == ((ox * cd, oy * cd) > (cx * od, cy * od)) else _DIFFERS
         crossings = points_of(intersect_line_circle(line, circle))
         if not -len(crossings) <= pick < len(crossings):
             return _DOES_NOT_REPLAY
@@ -510,20 +513,20 @@ def _append_nsect(builder: _TraceBuilder, a_ref: int, b_ref: int, n: int, every:
     L / n for the walk.
 
     Every crossing on line AB is a point a + t(b - a) that the builder
-    already knows, so it is computed in closed form from A and B over
-    their per-axis common denominators, one ``Fraction`` per coordinate,
-    not solved.  A circle of radius L = |b - a|_1 about a point c of the
-    line meets it at c - (b - a) and c + (b - a), so the chain centers are
-    a - k(b - a); the walk circle of radius L / n about M(k-1) meets it at
-    M(k-1) -/+ (b - a)/n, so the walk marks are a + k(b - a)/n.  Only P,
-    on the line from the low corner to B, is computed by
-    :func:`circle_point_toward`.
+    already knows, so it is computed in closed form from the int forms of
+    A and B, not solved, and builds no ``Fraction``.  A circle of radius
+    L = |b - a|_1 about a point c of the line meets it at c - (b - a) and
+    c + (b - a), so the chain centers are a - k(b - a); the walk circle of
+    radius L / n about M(k-1) meets it at M(k-1) -/+ (b - a)/n, so the walk
+    marks are a + k(b - a)/n.  Only P, on the line from the low corner to
+    B, is computed by :func:`circle_point_toward`.
     """
     a = builder.output(a_ref)
     b = builder.output(b_ref)
-    # x coordinates as ints over xd, y over yd.
-    ax, bx, xd = _common2(a.x, b.x)
-    ay, by, yd = _common2(a.y, b.y)
+    # A and B as ints over one denominator e, and b - a = (dx, dy)/e.
+    (ax, ay, ad), (bx, by, bd) = a._ints, b._ints
+    e = ad * bd
+    ax, ay, bx, by = ax * bd, ay * bd, bx * ad, by * ad
     dx, dy = bx - ax, by - ay
     low_corner, high_corner = _corner_pair(dx, dy)
     length = taxicab_distance(a, b)
@@ -541,15 +544,17 @@ def _append_nsect(builder: _TraceBuilder, a_ref: int, b_ref: int, n: int, every:
     else:
         last_circle = circle_a
         for k in range(1, n - 2):
-            center = Point(Fraction(ax - k * dx, xd), Fraction(ay - k * dy, yd))
+            center = _point(ax - k * dx, ay - k * dy, e)
             next_center = builder.intersect_with_circle(base_ref, last_circle, center, (-dx, -dy))
             last_circle = builder.draw_circle(next_center, length, span=(a_ref, b_ref))
         low = builder.take_vertex(last_circle, low_corner)
         toward_b = builder.draw_line(low, b_ref)
         # The line from the low corner meets the circle about B first on
-        # the corner's side of B.
+        # the corner's side of B: toward low - b, here scaled by cd*e > 0.
+        cx, cy, cd = builder.output(low)._ints
+        toward_low = Direction(cx * e - bx * cd, cy * e - by * cd)
         p_label = None if every else "P"
-        p_ref = builder.cross_toward(toward_b, circle_b, builder.output(low) - b, label=p_label)
+        p_ref = builder.cross_toward(toward_b, circle_b, toward_low, label=p_label)
         high = builder.take_vertex(circle_a, high_corner)
         back_ref = builder.draw_line(p_ref, high)
         c_ref = builder.intersect_two_lines(back_ref, base_ref)
@@ -560,11 +565,11 @@ def _append_nsect(builder: _TraceBuilder, a_ref: int, b_ref: int, n: int, every:
     if not every:
         return
     mark_ref = m1_ref
-    # M(k) = a + k(b - a)/n: x over n*xd, y over n*yd.
-    nax, nay, nxd, nyd = n * ax, n * ay, n * xd, n * yd
+    # M(k) = a + k(b - a)/n, over n*e.
+    nax, nay, ne = n * ax, n * ay, n * e
     for k in range(2, n):
         step_circle = builder.draw_circle(mark_ref, part, span=(a_ref, m1_ref))
-        mark = Point(Fraction(nax + k * dx, nxd), Fraction(nay + k * dy, nyd))
+        mark = _point(nax + k * dx, nay + k * dy, ne)
         next_ref = builder.intersect_with_circle(base_ref, step_circle, mark, (dx, dy))
         distance = DistanceClaim(a_ref, Fraction(k * ln, n * ld))
         mark_ref = builder.mark_result(next_ref, (between, distance), f"M{k}")
@@ -597,11 +602,11 @@ def nsect_segment(a: Point, b: Point, n: int) -> tuple[Point, ConstructionTrace]
     _append_nsect(builder, a_ref, b_ref, n)
     trace = builder.build()
     constructed = trace.result_point()
-    part = Fraction(1, n)
-    if not _is_at(constructed, a, part, b - a):
-        raise PostconditionError(
-            f"construction produced {constructed}, expected {a + (b - a).scaled(part)}", trace
-        )
+    # a + (b - a)/n = ((n - 1)a + b)/n
+    (ax, ay, ad), (bx, by, bd) = a._ints, b._ints
+    expected = _point((n - 1) * ax * bd + bx * ad, (n - 1) * ay * bd + by * ad, n * ad * bd)
+    if constructed != expected:
+        raise PostconditionError(f"construction produced {constructed}, expected {expected}", trace)
     return constructed, trace
 
 
@@ -648,30 +653,20 @@ def section_angle(
     base = lcm(sd, wd)
     den = base * n
     first_t, step_t, turn = sn * (base // sd) * n, wn * (base // wd), 8 * den
-    units = (param_to_ints((first_t + step_t * k) % turn, den) for k in range(1, n))
+    units = [param_to_ints((first_t + step_t * k) % turn, den) for k in range(1, n)]
     rays = tuple(Ray(angle.vertex, Direction(Fraction(x, u), Fraction(y, u))) for x, y, u in units)
 
     if start + sweep > 2 * (start // 2 + 1):  # the sweep passes a corner
         return rays, None
     trace = _chord_trace(angle.vertex, first, second, n, radius)
-    for k, (ray, mark) in enumerate(zip(rays, trace.marked_points()), start=1):
-        if not _is_at(mark, angle.vertex, radius, ray.direction):
-            raise PostconditionError(
-                f"chord mark M{k} is {mark}, expected {ray.point_at(radius)}", trace
-            )
+    # Mark k is the vertex plus radius times unit k: vertex + (rn/rd)(x/u, y/u).
+    vx, vy, vd = angle.vertex._ints
+    rn, rd = radius.as_integer_ratio()
+    for k, ((x, y, u), mark) in enumerate(zip(units, trace.marked_points()), start=1):
+        expected = _point(vx * rd * u + rn * x * vd, vy * rd * u + rn * y * vd, vd * rd * u)
+        if mark != expected:
+            raise PostconditionError(f"chord mark M{k} is {mark}, expected {expected}", trace)
     return rays, trace
-
-
-def _is_at(p: Point, base: Point, t: Fraction, step: Direction) -> bool:
-    """Whether p == base + t * step, compared in ints: no Fraction is built."""
-    tn, td = t.as_integer_ratio()
-    for total, origin, delta in ((p.x, base.x, step.dx), (p.y, base.y, step.dy)):
-        pn, pd = total.as_integer_ratio()
-        bn, bd = origin.as_integer_ratio()
-        sn, sd = delta.as_integer_ratio()
-        if pn * bd * td * sd != (bn * td * sd + tn * sn * bd) * pd:
-            return False
-    return True
 
 
 def _chord_trace(

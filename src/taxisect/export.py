@@ -3,15 +3,15 @@
 Scenes are flat ordered lists of drawable items with small enumerated style
 classes; nothing here ever touches floating point.  The SVG exporter
 computes in ints: the view box is found by comparing coordinates as
-numerator and denominator pairs, the view is then taken over one common
-denominator, and each point, circle corner, label anchor and clipped end of
-a line or ray maps to an exact SVG coordinate kept as an int pair
-(numerator, denominator).  Only the four bounds of the view box become
-Fractions.  Each SVG number is printed from its pair, expanded to at most
-12 significant decimal digits with half-even rounding by one exact Decimal
-division.  Two emissions of the same scene are byte-identical.  JSON takes
-values only: rationals, kernel primitives and containers of them, such as
-bindings.
+numerator and denominator pairs, read off each point's int form, the view
+is then taken over one common denominator, and each point, circle corner,
+label anchor and clipped end of a line or ray maps to an exact SVG
+coordinate kept as an int pair (numerator, denominator).  Only the four
+bounds of the view box become Fractions.  Each SVG number is printed from
+its pair, expanded to at most 12 significant decimal digits with half-even
+rounding by one exact Decimal division.  Two emissions of the same scene
+are byte-identical.  JSON takes values only: rationals, kernel primitives
+and containers of them, such as bindings.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .kernel import (
     Ray,
     Segment,
     TaxicabCircle,
+    _circle_ints,
     _common2,
-    _common3,
 )
 
 Geometry = Union[Point, Segment, Line, Ray, TaxicabCircle, tuple[Point, ...]]
@@ -108,7 +108,7 @@ def compute_viewbox(scene: Scene) -> ViewBox:
     for item in scene.items:
         geometry = item.geometry
         if isinstance(geometry, TaxicabCircle):
-            cx, cy, r, m = _common3(geometry.center.x, geometry.center.y, geometry.radius)
+            cx, cy, r, m = _circle_ints(geometry)
             xs += ((cx - r, m), (cx + r, m))
             ys += ((cy - r, m), (cy + r, m))
             continue
@@ -123,8 +123,9 @@ def compute_viewbox(scene: Scene) -> ViewBox:
         else:
             continue  # an infinite line constrains nothing
         for p in points:
-            xs.append(p.x.as_integer_ratio())
-            ys.append(p.y.as_integer_ratio())
+            x, y, d = p._ints
+            xs.append((x, d))
+            ys.append((y, d))
     if not xs:
         return ViewBox(Fraction(-1), Fraction(-1), Fraction(1), Fraction(1))
     min_x, max_x = _bounds(xs)
@@ -241,7 +242,8 @@ class _Mapper:
         return (self.y1 * e - n * self.d) * _CANVAS_WIDTH, e * self.w
 
     def point(self, p: Point) -> tuple[_Pair, _Pair]:
-        return self.x(*p.x.as_integer_ratio()), self.y(*p.y.as_integer_ratio())
+        x, y, d = p._ints
+        return self.x(x, d), self.y(y, d)
 
 
 def _xy_text(xy: tuple[_Pair, _Pair]) -> str:
@@ -309,7 +311,7 @@ def _item_elements(mapper: _Mapper, item: SceneItem) -> list[str]:
         ends = (mapper.point(geometry.p), label_at)
     elif isinstance(geometry, TaxicabCircle):
         # The corners east, north, west, south: the center plus or minus r.
-        cx, cy, r, m = _common3(geometry.center.x, geometry.center.y, geometry.radius)
+        cx, cy, r, m = _circle_ints(geometry)
         x, y = mapper.x(cx, m), mapper.y(cy, m)
         corners = [(mapper.x(cx + r, m), y), (x, mapper.y(cy + r, m)),
                    (mapper.x(cx - r, m), y), (x, mapper.y(cy - r, m))]
@@ -324,7 +326,7 @@ def _item_elements(mapper: _Mapper, item: SceneItem) -> list[str]:
         else:
             ends = _visible_span(mapper, 0, c, b, b, 0, False)
     elif isinstance(geometry, Ray):
-        ox, oy, e = _common2(geometry.origin.x, geometry.origin.y)
+        ox, oy, e = geometry.origin._ints
         dx, dy, _ = _common2(geometry.direction.dx, geometry.direction.dy)
         ends = _visible_span(mapper, ox, oy, e, dx, dy, True)
         label_at = mapper.point(geometry.origin)

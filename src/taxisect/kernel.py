@@ -14,20 +14,21 @@ su*u + sv*v = r with signs (su, sv) in {+1, -1}, each cut off to its quadrant
 su*u >= 0, sv*v >= 0, so ``intersect_line_circle`` solves the line against
 each edge in closed form rather than building the edge lines.
 
-Line canonicalisation, ``line_through``, ``intersect_lines``,
-``intersect_line_circle`` and ``taxicab_distance`` compute in plain ints:
-each line, circle or coordinate pair is taken over its common denominator,
-and a ``Fraction`` is built only for each value returned.  So do the
-incidence predicates ``Line.contains``, ``point_between``,
-``at_taxicab_distance`` and ``point_on_circle``, which compare ints and
-build no ``Fraction`` at all, and ``circle_vertex``, which builds one for
-the coordinate it moves.  ``circle_point_toward`` builds one per
-coordinate: it is the point c + w*r/|w| at which a line through the
-center c along w crosses the circle in direction w, which the trace
-builder records for such a crossing whose point it does not already know,
-instead of solving the line against the circle.  A line is stored
-once, as its int form: ``line_through`` builds that form straight from
-the two points' ints, and every test or solve with the line reads it.
+A point is stored once, as its int form (X, Y, D): both coordinates over
+their least common denominator D > 0.  A line is stored once too, as its
+primitive int form (A, B, C).  Line canonicalisation, ``line_through``,
+``intersect_lines``, ``intersect_line_circle``, ``circle_vertex`` and
+``taxicab_distance`` compute on those ints, a circle taken over one common
+denominator, and each point they return is put in its int form by one gcd
+(``_point``); ``taxicab_distance`` builds one ``Fraction``, for the
+distance.  The incidence predicates ``Line.contains``, ``point_between``,
+``at_taxicab_distance`` and ``point_on_circle`` compare ints and build no
+``Fraction`` at all.  ``circle_point_toward`` is the point c + w*r/|w| at
+which a line through the center c along w crosses the circle in direction
+w, which the trace builder records for such a crossing whose point it does
+not already know, instead of solving the line against the circle.  A
+``Fraction`` is built only at the API edge: ``Point(x, y)`` takes
+rationals, and ``x`` and ``y`` read them back.
 
 The predicates exist so that a trace step can be checked by its incidences
 without solving it again; ``constructions._check_step`` is the one
@@ -52,16 +53,35 @@ class CoincidentLinesError(GeometryError):
     """Line-line intersection where both operands are the same line."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Point:
-    x: Fraction
-    y: Fraction
+    """The point (X/D, Y/D), stored as its one field ``_ints`` = (X, Y, D):
+    ints with D > 0 and gcd(X, Y, D) = 1, so D is the least common
+    denominator of the two coordinates.  That form is unique, so two Point
+    values are the same point exactly when they compare equal.  ``x`` and
+    ``y`` are X/D and Y/D: the coordinates, in Fractions.  A point hashes
+    as the pair (x, y) does."""
 
-    def __post_init__(self) -> None:
-        if type(self.x) is not Fraction:
-            object.__setattr__(self, "x", as_rational(self.x))
-        if type(self.y) is not Fraction:
-            object.__setattr__(self, "y", as_rational(self.y))
+    _ints: tuple[int, int, int]
+
+    def __init__(self, x: Fraction | int | str, y: Fraction | int | str) -> None:
+        object.__setattr__(self, "_ints", _common2(as_rational(x), as_rational(y)))
+
+    @property
+    def x(self) -> Fraction:
+        x, _, d = self._ints
+        return Fraction(x, d)
+
+    @property
+    def y(self) -> Fraction:
+        _, y, d = self._ints
+        return Fraction(y, d)
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
+
+    def __repr__(self) -> str:
+        return f"Point(x={self.x!r}, y={self.y!r})"
 
     def __add__(self, move: Direction) -> Point:
         if not isinstance(move, Direction):
@@ -75,6 +95,16 @@ class Point:
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
+
+
+def _point(x: int, y: int, d: int) -> Point:
+    """The point (x/d, y/d), for d != 0, in its int form."""
+    g = gcd(x, y, d)
+    if d < 0:
+        g = -g
+    point = object.__new__(Point)
+    object.__setattr__(point, "_ints", (x // g, y // g, d // g))
+    return point
 
 
 @dataclass(frozen=True)
@@ -113,10 +143,10 @@ class Line:
     _ints: tuple[int, int, int]
 
     def __init__(self, a: Fraction | int | str, b: Fraction | int | str, c: Fraction | int | str) -> None:
-        an, bn, cn, _ = _common3(as_rational(a), as_rational(b), as_rational(c))
+        (an, ad), (bn, bd), (cn, cd) = (as_rational(v).as_integer_ratio() for v in (a, b, c))
         if not an and not bn:
             raise GeometryError("line requires (a, b) != (0, 0)")
-        object.__setattr__(self, "_ints", _primitive(an, bn, cn))
+        object.__setattr__(self, "_ints", _primitive(an * bd * cd, bn * ad * cd, cn * ad * bd))
 
     @property
     def a(self) -> Fraction:
@@ -139,7 +169,7 @@ class Line:
     def contains(self, p: Point) -> bool:
         # A*x + B*y = C, with (x, y) over e.
         a, b, c = self._ints
-        x, y, e = _common2(p.x, p.y)
+        x, y, e = p._ints
         return a * x + b * y == c * e
 
     def slope(self) -> Fraction | None:
@@ -254,19 +284,25 @@ def _common2(x: Fraction, y: Fraction) -> tuple[int, int, int]:
     return xn * (den // xd), yn * (den // yd), den
 
 
-def _common3(x: Fraction, y: Fraction, z: Fraction) -> tuple[int, int, int, int]:
-    """(x*d, y*d, z*d, d) as ints, for d the least common denominator."""
-    xn, xd = x.as_integer_ratio()
-    yn, yd = y.as_integer_ratio()
-    zn, zd = z.as_integer_ratio()
-    den = lcm(xd, yd, zd)
-    return xn * (den // xd), yn * (den // yd), zn * (den // zd), den
+def _circle_ints(circle: TaxicabCircle) -> tuple[int, int, int, int]:
+    """(cx*m, cy*m, r*m, m) as ints, for m the least common denominator of
+    the circle's center and radius."""
+    cx, cy, cd = circle.center._ints
+    rn, rd = circle.radius.as_integer_ratio()
+    m = lcm(cd, rd)
+    scale = m // cd
+    return cx * scale, cy * scale, rn * (m // rd), m
+
+
+def _distance_ints(p: Point, q: Point) -> tuple[int, int]:
+    """d_t(p, q) as ints (n, d), d > 0, not in lowest terms."""
+    px, py, pd = p._ints
+    qx, qy, qd = q._ints
+    return abs(qx * pd - px * qd) + abs(qy * pd - py * qd), pd * qd
 
 
 def taxicab_distance(p: Point, q: Point) -> Fraction:
-    px, qx, xden = _common2(p.x, q.x)
-    py, qy, yden = _common2(p.y, q.y)
-    return Fraction(abs(qx - px) * yden + abs(qy - py) * xden, xden * yden)
+    return Fraction(*_distance_ints(p, q))
 
 
 def euclidean_distance_squared(p: Point, q: Point) -> Fraction:
@@ -284,14 +320,14 @@ def _primitive(a: int, b: int, c: int) -> tuple[int, int, int]:
 
 def line_through(p: Point, q: Point) -> Line:
     # The normal of (dx, dy) is (dy, -dx): dy*x - dx*y = dy*px - dx*py,
-    # multiplied through by xden*yden for x ints over xden, y over yden.
-    px, qx, xden = _common2(p.x, q.x)
-    py, qy, yden = _common2(p.y, q.y)
-    dx, dy = qx - px, qy - py
+    # with (dx, dy) = q - p over pd*qd, multiplied through by pd.
+    px, py, pd = p._ints
+    qx, qy, qd = q._ints
+    dx, dy = qx * pd - px * qd, qy * pd - py * qd
     if not dx and not dy:
         raise GeometryError("line through coincident points is undefined")
     line = object.__new__(Line)
-    object.__setattr__(line, "_ints", _primitive(dy * xden, -dx * yden, dy * px - dx * py))
+    object.__setattr__(line, "_ints", _primitive(dy * pd, -dx * pd, dy * px - dx * py))
     return line
 
 
@@ -303,7 +339,7 @@ def intersect_lines(m: Line, n: Line) -> Intersection:
         if m == n:
             raise CoincidentLinesError("lines coincide; intersection is the whole line")
         return Empty()
-    return OnePoint(Point(Fraction(mc * nb - nc * mb, det), Fraction(ma * nc - na * mc, det)))
+    return OnePoint(_point(mc * nb - nc * mb, ma * nc - na * mc, det))
 
 
 def intersect_line_circle(line: Line, circle: TaxicabCircle) -> Intersection:
@@ -322,11 +358,11 @@ def intersect_line_circle(line: Line, circle: TaxicabCircle) -> Intersection:
     (det = 0 and both numerators zero) yields that entire edge as an
     OverlapSegment, with endpoints in the edge's counterclockwise order.
 
-    The solve runs in ints: the line over its common denominator, and the
-    circle over its own, m, so (U, V) = m*(u, v) and edges su*U + sv*V = R.
+    The solve runs in ints: the line's int form, and the circle over one
+    denominator m, so (U, V) = m*(u, v) and edges su*U + sv*V = R.
     """
     a, b, c = line._ints
-    cx, cy, r, m = _common3(circle.center.x, circle.center.y, circle.radius)
+    cx, cy, r, m = _circle_ints(circle)
     c = c * m - a * cx - b * cy
     # The numerator of U depends only on sv (north or south edge), that of
     # V only on su (east or west edge).
@@ -344,7 +380,7 @@ def intersect_line_circle(line: Line, circle: TaxicabCircle) -> Intersection:
     ):
         if det == 0:
             if nu == 0 and nv == 0:
-                ends = [Point(Fraction(cx + i * r, m), Fraction(cy + j * r, m)) for i, j in (start, end)]
+                ends = [_point(cx + i * r, cy + j * r, m) for i, j in (start, end)]
                 return OverlapSegment(Segment(*ends))
             continue
         if det < 0:
@@ -357,8 +393,7 @@ def intersect_line_circle(line: Line, circle: TaxicabCircle) -> Intersection:
         (nu1, nv1, det1), (nu2, nv2, det2) = found
         if (nu2 * det1, nv2 * det1) < (nu1 * det2, nv1 * det2):
             found.reverse()
-    points = [Point(Fraction(cx * det + nu, m * det), Fraction(cy * det + nv, m * det))
-              for nu, nv, det in found]
+    points = [_point(cx * det + nu, cy * det + nv, m * det) for nu, nv, det in found]
     if not points:
         return Empty()
     if len(points) == 1:
@@ -392,12 +427,10 @@ def intersect_ray_circle(ray: Ray, circle: TaxicabCircle) -> Intersection:
 
 def circle_vertex(circle: TaxicabCircle, which: CircleVertex) -> Point:
     moves_x, sign = _VERTEX_MOVES[which]
-    center = circle.center
+    cx, cy, r, m = _circle_ints(circle)
     if moves_x:
-        cx, r, den = _common2(center.x, circle.radius)
-        return Point(Fraction(cx + sign * r, den), center.y)
-    cy, r, den = _common2(center.y, circle.radius)
-    return Point(center.x, Fraction(cy + sign * r, den))
+        return _point(cx + sign * r, cy, m)
+    return _point(cx, cy + sign * r, m)
 
 
 def circle_point_toward(circle: TaxicabCircle, w: Direction) -> Point:
@@ -405,20 +438,17 @@ def circle_point_toward(circle: TaxicabCircle, w: Direction) -> Point:
     the crossing in direction w of a line through the center c along w."""
     # The center and radius over one denominator m, w over another; with
     # L = |wx| + |wy| in w's numerators, the point is (c*L + w*r) / (m*L).
-    cx, cy, r, m = _common3(circle.center.x, circle.center.y, circle.radius)
+    cx, cy, r, m = _circle_ints(circle)
     wx, wy, _ = _common2(w.dx, w.dy)
     length = abs(wx) + abs(wy)
-    den = m * length
-    return Point(Fraction(cx * length + wx * r, den), Fraction(cy * length + wy * r, den))
+    return _point(cx * length + wx * r, cy * length + wy * r, m * length)
 
 
 def at_taxicab_distance(p: Point, q: Point, r: Fraction | int) -> bool:
     """Whether d_t(p, q) == r, compared in ints: no Fraction is built."""
-    # |qx - px| + |qy - py| = r, with x and r over one denominator, y over
-    # another, multiplied through by the y denominator.
-    px, qx, r, xden = _common3(p.x, q.x, r)
-    py, qy, yden = _common2(p.y, q.y)
-    return abs(qx - px) * yden + abs(qy - py) * xden == r * yden
+    distance, den = _distance_ints(p, q)
+    rn, rd = r.as_integer_ratio()
+    return distance * rd == rn * den
 
 
 def point_on_circle(circle: TaxicabCircle, p: Point) -> bool:
@@ -428,10 +458,11 @@ def point_on_circle(circle: TaxicabCircle, p: Point) -> bool:
 def point_between(p: Point, q: Point, x: Point) -> bool:
     """Whether x lies on the closed segment pq, compared in ints; when
     p == q that is x == p."""
-    # The three x coordinates over one denominator, the three y over
-    # another: both sides of the cross product carry the same scale.
-    px, qx, xx, _ = _common3(p.x, q.x, x.x)
-    py, qy, xy, _ = _common3(p.y, q.y, x.y)
-    if (xx - px) * (qy - py) != (xy - py) * (qx - px):
-        return False
-    return min(px, qx) <= xx <= max(px, qx) and min(py, qy) <= xy <= max(py, qy)
+    # u = x - p and v = q - x, each scaled by a positive int: x lies on pq
+    # when u and v are parallel and do not point apart.
+    px, py, pd = p._ints
+    qx, qy, qd = q._ints
+    xx, xy, xd = x._ints
+    ux, uy = xx * pd - px * xd, xy * pd - py * xd
+    vx, vy = qx * xd - xx * qd, qy * xd - xy * qd
+    return ux * vy == uy * vx and ux * vx + uy * vy >= 0

@@ -1,11 +1,11 @@
 """Exact rational scalars shared by every geometry module.
 
-All kernel arithmetic happens over arbitrary-precision rationals, the
-standard library ``fractions.Fraction``; floating point never enters a
-computation.  Fraction already keeps the invariants the kernel relies on:
-positive denominators, lowest-terms storage, and a unique zero.  The
-kernel's hot paths compute on the integer numerators over a common
-denominator and build a Fraction only for each value they return.
+All kernel arithmetic is exact: values are arbitrary-precision rationals,
+the standard library ``fractions.Fraction`` at the API, and floating point
+never enters a computation.  The kernel stores each point and line in an
+int form, with a positive denominator and no common factor, and computes
+on those ints, so a Fraction is built only at the API edge: for a
+coordinate read back, a distance or a radius.
 This module defines the accepted literal grammar ("p/q", a plain integer,
 or a decimal, which converts exactly), in one pattern that the script
 front end and the CLI both parse with, and exact conversion to Fraction:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from taxisect.angles import Angle, direction_to_param, measure_angle, measure_between
 import taxisect.constructions as constructions
-import taxisect.kernel as kernel
 from taxisect.constructions import (
     BetweenClaim,
     ConstructionError,
@@ -44,6 +43,7 @@ from taxisect.kernel import (
     points_of,
     taxicab_distance,
 )
+from test_export import fractions_built
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=40)
 points = st.builds(Point, rationals, rationals)
@@ -966,31 +966,32 @@ def test_build_computes_crossings_on_the_segment_in_closed_form(monkeypatch, bui
     assert len(calls) == solved
 
 
-def test_verify_takes_no_line_over_a_denominator(monkeypatch):
-    """A line is stored as its int form, so checking the 14 walk marks
-    against the chord line never takes that line's coefficients over a
-    common denominator."""
-    _, trace = section_angle(EDGE_ANGLE, 16)
-    # Fresh lines, equal to the built ones.
-    steps = tuple(
-        dataclasses.replace(step, output=Line(step.output.a, step.output.b, step.output.c))
-        if step.kind is StepKind.DRAW_LINE
-        else step
-        for step in trace.steps
-    )
-    lines = {(line.a, line.b, line.c) for line in drawn_lines(ConstructionTrace(steps, trace.result))}
-    assert len(lines) == 5
-    forms = []
-    original = kernel._common3
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(lambda n=n: nsect_segment(pt(F(1, 3), -2), pt(5, F(7, 2)), n) for n in (2, 3, 12)),
+        lambda: section_angle(EDGE_ANGLE, 16),
+    ],
+    ids=["nsect-2", "nsect-3", "nsect-12", "chord-16"],
+)
+def test_verify_builds_no_fraction(build):
+    """Points and lines are stored in int form and every check compares
+    ints, so verifying a trace builds no Fraction: no line or point is ever
+    taken over a common denominator."""
+    _, trace = build()
+    assert fractions_built(lambda: verify_trace(trace)) == 0
+    assert verify_trace(trace).ok
 
-    def counted(x, y, z):
-        forms.append((x, y, z))
-        return original(x, y, z)
 
-    monkeypatch.setattr(kernel, "_common3", counted)
-    assert verify_trace(ConstructionTrace(steps, trace.result)).ok
-    assert forms
-    assert not [form for form in forms if form in lines]
+def test_build_fraction_counts():
+    """The builder computes its points from the int forms.  An n-section
+    builds 4 Fractions: the length L, the part L/n and the two components
+    of the direction toward P.  A chord sectioning also builds the t-radian
+    parameters, the directions of its rays and the distance claim of each
+    mark."""
+    a, b = pt(F(1, 3), -2), pt(5, F(7, 2))
+    assert fractions_built(lambda: nsect_segment(a, b, 12)) == 4
+    assert fractions_built(lambda: section_angle(EDGE_ANGLE, 16)) == 65
 
 
 def test_chord_mark_off_its_ray_is_refused(monkeypatch):

@@ -1,5 +1,10 @@
+import copy
+import dataclasses
+import pickle
 import random
+from decimal import Context, Decimal
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -539,6 +544,78 @@ def test_line_is_the_line_through_two_of_its_points(a, b, c, s, t):
     through = line_through(p, q)
     assert through == line and hash(through) == hash(line)
     assert repr(through) == repr(line)
+
+
+# A point as it was stored before its int form: two Fraction fields.  Its
+# class is named Point, so its repr is the one a Point must print.
+FractionPoint = dataclasses.make_dataclass("Point", [("x", F), ("y", F)], frozen=True)
+
+
+exact_values = st.one_of(
+    wide_rationals,
+    st.integers(-(10**9), 10**9).map(F),
+    st.builds(lambda n, k: F(n, 10**k), st.integers(-(10**9), 10**9), st.integers(0, 9)),
+)
+
+
+def spellings(value: F) -> list:
+    """The ways of writing ``value`` that ``Point`` takes: a Fraction, "p/q"
+    text, an int when it is one, decimal text when it has one."""
+    out = [value, f"{value.numerator}/{value.denominator}"]
+    if value.denominator == 1:
+        out.append(value.numerator)
+    places = next((k for k in range(10) if 10**k % value.denominator == 0), None)
+    if places is not None:
+        exact = Context(prec=1000)
+        out.append(format(Decimal(int(value * 10**places)).scaleb(-places, exact), "f"))
+    return out
+
+
+@settings(max_examples=300)
+@given(exact_values, exact_values, st.data())
+def test_point_int_form_matches_two_fractions(xv, yv, data):
+    """A point is stored as (X, Y, D) with D > 0 and gcd 1, reads back its
+    coordinates, and compares, hashes and prints as a frozen dataclass of
+    two Fractions does."""
+    x_text, y_text = (data.draw(st.sampled_from(spellings(v))) for v in (xv, yv))
+    p = Point(x_text, y_text)
+    big_x, big_y, d = p._ints
+    assert d > 0 and gcd(big_x, big_y, d) == 1
+    assert type(p.x) is F and type(p.y) is F
+    assert (p.x, p.y) == (xv, yv)
+    want = FractionPoint(xv, yv)
+    assert hash(p) == hash(want)
+    assert repr(p) == repr(want)
+    assert str(p) == f"({want.x}, {want.y})"
+    # A second point, often at the same coordinates written another way.
+    uv, vv = (data.draw(st.sampled_from([xv, yv]) | exact_values) for _ in range(2))
+    q = Point(*(data.draw(st.sampled_from(spellings(v))) for v in (uv, vv)))
+    assert (p == q) == (want == FractionPoint(uv, vv))
+    for name in ("x", "y", "_ints"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, getattr(p, name))
+    inexact = data.draw(st.one_of(st.floats(allow_nan=False), st.booleans()))
+    with pytest.raises(TypeError):
+        Point(inexact, y_text) if data.draw(st.booleans()) else Point(x_text, inexact)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Point(F(1, 3), -2),
+        lambda: Line(F(1, 2), 3, F(-5, 7)),
+        lambda: TaxicabCircle(Point(F(-4, 9), 5), F(3, 4)),
+        lambda: nsect_segment(Point(F(1, 3), -2), Point(5, F(7, 2)), 7)[1],
+        lambda: section_angle(Angle(Point(0, 0), Direction(1, 0), Direction(1, 1)), 6)[1],
+    ],
+    ids=["point", "line", "circle", "nsect-trace", "chord-trace"],
+)
+def test_copy_and_pickle_keep_the_value(build):
+    value = build()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value
+        assert hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
 
 
 @st.composite
