@@ -6,7 +6,8 @@ taxicab circumference) and a straight angle measures 4.  Directions are
 located on the unit circle by an arc-length parameter t in [0, 8), measured
 counterclockwise from the east vertex (1, 0).  On the upper half of the
 diamond the parameter is t = 2 - 2x and on the lower half t = 6 + 2x, both
-linear in x, which keeps every conversion exact.
+linear in x, which keeps every conversion exact; ``_param_ints`` gives t
+as a ratio of ints, which the sectioning code computes on.
 
 Angles here are undirected: measures live in [0, 4] and a reflex measure is
 never produced.  The sectioning code sweeps the shorter way around.
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernel import Direction, Point
-from .numeric import as_rational
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,19 @@ class Angle:
     side2: Direction
 
 
+def _param_ints(d: Direction) -> tuple[int, int]:
+    """The arc parameter t = T/L of d, for (X, Y) its int form and L = |X| + |Y|."""
+    (xn, xd), (yn, yd) = d.dx.as_integer_ratio(), d.dy.as_integer_ratio()
+    x, y = xn * yd, yn * xd
+    length = abs(x) + abs(y)
+    if y >= 0:
+        return 2 * (length - x), length  # t = 2 - 2x
+    return 2 * (3 * length + x), length  # t = 6 + 2x
+
+
 def direction_to_param(d: Direction) -> Fraction:
     """Arc parameter in [0, 8) of the unit-circle point with direction d."""
-    scale = d.taxicab_length()
-    x = d.dx / scale
-    if d.dy >= 0:
-        return 2 - 2 * x
-    return 6 + 2 * x
+    return Fraction(*_param_ints(d))
 
 
 def param_to_ints(n: int, d: int) -> tuple[int, int, int]:
@@ -47,11 +53,6 @@ def param_to_ints(n: int, d: int) -> tuple[int, int, int]:
         return x, den - abs(x), den
     x = n - 6 * d  # x = (t - 6)/2
     return x, abs(x) - den, den
-
-
-def sweep_ccw(t_from: Fraction, t_to: Fraction) -> Fraction:
-    """Counterclockwise arc length from one parameter to another, in [0, 8)."""
-    return (as_rational(t_to) - as_rational(t_from)) % 8
 
 
 def measure_between(d1: Direction, d2: Direction) -> Fraction:

@@ -39,10 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Sequence, Union, get_args
 
-from .angles import Angle, direction_to_param, param_to_ints, sweep_ccw
+from .angles import Angle, _param_ints, param_to_ints
 from .kernel import (
     CircleVertex,
     Direction,
@@ -162,7 +161,7 @@ _CLAIM_TYPES = get_args(Claim)
 Primitive = Union[Point, Line, TaxicabCircle]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TraceStep:
     """One compass or straightedge action.
 
@@ -176,6 +175,12 @@ class TraceStep:
     ``pick`` to intersect-line-circle, ``vertex`` to take-circle-vertex, and
     ``radius`` to a draw-circle with one input.  ``label`` only names the
     output for rendering: the checker ignores it.
+
+    A step is slotted and not frozen, since a frozen ``__init__`` stores
+    each field through ``object.__setattr__`` at about five times the cost.
+    It compares, hashes and prints by its fields all the same.  Nothing
+    assigns to a step: ``dataclasses.replace`` derives a changed one, as
+    for the frozen :class:`ConstructionTrace`.
     """
 
     kind: StepKind
@@ -624,6 +629,10 @@ def section_angle(
     (see :func:`_chord_trace`); otherwise it is None.  Each mark is checked
     against the crossing of its ray with that circle; a mismatch raises
     :class:`PostconditionError` with the trace attached.
+
+    The sweep, its reflex swap, the corner test and the mark checks run in
+    ints over one denominator (see :func:`angles._param_ints`), and build
+    no ``Fraction``.
     """
     _check_part_count(n, "angle sectioning")
     if not (
@@ -637,35 +646,38 @@ def section_angle(
     if radius <= 0:
         raise ConstructionError("sectioning circle radius must be positive")
 
+    # Both side parameters over D = L1*L2: start/D, sweep/D and a turn 8D.
     first, second = angle.side1, angle.side2
-    start = direction_to_param(first)
-    sweep = sweep_ccw(start, direction_to_param(second))
+    (t1, l1), (t2, l2) = _param_ints(first), _param_ints(second)
+    den = l1 * l2
+    turn = 8 * den
+    start = t1 * l2
+    sweep = (t2 * l1 - start) % turn
     if sweep == 0:
         raise ConstructionError("cannot section a zero angle")
-    if sweep > 4:
+    if 2 * sweep > turn:
         # Sweep the other way round, from where the forward sweep ended.
         first, second = second, first
-        start, sweep = (start + sweep) % 8, 8 - sweep
+        start, sweep = (start + sweep) % turn, turn - sweep
 
-    # t_k = start + sweep*k/n mod 8, every t_k an int over one denominator,
-    # and each ray's direction the unit-circle point at t_k.
-    (sn, sd), (wn, wd) = start.as_integer_ratio(), sweep.as_integer_ratio()
-    base = lcm(sd, wd)
-    den = base * n
-    first_t, step_t, turn = sn * (base // sd) * n, wn * (base // wd), 8 * den
-    units = [param_to_ints((first_t + step_t * k) % turn, den) for k in range(1, n)]
+    # t_k = (start + sweep*k/n)/D mod 8, every t_k an int over nD, and each
+    # ray's direction the unit-circle point at t_k.
+    first_t, part_den = start * n, den * n
+    units = [param_to_ints((first_t + sweep * k) % (8 * part_den), part_den) for k in range(1, n)]
     rays = tuple(Ray(angle.vertex, Direction(Fraction(x, u), Fraction(y, u))) for x, y, u in units)
 
-    if start + sweep > 2 * (start // 2 + 1):  # the sweep passes a corner
+    # The sweep passes a corner when it ends past the next even parameter.
+    if start + sweep > 2 * den * (start // (2 * den) + 1):
         return rays, None
     trace = _chord_trace(angle.vertex, first, second, n, radius)
-    # Mark k is the vertex plus radius times unit k: vertex + (rn/rd)(x/u, y/u).
+    # Mark k must be vertex + (rn/rd)(x/u, y/u), the ints (ex, ey) over ed.
     vx, vy, vd = angle.vertex._ints
     rn, rd = radius.as_integer_ratio()
     for k, ((x, y, u), mark) in enumerate(zip(units, trace.marked_points()), start=1):
-        expected = _point(vx * rd * u + rn * x * vd, vy * rd * u + rn * y * vd, vd * rd * u)
-        if mark != expected:
-            raise PostconditionError(f"chord mark M{k} is {mark}, expected {expected}", trace)
+        ex, ey, ed = vx * rd * u + rn * x * vd, vy * rd * u + rn * y * vd, vd * rd * u
+        mx, my, md = mark._ints
+        if mx * ed != ex * md or my * ed != ey * md:
+            raise PostconditionError(f"chord mark M{k} is {mark}, expected {_point(ex, ey, ed)}", trace)
     return rays, trace
 
 

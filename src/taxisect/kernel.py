@@ -83,16 +83,6 @@ class Point:
     def __repr__(self) -> str:
         return f"Point(x={self.x!r}, y={self.y!r})"
 
-    def __add__(self, move: Direction) -> Point:
-        if not isinstance(move, Direction):
-            return NotImplemented
-        return Point(self.x + move.dx, self.y + move.dy)
-
-    def __sub__(self, other: Point) -> Direction:
-        if not isinstance(other, Point):
-            return NotImplemented
-        return Direction(self.x - other.x, self.y - other.y)
-
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
 
@@ -121,12 +111,6 @@ class Direction:
             object.__setattr__(self, "dy", as_rational(self.dy))
         if not self.dx.numerator and not self.dy.numerator:
             raise GeometryError("zero direction")
-
-    def scaled(self, factor: Fraction | int) -> Direction:
-        return Direction(self.dx * factor, self.dy * factor)
-
-    def taxicab_length(self) -> Fraction:
-        return abs(self.dx) + abs(self.dy)
 
     def __str__(self) -> str:
         return f"({self.dx}, {self.dy})"

@@ -34,6 +34,7 @@ from taxisect.kernel import (
     point_on_circle,
     taxicab_distance,
 )
+from test_kernel import along
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -68,7 +69,7 @@ def unit_point(t: F) -> Point:
 
 
 def parametric(a: Point, b: Point, n: int) -> Point:
-    return a + (b - a).scaled(F(1, n))
+    return Point(a.x + (b.x - a.x) / n, a.y + (b.y - a.y) / n)
 
 
 def test_criterion_1_proof_conformance():
@@ -100,7 +101,7 @@ def test_criterion_2_oracle_equivalence():
             if i % 4 == 0:
                 dx, dy = forced[(i // 4) % len(forced)]
                 scale = F(rng.randint(1, 1000), rng.randint(1, 1000))
-                b = a + Direction(F(dx), F(dy)).scaled(scale)
+                b = along(a, Direction(F(dx), F(dy)), scale)
             else:
                 b = rand_point(rng)
                 if b == a:
@@ -187,7 +188,7 @@ def test_criterion_5_angle_sectioning():
             if trace is not None:
                 assert verify_trace(trace).ok
                 crossings = tuple(
-                    vertex + r.direction.scaled(radius / r.direction.taxicab_length())
+                    along(vertex, r.direction, radius / (abs(r.direction.dx) + abs(r.direction.dy)))
                     for r in rays
                 )
                 assert trace.marked_points() == crossings

@@ -44,6 +44,7 @@ from taxisect.kernel import (
     taxicab_distance,
 )
 from test_export import fractions_built
+from test_kernel import along, wide_directions
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=40)
 points = st.builds(Point, rationals, rationals)
@@ -56,7 +57,7 @@ def pt(x, y) -> Point:
 
 
 def parametric(a: Point, b: Point, n: int) -> Point:
-    return a + (b - a).scaled(F(1, n))
+    return Point(a.x + (b.x - a.x) / n, a.y + (b.y - a.y) / n)
 
 
 def labeled_point(trace: ConstructionTrace, label: str) -> Point:
@@ -166,7 +167,7 @@ def test_chain_corner_examples():
 )
 @settings(max_examples=60, deadline=None)
 def test_chain_corner_sits_behind_a(a, move, n):
-    corner = chain_corner(a, a + move, n)
+    corner = chain_corner(a, along(a, move), n)
     if move.dx == move.dy > 0:
         assert corner.vertex is CircleVertex.SOUTH
 
@@ -210,7 +211,7 @@ HOSTILE_DIRECTIONS = [
 def test_every_octant_and_axis():
     a = pt(F(1, 3), F(-2, 7))
     for dx, dy in HOSTILE_DIRECTIONS:
-        b = a + Direction(F(dx), F(dy))
+        b = along(a, Direction(F(dx), F(dy)))
         for n in (2, 3, 4, 5, 7):
             c, trace = nsect_segment(a, b, n)
             assert c == parametric(a, b, n)
@@ -595,8 +596,8 @@ def crossing_points(vertex, rays, radius):
     """Where each returned ray pierces the circle of that radius."""
     out = []
     for ray in rays:
-        unit = ray.direction.scaled(1 / ray.direction.taxicab_length())
-        out.append(vertex + unit.scaled(radius))
+        w = ray.direction
+        out.append(along(vertex, w, radius / (abs(w.dx) + abs(w.dy))))
     return tuple(out)
 
 
@@ -727,13 +728,28 @@ def test_section_rays_strictly_ordered(vertex, d1, d2, n):
     assert len(set(relative)) == len(relative)
 
 
+def reference_param(w: Direction) -> F:
+    """The arc parameter in Fraction arithmetic: t = 2 - 2x, or 6 + 2x when
+    dy < 0, for the unit-circle point (x, y) in direction w."""
+    x = w.dx / (abs(w.dx) + abs(w.dy))
+    return 6 + 2 * x if w.dy < 0 else 2 - 2 * x
+
+
+def reference_sweep(angle: Angle) -> tuple[F, F]:
+    """Start and sweep of the non-reflex turn between the sides, in
+    Fraction arithmetic: the counterclockwise sweep from side1 mod 8, taken
+    the other way round from where it ended when it is past 4."""
+    start = reference_param(angle.side1)
+    sweep = (reference_param(angle.side2) - start) % 8
+    if sweep > 4:
+        start, sweep = (start + sweep) % 8, 8 - sweep
+    return start, sweep
+
+
 def reference_section_rays(angle: Angle, n: int) -> tuple[Ray, ...]:
     """The interior rays in Fraction arithmetic: t_k = start + sweep*k/n
     mod 8, swept the non-reflex way round."""
-    start = direction_to_param(angle.side1)
-    sweep = (direction_to_param(angle.side2) - start) % 8
-    if sweep > 4:
-        start, sweep = (start + sweep) % 8, 8 - sweep
+    start, sweep = reference_sweep(angle)
     return tuple(Ray(angle.vertex, unit_direction((start + sweep * k / n) % 8)) for k in range(1, n))
 
 
@@ -753,16 +769,33 @@ wide_directions_st = st.one_of(
 )
 
 
-@given(wide_points, wide_directions_st, wide_directions_st, st.integers(2, 20), st.sampled_from([F(1), F(5, 3)]))
-@settings(max_examples=200, deadline=None)
-def test_section_rays_match_the_fraction_formula(vertex, d1, d2, n, radius):
+sides_st = st.one_of(wide_directions_st, wide_directions)
+
+
+@given(wide_points, sides_st, sides_st, st.integers(2, 20), st.sampled_from([F(1), F(5, 3)]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_section_rays_match_the_fraction_formula(vertex, d1, d2, n, radius, data):
+    """``section_angle`` takes its start, sweep, reflex swap and corner test
+    in ints over one denominator.  They agree with the Fraction arithmetic
+    of :func:`reference_sweep`: the same rays, no trace exactly when the
+    sweep passes a corner, and a zero angle refused, here for a side and a
+    multiple of it as well as for any two sides of equal parameter."""
+    if data.draw(st.integers(0, 4)) == 0:
+        scale = data.draw(st.sampled_from([F(2), F(1, 3), F(2**127 - 1, 7)]))
+        d2 = Direction(d1.dx * scale, d1.dy * scale)
+    for side in (d1, d2):
+        assert direction_to_param(side) == reference_param(side)
     angle = Angle(vertex, d1, d2)
-    if measure_angle(angle) == 0:
+    start, sweep = reference_sweep(angle)
+    if sweep == 0:
+        with pytest.raises(ConstructionError, match="cannot section a zero angle"):
+            section_angle(angle, n, radius)
         return
-    rays, _ = section_angle(angle, n, radius)
+    rays, trace = section_angle(angle, n, radius)
     want = reference_section_rays(angle, n)
     assert rays == want
     assert repr(rays) == repr(want)
+    assert (trace is None) == (start + sweep > 2 * (start // 2 + 1))
 
 
 @given(
@@ -986,12 +1019,14 @@ def test_verify_builds_no_fraction(build):
 def test_build_fraction_counts():
     """The builder computes its points from the int forms.  An n-section
     builds 4 Fractions: the length L, the part L/n and the two components
-    of the direction toward P.  A chord sectioning also builds the t-radian
-    parameters, the directions of its rays and the distance claim of each
-    mark."""
+    of the direction toward P.  A chord sectioning takes its sweep and
+    checks its marks in ints.  Past the 4 of its one n-section it builds
+    the radius, the doubled radius that places the helper points, the two
+    components of each of its 15 rays, and the distance claim of each
+    further mark: 4 + 2 + 30 + 14 = 50."""
     a, b = pt(F(1, 3), -2), pt(5, F(7, 2))
     assert fractions_built(lambda: nsect_segment(a, b, 12)) == 4
-    assert fractions_built(lambda: section_angle(EDGE_ANGLE, 16)) == 65
+    assert fractions_built(lambda: section_angle(EDGE_ANGLE, 16)) == 50
 
 
 def test_chord_mark_off_its_ray_is_refused(monkeypatch):
@@ -1001,7 +1036,7 @@ def test_chord_mark_off_its_ray_is_refused(monkeypatch):
         trace = original(*args)
         steps = list(trace.steps)
         index = next(i for i, step in enumerate(steps) if step.label == "M3")
-        steps[index] = dataclasses.replace(steps[index], output=steps[index].output + d(0, F(1, 9)))
+        steps[index] = dataclasses.replace(steps[index], output=along(steps[index].output, d(0, F(1, 9))))
         return dataclasses.replace(trace, steps=tuple(steps))
 
     monkeypatch.setattr(constructions, "_chord_trace", moved_m3)
@@ -1046,7 +1081,7 @@ def assert_lines_pass_through_centers(trace: ConstructionTrace) -> None:
 )
 @settings(max_examples=80, deadline=None)
 def test_nsect_meets_circles_through_their_centers(a, direction, scale, n):
-    _, trace = nsect_segment(a, a + direction.scaled(scale), n)
+    _, trace = nsect_segment(a, along(a, direction, scale), n)
     assert_lines_pass_through_centers(trace)
 
 
@@ -1307,7 +1342,7 @@ def _mutated(draw, trace: ConstructionTrace) -> ConstructionTrace:
 
 genuine_traces = st.one_of(
     st.builds(
-        lambda a, move, n: nsect_segment(a, a + move, n)[1],
+        lambda a, move, n: nsect_segment(a, along(a, move), n)[1],
         wide_points,
         st.sampled_from(HOSTILE_DIRECTIONS).map(lambda t: d(*t)),
         st.integers(2, 7),
@@ -1473,7 +1508,7 @@ def test_genuine_traces_verify_without_a_solver(monkeypatch):
     no step of theirs is checked by solving an intersection."""
     a = pt(F(1, 3), F(-2, 7))
     traces = [
-        nsect_segment(a, a + d(*move).scaled(F(5, 4)), n)[1] for move in HOSTILE_DIRECTIONS for n in range(2, 13)
+        nsect_segment(a, along(a, d(*move), F(5, 4)), n)[1] for move in HOSTILE_DIRECTIONS for n in range(2, 13)
     ]
     traces += [
         section_angle(_edge_angle(F(start, 4), 4, swap), n)[1]

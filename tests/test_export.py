@@ -55,6 +55,7 @@ from taxisect.kernel import (
 )
 from taxisect.numeric import parse_rational
 from taxisect.script import run_source
+from test_kernel import along
 
 
 def pt(x, y) -> Point:
@@ -338,8 +339,8 @@ def reference_ends(geometry, view: ViewBox):
         span = reference_clip(anchor, direction, view)
         if span is None or not span[0] < span[1]:
             return None
-        p = anchor + direction.scaled(span[0]) if span[0] != 0 else anchor
-        q = anchor + direction.scaled(span[1]) if span[1] != 0 else anchor
+        p = along(anchor, direction, span[0]) if span[0] != 0 else anchor
+        q = along(anchor, direction, span[1]) if span[1] != 0 else anchor
         return p, q
     span = reference_clip(geometry.origin, geometry.direction, view)
     if span is None:
@@ -371,7 +372,7 @@ clip_directions = st.one_of(
 def test_lines_and_rays_draw_the_reference_endpoints(x, y, w, h, s, t, direction, as_ray):
     view = ViewBox(x, y, x + w, y + h)
     anchor = Point(x + s * w, y + t * h)
-    geometry = Ray(anchor, direction) if as_ray else line_through(anchor, anchor + direction)
+    geometry = Ray(anchor, direction) if as_ray else line_through(anchor, along(anchor, direction))
     drawn = [re.search(r'x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)"', piece).groups()
              for piece in _item_elements(_Mapper(view), SceneItem(geometry)) if piece.startswith("<line ")]
     ends = reference_ends(geometry, view)
@@ -542,7 +543,7 @@ def views_and_items(draw):
         geometry = TaxicabCircle(point(), draw(huge_extents))
     elif kind == "line":
         p = point()
-        geometry = line_through(p, p + direction())
+        geometry = line_through(p, along(p, direction()))
     elif kind == "ray":
         geometry = Ray(point(), direction())
     else:

@@ -36,7 +36,7 @@ from taxisect.kernel import (
     taxicab_distance,
 )
 from taxisect.angles import Angle
-from taxisect.constructions import StepKind, nsect_segment, section_angle
+from taxisect.constructions import StepKind, TraceStep, nsect_segment, section_angle
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 points = st.builds(Point, rationals, rationals)
@@ -50,6 +50,12 @@ directions = (
 
 def pt(x, y) -> Point:
     return Point(F(x), F(y))
+
+
+def along(p: Point, w: Direction, t=1) -> Point:
+    """p + t*w in Fraction arithmetic: the reference the tests hold the
+    kernel's int forms to."""
+    return Point(p.x + t * w.dx, p.y + t * w.dy)
 
 
 def line_from_slope(m, intercept) -> Line:
@@ -170,13 +176,6 @@ def test_line_rejects_bool_and_float_in_any_coefficient(value):
     for coefficients in ((value, F(1), F(1)), (F(1), value, F(1)), (F(1), F(1), value)):
         with pytest.raises(TypeError):
             Line(*coefficients)
-
-
-def test_point_arithmetic():
-    assert pt(1, 2) + Direction(F(3), F(-1)) == pt(4, 1)
-    assert pt(4, 1) - pt(1, 2) == Direction(F(3), F(-1))
-    assert Direction(F(3), F(-1)).scaled(F(1, 3)) == Direction(F(1), F(-1, 3))
-    assert Direction(F(3), F(-1)).taxicab_length() == 4
 
 
 # -------------------------------------------------------------------- lines
@@ -408,7 +407,7 @@ def lines_and_circles(draw):
         step = draw(st.sampled_from([Direction(F(1), F(0)), Direction(F(0), F(1))]))
     else:
         step = draw(directions)
-    return line_through(anchor, anchor + step), circle
+    return line_through(anchor, along(anchor, step)), circle
 
 
 @settings(max_examples=400)
@@ -618,6 +617,54 @@ def test_copy_and_pickle_keep_the_value(build):
         assert repr(twin) == repr(value)
 
 
+# A trace step as it was declared before it was slotted: a frozen dataclass
+# of the same fields and defaults.  Its class is named TraceStep, so its
+# repr is the one a step must print.
+FrozenStep = dataclasses.make_dataclass(
+    "TraceStep",
+    [
+        ("kind", StepKind),
+        ("inputs", tuple),
+        ("output", object),
+        ("claims", tuple, dataclasses.field(default=())),
+        ("label", object, dataclasses.field(default=None)),
+        ("pick", object, dataclasses.field(default=None)),
+        ("vertex", object, dataclasses.field(default=None)),
+        ("radius", object, dataclasses.field(default=None)),
+    ],
+    frozen=True,
+)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: nsect_segment(Point(F(1, 3), -2), Point(5, F(7, 2)), 2)[1],
+        lambda: section_angle(Angle(Point(0, 0), Direction(1, 0), Direction(1, 1)), 6)[1],
+    ],
+    ids=["nsect-trace", "chord-trace"],
+)
+def test_trace_step_keeps_the_frozen_record_contract(build):
+    """A step is a slotted record, with no __dict__, that declares the
+    fields and defaults of the frozen dataclass it was, and compares,
+    hashes, prints and is replaced as that dataclass does."""
+    fields = [(f.name, f.default) for f in dataclasses.fields(TraceStep)]
+    assert fields == [(f.name, f.default) for f in dataclasses.fields(FrozenStep)]
+    steps = build().steps
+    again = build().steps
+    twins = [FrozenStep(*(getattr(step, name) for name, _ in fields)) for step in steps]
+    for step, twin, rebuilt in zip(steps, twins, again):
+        assert not hasattr(step, "__dict__")
+        assert repr(step) == repr(twin)
+        assert hash(step) == hash(twin) == hash(rebuilt)
+        assert step == rebuilt and step is not rebuilt
+        assert [step == other for other in steps] == [twin == other for other in twins]
+        relabelled = dataclasses.replace(step, label="Z")
+        assert type(relabelled) is TraceStep and relabelled != step
+        assert repr(relabelled) == repr(dataclasses.replace(twin, label="Z"))
+        assert dataclasses.replace(relabelled, label=step.label) == step
+
+
 @st.composite
 def line_pairs(draw):
     """Two lines: through random points, parallel, or the same line."""
@@ -775,15 +822,15 @@ wide_directions = (
 def test_line_through_center_crosses_toward_w_second_when_w_is_positive(center, radius, w):
     """The trace builder's pick rule: a line through the center along w
     crosses at c - s*w and c + s*w, s = r / |w|, in (x, y) order."""
-    s = radius / w.taxicab_length()
-    behind, ahead = center + w.scaled(-s), center + w.scaled(s)
+    s = radius / (abs(w.dx) + abs(w.dy))
+    behind, ahead = along(center, w, -s), along(center, w, s)
     want = TwoPoints(behind, ahead) if (w.dx, w.dy) > (0, 0) else TwoPoints(ahead, behind)
-    got = intersect_line_circle(line_through(center, center + w), TaxicabCircle(center, radius))
+    got = intersect_line_circle(line_through(center, along(center, w)), TaxicabCircle(center, radius))
     assert_same(got, want)
 
 
 def _reference_circle_point_toward(circle: TaxicabCircle, w: Direction) -> Point:
-    return circle.center + w.scaled(circle.radius / w.taxicab_length())
+    return along(circle.center, w, circle.radius / (abs(w.dx) + abs(w.dy)))
 
 
 @settings(max_examples=300)
@@ -793,10 +840,10 @@ def test_circle_point_toward_matches_fraction_formula(center, radius, w, scale):
     want = _reference_circle_point_toward(circle, w)
     assert_same(circle_point_toward(circle, w), want)
     # Only w's direction counts, not its length.
-    assert_same(circle_point_toward(circle, w.scaled(scale)), want)
-    assert_same(circle_point_toward(circle, w.scaled(F(1, scale))), want)
+    assert_same(circle_point_toward(circle, Direction(w.dx * scale, w.dy * scale)), want)
+    assert_same(circle_point_toward(circle, Direction(w.dx / scale, w.dy / scale)), want)
     # It is the crossing of the line along w that the solve picks for w.
-    crossings = points_of(intersect_line_circle(line_through(center, center + w), circle))
+    crossings = points_of(intersect_line_circle(line_through(center, along(center, w)), circle))
     assert_same(crossings[1 if (w.dx, w.dy) > (0, 0) else 0], want)
 
 
