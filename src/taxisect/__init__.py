@@ -30,16 +30,12 @@ _EXPORTS = {
         "CircleVertex",
         "CoincidentLinesError",
         "Direction",
-        "Empty",
         "GeometryError",
         "Line",
-        "OnePoint",
-        "OverlapSegment",
         "Point",
         "Ray",
         "Segment",
         "TaxicabCircle",
-        "TwoPoints",
         "circle_point_toward",
         "circle_vertex",
         "euclidean_distance_squared",

@@ -49,6 +49,7 @@ from .kernel import (
     Line,
     Point,
     Ray,
+    Segment,
     TaxicabCircle,
     _point,
     at_taxicab_distance,
@@ -59,7 +60,6 @@ from .kernel import (
     line_through,
     point_between,
     point_on_circle,
-    points_of,
     taxicab_distance,
 )
 from .numeric import as_rational
@@ -310,8 +310,8 @@ def _check_step(step: TraceStep, outputs: Sequence[Primitive]) -> str | None:
                 return _DIFFERS
             (ox, oy, od), (cx, cy, cd) = output._ints, c._ints
             return None if pick % 2 == ((ox * cd, oy * cd) > (cx * od, cy * od)) else _DIFFERS
-        crossings = points_of(intersect_line_circle(line, circle))
-        if not -len(crossings) <= pick < len(crossings):
+        crossings = intersect_line_circle(line, circle)
+        if isinstance(crossings, Segment) or not -len(crossings) <= pick < len(crossings):
             return _DOES_NOT_REPLAY
         return None if crossings[pick] == output else _DIFFERS
     if kind is StepKind.MARK_RESULT:
@@ -482,7 +482,7 @@ class _TraceBuilder:
 
     def intersect_two_lines(self, first_ref: int, second_ref: int) -> int:
         # The constructions meet only lines that cross in one point.
-        crossing = intersect_lines(self.output(first_ref), self.output(second_ref)).point
+        (crossing,) = intersect_lines(self.output(first_ref), self.output(second_ref))
         return self._add(TraceStep(StepKind.INTERSECT_LINES, (first_ref, second_ref), crossing))
 
     def mark_result(self, point_ref: int, claims: tuple[Claim, ...], label: str | None = None) -> int:

@@ -72,12 +72,6 @@ class ViewBox:
         if self.max_x <= self.min_x or self.max_y <= self.min_y:
             raise GeometryError("viewbox must have positive extent")
 
-    def width(self) -> Fraction:
-        return self.max_x - self.min_x
-
-    def height(self) -> Fraction:
-        return self.max_y - self.min_y
-
 
 @dataclass(frozen=True)
 class Scene:

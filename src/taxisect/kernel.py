@@ -5,8 +5,9 @@ coordinates, plus the distance and intersection operations everything else is
 built from.  A taxicab circle of radius r about (cx, cy) is the locus
 |x - cx| + |y - cy| = r: a square rotated 45 degrees whose edges have slope
 +1 or -1.  Because of those straight edges a line can meet a circle in a full
-segment, so the intersection result type enumerates that case explicitly
-instead of treating it as an error.
+segment.  An intersection therefore returns either the tuple of its
+isolated crossings (empty for none) or, for such an overlap, the
+``Segment`` itself, instead of treating that case as an error.
 
 A line meets the circle where it meets one of the four edges.  Shifted to
 the center, (u, v) = (x - cx, y - cy), the edges are the lines
@@ -156,13 +157,6 @@ class Line:
         x, y, e = p._ints
         return a * x + b * y == c * e
 
-    def slope(self) -> Fraction | None:
-        """Slope of the line, or None when vertical."""
-        a, b, _ = self._ints
-        if not b:
-            return None
-        return Fraction(-a, b)
-
 
 @dataclass(frozen=True)
 class Ray:
@@ -223,43 +217,6 @@ _VERTEX_MOVES = {
 }
 
 
-@dataclass(frozen=True)
-class Empty:
-    pass
-
-
-@dataclass(frozen=True)
-class OnePoint:
-    point: Point
-
-
-@dataclass(frozen=True)
-class TwoPoints:
-    first: Point
-    second: Point
-
-    def __post_init__(self) -> None:
-        if self.first == self.second:
-            raise GeometryError("TwoPoints requires distinct points")
-
-
-@dataclass(frozen=True)
-class OverlapSegment:
-    segment: Segment
-
-
-Intersection = Empty | OnePoint | TwoPoints | OverlapSegment
-
-
-def points_of(result: Intersection) -> tuple[Point, ...]:
-    """The isolated points of an intersection result, in its stored order."""
-    if isinstance(result, OnePoint):
-        return (result.point,)
-    if isinstance(result, TwoPoints):
-        return (result.first, result.second)
-    return ()
-
-
 def _common2(x: Fraction, y: Fraction) -> tuple[int, int, int]:
     """(x*d, y*d, d) as ints, for d the least common denominator."""
     xn, xd = x.as_integer_ratio()
@@ -315,18 +272,19 @@ def line_through(p: Point, q: Point) -> Line:
     return line
 
 
-def intersect_lines(m: Line, n: Line) -> Intersection:
+def intersect_lines(m: Line, n: Line) -> tuple[Point, ...]:
+    """The crossing of two lines as a 1-tuple, or () when they are parallel."""
     ma, mb, mc = m._ints
     na, nb, nc = n._ints
     det = ma * nb - na * mb
     if det == 0:
         if m == n:
             raise CoincidentLinesError("lines coincide; intersection is the whole line")
-        return Empty()
-    return OnePoint(_point(mc * nb - nc * mb, ma * nc - na * mc, det))
+        return ()
+    return (_point(mc * nb - nc * mb, ma * nc - na * mc, det),)
 
 
-def intersect_line_circle(line: Line, circle: TaxicabCircle) -> Intersection:
+def intersect_line_circle(line: Line, circle: TaxicabCircle) -> tuple[Point, ...] | Segment:
     """Meet a line with the boundary diamond of a taxicab circle.
 
     In center coordinates (u, v) = (x - cx, y - cy) the line a*x + b*y = c
@@ -337,10 +295,10 @@ def intersect_line_circle(line: Line, circle: TaxicabCircle) -> Intersection:
     su*u >= 0 and sv*v >= 0.  Those signs are read off the numerators with
     det made positive, so an edge the line misses costs no division.
 
-    Isolated crossing points come back sorted lexicographically by (x, y).
-    A line of slope +1 or -1 that supports one of the diamond's edges
-    (det = 0 and both numerators zero) yields that entire edge as an
-    OverlapSegment, with endpoints in the edge's counterclockwise order.
+    Isolated crossing points come back as a tuple sorted lexicographically
+    by (x, y).  A line of slope +1 or -1 that supports one of the diamond's
+    edges (det = 0 and both numerators zero) yields that entire edge as a
+    Segment, with endpoints in the edge's counterclockwise order.
 
     The solve runs in ints: the line's int form, and the circle over one
     denominator m, so (U, V) = m*(u, v) and edges su*U + sv*V = R.
@@ -365,7 +323,7 @@ def intersect_line_circle(line: Line, circle: TaxicabCircle) -> Intersection:
         if det == 0:
             if nu == 0 and nv == 0:
                 ends = [_point(cx + i * r, cy + j * r, m) for i, j in (start, end)]
-                return OverlapSegment(Segment(*ends))
+                return Segment(*ends)
             continue
         if det < 0:
             det, nu, nv = -det, -nu, -nv
@@ -377,36 +335,23 @@ def intersect_line_circle(line: Line, circle: TaxicabCircle) -> Intersection:
         (nu1, nv1, det1), (nu2, nv2, det2) = found
         if (nu2 * det1, nv2 * det1) < (nu1 * det2, nv1 * det2):
             found.reverse()
-    points = [_point(cx * det + nu, cy * det + nv, m * det) for nu, nv, det in found]
-    if not points:
-        return Empty()
-    if len(points) == 1:
-        return OnePoint(points[0])
-    return TwoPoints(*points)
+    return tuple(_point(cx * det + nu, cy * det + nv, m * det) for nu, nv, det in found)
 
 
-def intersect_ray_circle(ray: Ray, circle: TaxicabCircle) -> Intersection:
-    """Meet a ray with a circle boundary; points ordered by ray parameter."""
+def intersect_ray_circle(ray: Ray, circle: TaxicabCircle) -> tuple[Point, ...] | Segment:
+    """Meet a ray with a circle boundary: the crossings ahead of the origin
+    ordered by ray parameter, or an overlap clipped at the origin, which
+    may leave a Segment, one point, or none."""
     whole = intersect_line_circle(ray.supporting_line(), circle)
-    if isinstance(whole, Empty):
-        return Empty()
-    if isinstance(whole, OverlapSegment):
-        t0 = ray.param_of(whole.segment.p)
-        t1 = ray.param_of(whole.segment.q)
-        lo, hi = sorted((t0, t1))
+    if isinstance(whole, Segment):
+        lo, hi = sorted((ray.param_of(whole.p), ray.param_of(whole.q)))
         lo = max(lo, Fraction(0))
         if hi < lo:
-            return Empty()
+            return ()
         if hi == lo:
-            return OnePoint(ray.point_at(hi))
-        return OverlapSegment(Segment(ray.point_at(lo), ray.point_at(hi)))
-    ahead = [p for p in points_of(whole) if ray.param_of(p) >= 0]
-    ahead.sort(key=ray.param_of)
-    if not ahead:
-        return Empty()
-    if len(ahead) == 1:
-        return OnePoint(ahead[0])
-    return TwoPoints(ahead[0], ahead[1])
+            return (ray.point_at(hi),)
+        return Segment(ray.point_at(lo), ray.point_at(hi))
+    return tuple(sorted((p for p in whole if ray.param_of(p) >= 0), key=ray.param_of))
 
 
 def circle_vertex(circle: TaxicabCircle, which: CircleVertex) -> Point:

@@ -43,7 +43,6 @@ from .kernel import (
     CircleVertex,
     Direction,
     Line,
-    OverlapSegment,
     Point,
     Ray,
     Segment,
@@ -545,18 +544,17 @@ def _intersect(first: Line | Ray, second: Line | TaxicabCircle, index: int | Non
         result = kernel.intersect_lines(first, second)
     else:
         result = kernel.intersect_line_circle(first, second)
-    if isinstance(result, OverlapSegment):
+    if isinstance(result, Segment):
         raise kernel.GeometryError("intersection is a whole segment, not a point")
-    points = kernel.points_of(result)
     if index is None:
-        if not points:
+        if not result:
             raise kernel.GeometryError("intersection is empty")
-        if len(points) == 2:
+        if len(result) == 2:
             raise kernel.GeometryError("intersection has two points; select one with intersect(a, b, index)")
         index = 0
-    if not 0 <= index < len(points):
-        raise kernel.GeometryError(f"intersection index {index} out of range for {len(points)} point(s)")
-    return points[index]
+    if not 0 <= index < len(result):
+        raise kernel.GeometryError(f"intersection index {index} out of range for {len(result)} point(s)")
+    return result[index]
 
 
 _REQUIRED = object()

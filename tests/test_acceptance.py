@@ -22,11 +22,9 @@ from taxisect.figures import FIGURES
 from taxisect.kernel import (
     CircleVertex,
     Direction,
-    Empty,
-    OverlapSegment,
     Point,
     TaxicabCircle,
-    TwoPoints,
+    Segment,
     circle_vertex,
     euclidean_distance_squared,
     intersect_line_circle,
@@ -34,7 +32,7 @@ from taxisect.kernel import (
     point_on_circle,
     taxicab_distance,
 )
-from test_kernel import along
+from test_kernel import along, outcome, slope
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -84,8 +82,8 @@ def test_criterion_1_proof_conformance():
                 crossing = next(s.output for s in trace.steps if s.label == "P")
                 assert crossing == Point(l / (n - 1), -l / (n - 1))
                 lines = [s.output for s in trace.steps if s.kind is StepKind.DRAW_LINE]
-                assert lines[1].slope() == F(n, n - 2)
-                assert lines[2].slope() == 1 - 2 * n
+                assert slope(lines[1]) == F(n, n - 2)
+                assert slope(lines[2]) == 1 - 2 * n
 
 
 def test_criterion_2_oracle_equivalence():
@@ -213,29 +211,28 @@ def test_criterion_6_metric_properties():
 def test_criterion_7_degenerate_intersections():
     with criterion(7, "degenerate intersections", budget=1.0):
         circle = TaxicabCircle(Point(F(0), F(0)), F(2))
-        outcomes = {"Empty": 0, "OnePoint": 0, "TwoPoints": 0, "OverlapSegment": 0}
+        outcomes = {"empty": 0, "one point": 0, "two points": 0, "overlap": 0}
         for slope in (1, -1):
             for k in range(50):
                 c = F(-3) + F(k, 8)
                 line = line_through(Point(F(0), c), Point(F(1), F(slope) + c))
                 got = intersect_line_circle(line, circle)
-                outcomes[type(got).__name__] += 1
+                outcomes[outcome(got)] += 1
                 if abs(c) > 2:
-                    assert got == Empty()
+                    assert got == ()
                 elif abs(c) == 2:
-                    assert isinstance(got, OverlapSegment)
-                    seg = got.segment
-                    assert taxicab_distance(seg.p, seg.q) == 4
-                    for e in (seg.p, seg.q):
+                    assert isinstance(got, Segment)
+                    assert taxicab_distance(got.p, got.q) == 4
+                    for e in (got.p, got.q):
                         assert point_on_circle(circle, e) and line.contains(e)
                 else:
-                    assert isinstance(got, TwoPoints)
-                    for p in (got.first, got.second):
+                    assert outcome(got) == "two points"
+                    for p in got:
                         assert point_on_circle(circle, p) and line.contains(p)
-        assert outcomes["OverlapSegment"] == 4  # c = -2 and c = +2 for each slope
-        assert outcomes["TwoPoints"] == 2 * 31
-        assert outcomes["Empty"] == 100 - 4 - 62
-        assert outcomes["OnePoint"] == 0
+        assert outcomes["overlap"] == 4  # c = -2 and c = +2 for each slope
+        assert outcomes["two points"] == 2 * 31
+        assert outcomes["empty"] == 100 - 4 - 62
+        assert outcomes["one point"] == 0
 
 
 def test_criterion_8_end_to_end_determinism(tmp_path, monkeypatch):

@@ -401,8 +401,8 @@ def reference_decimal_text(value: F) -> str:
 class ReferenceMapper:
     def __init__(self, view: ViewBox) -> None:
         self.view = view
-        self.scale = F(560) / view.width()
-        self.height = view.height() * self.scale
+        self.scale = F(560) / (view.max_x - view.min_x)
+        self.height = (view.max_y - view.min_y) * self.scale
 
     def to_svg(self, p: Point) -> tuple[F, F]:
         return ((p.x - self.view.min_x) * self.scale, (self.view.max_y - p.y) * self.scale)
@@ -524,7 +524,7 @@ def views_and_items(draw):
 
     def point():
         s, t = draw(huge_relative), draw(huge_relative)
-        return Point(view.min_x + s * view.width(), view.min_y + t * view.height())
+        return Point(view.min_x + s * (view.max_x - view.min_x), view.min_y + t * (view.max_y - view.min_y))
 
     def direction():
         axis = draw(st.sampled_from(["x", "y", "any"]))

@@ -13,16 +13,12 @@ from taxisect.kernel import (
     CircleVertex,
     CoincidentLinesError,
     Direction,
-    Empty,
     GeometryError,
     Line,
-    OnePoint,
-    OverlapSegment,
     Point,
     Ray,
     Segment,
     TaxicabCircle,
-    TwoPoints,
     circle_point_toward,
     circle_vertex,
     euclidean_distance_squared,
@@ -32,7 +28,6 @@ from taxisect.kernel import (
     line_through,
     point_between,
     point_on_circle,
-    points_of,
     taxicab_distance,
 )
 from taxisect.angles import Angle
@@ -65,6 +60,23 @@ def line_from_slope(m, intercept) -> Line:
 
 def on_line(m: Line, p: Point) -> bool:
     return m.contains(p)
+
+
+def slope(m: Line) -> F:
+    """The slope -a/b of a line that is not vertical."""
+    return -m.a / m.b
+
+
+def points_of(result) -> tuple[Point, ...]:
+    """The isolated crossings of an intersection result: none for an overlap."""
+    return () if isinstance(result, Segment) else result
+
+
+def outcome(result) -> str:
+    """Which of the four intersection cases a result is."""
+    if isinstance(result, Segment):
+        return "overlap"
+    return ("empty", "one point", "two points")[len(result)]
 
 
 # ---------------------------------------------------------------- distances
@@ -183,16 +195,16 @@ def test_line_rejects_bool_and_float_in_any_coefficient(value):
 
 def test_line_through_examples():
     m = line_through(pt(0, -2), pt(1, 3))
-    assert m.slope() == 5
+    assert slope(m) == 5
     assert on_line(m, pt(0, -2)) and on_line(m, pt(1, 3))
 
     diagonal = line_through(pt(0, 0), pt(1, 1))
-    assert diagonal.slope() == 1
+    assert slope(diagonal) == 1
     assert on_line(diagonal, pt(F(1, 2), F(1, 2)))
 
     # n = 3, l = 1: through ((3-n)l, (1-n)l) and (l, l)
     hook = line_through(pt(0, -2), pt(1, 1))
-    assert hook.slope() == 3
+    assert slope(hook) == 3
     assert on_line(hook, pt(F(2, 3), F(0)))
 
 
@@ -207,10 +219,6 @@ def test_line_canonical_scale():
     assert line_through(pt(0, 0), pt(2, 2)) == line_through(pt(-1, -1), pt(5, 5))
 
 
-def test_vertical_line_has_no_slope():
-    assert line_through(pt(2, 0), pt(2, 5)).slope() is None
-
-
 @given(points, points)
 def test_line_through_contains_both(p, q):
     if p == q:
@@ -221,17 +229,17 @@ def test_line_through_contains_both(p, q):
 
 def test_intersect_lines_single_point():
     got = intersect_lines(line_from_slope(3, -2), line_from_slope(-1, 0))
-    assert got == OnePoint(pt(F(1, 2), F(-1, 2)))
+    assert got == (pt(F(1, 2), F(-1, 2)),)
 
 
 def test_intersect_lines_parallel():
-    assert intersect_lines(line_from_slope(1, 0), line_from_slope(1, 1)) == Empty()
+    assert intersect_lines(line_from_slope(1, 0), line_from_slope(1, 1)) == ()
 
 
 def test_intersect_lines_proof_case():
     # y = (1-2n)x + 2l at n=3, l=1 against y = x
     got = intersect_lines(line_from_slope(-5, 2), line_from_slope(1, 0))
-    assert got == OnePoint(pt(F(1, 3), F(1, 3)))
+    assert got == (pt(F(1, 3), F(1, 3)),)
 
 
 def test_intersect_lines_coincident_is_distinct_error():
@@ -259,14 +267,14 @@ def test_intersect_lines_point_is_on_both(a, b, c, d):
 
 def test_line_circle_two_points_ordered():
     got = intersect_line_circle(line_from_slope(0, 0), TaxicabCircle(pt(0, 0), F(2)))
-    assert got == TwoPoints(pt(-2, 0), pt(2, 0))
+    assert got == (pt(-2, 0), pt(2, 0))
 
 
 def test_line_circle_edge_overlap():
     circle = TaxicabCircle(pt(0, 0), F(2))
     got = intersect_line_circle(line_from_slope(1, -2), circle)
-    assert isinstance(got, OverlapSegment)
-    ends = {got.segment.p, got.segment.q}
+    assert isinstance(got, Segment)
+    ends = {got.p, got.q}
     assert ends == {pt(0, -2), pt(2, 0)}
     for e in ends:
         assert point_on_circle(circle, e)
@@ -279,21 +287,22 @@ def test_line_circle_proof_point():
 
 def test_line_circle_vertex_touch():
     got = intersect_line_circle(line_from_slope(0, 2), TaxicabCircle(pt(0, 0), F(2)))
-    assert got == OnePoint(pt(0, 2))
+    assert got == (pt(0, 2),)
 
 
 def test_line_circle_miss():
     got = intersect_line_circle(line_from_slope(0, 3), TaxicabCircle(pt(0, 0), F(2)))
-    assert got == Empty()
+    assert got == ()
 
 
 def test_line_circle_two_points_lexicographic():
     circle = TaxicabCircle(pt(0, 0), F(2))
     got = intersect_line_circle(line_through(pt(0, -2), pt(0, 2)), circle)
-    assert got == TwoPoints(pt(0, -2), pt(0, 2))
+    assert got == (pt(0, -2), pt(0, 2))
     got = intersect_line_circle(line_from_slope(3, -2), TaxicabCircle(pt(1, 1), F(2)))
-    assert isinstance(got, TwoPoints)
-    assert (got.first.x, got.first.y) < (got.second.x, got.second.y)
+    assert outcome(got) == "two points"
+    first, second = got
+    assert (first.x, first.y) < (second.x, second.y)
 
 
 def test_slope_one_sweep_taxonomy():
@@ -304,13 +313,13 @@ def test_slope_one_sweep_taxonomy():
         c = F(k, 8)
         got = intersect_line_circle(line_from_slope(1, c), circle)
         if abs(c) > 2:
-            assert got == Empty()
+            assert got == ()
         elif abs(c) == 2:
-            assert isinstance(got, OverlapSegment)
+            assert isinstance(got, Segment)
         else:
-            assert isinstance(got, TwoPoints)
-        seen.add(type(got).__name__)
-    assert seen == {"Empty", "OverlapSegment", "TwoPoints"}
+            assert outcome(got) == "two points"
+        seen.add(outcome(got))
+    assert seen == {"empty", "overlap", "two points"}
 
 
 @given(points, points, points, radii)
@@ -323,8 +332,14 @@ def test_line_circle_points_on_both_loci(a, b, center, radius):
     for p in points_of(got):
         assert on_line(m, p)
         assert point_on_circle(circle, p)
-    if isinstance(got, OverlapSegment):
-        for e in (got.segment.p, got.segment.q):
+    # Crossings are distinct, in strictly increasing (x, y) order.
+    keys = [(p.x, p.y) for p in points_of(got)]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+    if isinstance(got, Segment):
+        corners = {circle_vertex(circle, which) for which in CircleVertex}
+        assert got.p != got.q
+        for e in (got.p, got.q):
+            assert e in corners
             assert on_line(m, e)
             assert point_on_circle(circle, e)
 
@@ -371,17 +386,12 @@ def _reference_line_circle(line: Line, circle: TaxicabCircle):
     for start, end in ((e, n), (n, w), (w, s), (s, e)):
         edge_line = line_through(start, end)
         if edge_line == line:
-            return OverlapSegment(Segment(start, end))
-        hit = intersect_lines(line, edge_line)
-        if isinstance(hit, OnePoint) and _reference_segment_contains(start, end, hit.point):
-            if hit.point not in found:
-                found.append(hit.point)
+            return Segment(start, end)
+        for hit in intersect_lines(line, edge_line):
+            if _reference_segment_contains(start, end, hit) and hit not in found:
+                found.append(hit)
     found.sort(key=lambda p: (p.x, p.y))
-    if not found:
-        return Empty()
-    if len(found) == 1:
-        return OnePoint(found[0])
-    return TwoPoints(found[0], found[1])
+    return tuple(found)
 
 
 @st.composite
@@ -473,10 +483,10 @@ def _reference_intersect_lines(m: Line, n: Line):
         raise CoincidentLinesError("lines coincide; intersection is the whole line")
     det = m.a * n.b - n.a * m.b
     if det == 0:
-        return Empty()
+        return ()
     x = (m.c * n.b - n.c * m.b) / det
     y = (m.a * n.c - n.a * m.c) / det
-    return OnePoint(Point(x, y))
+    return (Point(x, y),)
 
 
 def _reference_taxicab_distance(p: Point, q: Point) -> F:
@@ -824,7 +834,7 @@ def test_line_through_center_crosses_toward_w_second_when_w_is_positive(center, 
     crosses at c - s*w and c + s*w, s = r / |w|, in (x, y) order."""
     s = radius / (abs(w.dx) + abs(w.dy))
     behind, ahead = along(center, w, -s), along(center, w, s)
-    want = TwoPoints(behind, ahead) if (w.dx, w.dy) > (0, 0) else TwoPoints(ahead, behind)
+    want = (behind, ahead) if (w.dx, w.dy) > (0, 0) else (ahead, behind)
     got = intersect_line_circle(line_through(center, along(center, w)), TaxicabCircle(center, radius))
     assert_same(got, want)
 
@@ -877,28 +887,28 @@ def test_circle_point_toward_examples():
 def test_ray_circle_extension_hit():
     ray = Ray(pt(0, 0), Direction(F(-1), F(-1)))
     got = intersect_ray_circle(ray, TaxicabCircle(pt(0, 0), F(2)))
-    assert got == OnePoint(pt(-1, -1))
+    assert got == (pt(-1, -1),)
 
 
 def test_ray_circle_two_hits_ordered_by_param():
     ray = Ray(pt(0, 0), Direction(F(1), F(0)))
     got = intersect_ray_circle(ray, TaxicabCircle(pt(5, 0), F(1)))
-    assert got == TwoPoints(pt(4, 0), pt(6, 0))
+    assert got == (pt(4, 0), pt(6, 0))
 
 
 def test_ray_circle_pointing_away():
     ray = Ray(pt(3, 3), Direction(F(1), F(1)))
     got = intersect_ray_circle(ray, TaxicabCircle(pt(0, 0), F(2)))
-    assert got == Empty()
+    assert got == ()
 
 
 @pytest.mark.parametrize(
     "origin, want",
     [
-        ((3, -1), OverlapSegment(Segment(pt(2, 0), pt(0, 2)))),
-        ((1, 1), OverlapSegment(Segment(pt(1, 1), pt(0, 2)))),
-        ((0, 2), OnePoint(pt(0, 2))),
-        ((-1, 3), Empty()),
+        ((3, -1), Segment(pt(2, 0), pt(0, 2))),
+        ((1, 1), Segment(pt(1, 1), pt(0, 2))),
+        ((0, 2), (pt(0, 2),)),
+        ((-1, 3), ()),
     ],
     ids=["whole-edge", "from-inside-the-edge", "from-its-end", "past-it"],
 )
@@ -921,10 +931,57 @@ def test_ray_circle_hits_are_forward_and_ordered(origin, direction, center, radi
         assert point_on_circle(circle, p)
         assert_on_ray(ray, p)
     assert params == sorted(params)
-    if isinstance(got, OverlapSegment):
-        for e in (got.segment.p, got.segment.q):
+    if isinstance(got, Segment):
+        for e in (got.p, got.q):
             assert_on_ray(ray, e)
             assert point_on_circle(circle, e)
+
+
+def _reference_ray_circle(ray: Ray, circle: TaxicabCircle):
+    """The edge walk on the ray's supporting line, in Fraction arithmetic,
+    cut to the ray: the crossings at parameter t >= 0 in order of t, or an
+    overlap clipped at the origin, which leaves a segment, its end, or
+    nothing."""
+    o, d = ray.origin, ray.direction
+    whole = _reference_line_circle(Line(*_reference_line_through(o, along(o, d))), circle)
+
+    def param(p: Point) -> F:
+        return ((p.x - o.x) * d.dx + (p.y - o.y) * d.dy) / (d.dx**2 + d.dy**2)
+
+    if isinstance(whole, Segment):
+        (t0, p0), (t1, p1) = sorted(((param(e), e) for e in (whole.p, whole.q)), key=lambda te: te[0])
+        if t1 < 0:
+            return ()
+        if t1 == 0:
+            return (p1,)
+        return Segment(o if t0 < 0 else p0, p1)
+    return tuple(sorted((p for p in whole if param(p) >= 0), key=param))
+
+
+@st.composite
+def rays_and_circles(draw):
+    """A ray along a line of ``lines_and_circles``, either way, from a point
+    of that line: one drawn at random, a corner of the circle, or a
+    crossing."""
+    line, circle = draw(lines_and_circles())
+    a, b, c = line.a, line.b, line.c
+    s = draw(rationals)
+    origins = [Point(s, (c - a * s) / b) if b else Point(c / a, s)]
+    corners = [circle_vertex(circle, which) for which in CircleVertex]
+    origins += [corner for corner in corners if on_line(line, corner)]
+    origins += points_of(_reference_line_circle(line, circle))
+    origin = draw(st.sampled_from(origins))
+    scale = draw(st.sampled_from([1, -1])) * draw(radii)
+    return Ray(origin, Direction(scale * b, -scale * a)), circle
+
+
+@settings(max_examples=400)
+@given(rays_and_circles())
+def test_ray_circle_matches_clipped_edge_walk(case):
+    """No crossing ahead of the origin is dropped, and an overlap is cut at
+    the origin."""
+    ray, circle = case
+    assert_same(intersect_ray_circle(ray, circle), _reference_ray_circle(ray, circle))
 
 
 def assert_on_ray(ray: Ray, p: Point) -> None:
