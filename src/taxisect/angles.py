@@ -29,9 +29,8 @@ class Angle:
 
 
 def _param_ints(d: Direction) -> tuple[int, int]:
-    """The arc parameter t = T/L of d, for (X, Y) its int form and L = |X| + |Y|."""
-    (xn, xd), (yn, yd) = d.dx.as_integer_ratio(), d.dy.as_integer_ratio()
-    x, y = xn * yd, yn * xd
+    """The arc parameter t = T/L of d, for (X, Y, D) its int form and L = |X| + |Y|."""
+    x, y, _ = d._ints
     length = abs(x) + abs(y)
     if y >= 0:
         return 2 * (length - x), length  # t = 2 - 2x

@@ -28,7 +28,7 @@ Every construction returns a trace: the full list of compass and straightedge
 steps, each recording its inputs and its produced primitive, and each mark
 the claims that place it on the segment at its distance.  ``verify_trace``
 checks each step against one definition of its kind, a drawn figure or a
-crossing by its incidences in exact int predicates and a corner or a mark by
+crossing by its incidences in exact int arithmetic and a corner or a mark by
 computing it, and checks every claim, so a trace is a machine-checkable
 certificate independent of the choices that built it: which corner, which
 crossing, how far the chain walks.
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence, Union, get_args
+from typing import NoReturn, Sequence, Union, get_args
 
 from .angles import Angle, _param_ints, param_to_ints
 from .kernel import (
@@ -51,6 +51,7 @@ from .kernel import (
     Ray,
     Segment,
     TaxicabCircle,
+    _direction,
     _point,
     at_taxicab_distance,
     circle_point_toward,
@@ -98,6 +99,17 @@ class StepKind(Enum):
     INTERSECT_LINES = "intersect-lines"
     TAKE_CIRCLE_VERTEX = "take-circle-vertex"
     MARK_RESULT = "mark-result"
+
+
+# The kinds as module names: in CPython 3.11, reading a member off the Enum
+# class takes about 0.1 us, and reading a global a few ns.
+_PLACE_POINT = StepKind.PLACE_POINT
+_DRAW_CIRCLE = StepKind.DRAW_CIRCLE
+_DRAW_LINE = StepKind.DRAW_LINE
+_INTERSECT_LINE_CIRCLE = StepKind.INTERSECT_LINE_CIRCLE
+_INTERSECT_LINES = StepKind.INTERSECT_LINES
+_TAKE_CIRCLE_VERTEX = StepKind.TAKE_CIRCLE_VERTEX
+_MARK_RESULT = StepKind.MARK_RESULT
 
 
 @dataclass(frozen=True)
@@ -208,7 +220,7 @@ class ConstructionTrace:
         return tuple(
             step.output
             for step in self.steps
-            if step.kind is StepKind.MARK_RESULT and isinstance(step.output, Point)
+            if step.kind is _MARK_RESULT and isinstance(step.output, Point)
         )
 
 
@@ -238,10 +250,14 @@ def _is_exact(value: object) -> bool:
     return _is_int(value) or isinstance(value, Fraction)
 
 
+def _not_a(ref: int, name: str) -> NoReturn:
+    raise MalformedTraceError(f"step input {ref} is not a {name}")
+
+
 def _input(outputs: Sequence[Primitive], ref: int, want: type, name: str) -> Primitive:
     out = outputs[ref]
     if not isinstance(out, want):
-        raise MalformedTraceError(f"step input {ref} is not a {name}")
+        _not_a(ref, name)
     return out
 
 
@@ -253,7 +269,7 @@ def _check_step(step: TraceStep, outputs: Sequence[Primitive]) -> str | None:
     """None if a step's recorded output is the one its kind produces from
     the outputs of the steps before it, else why not: the one definition of
     each step kind.  A drawn figure and a crossing are checked by their
-    incidences, in int predicates of the kernel:
+    incidences, in exact int arithmetic:
 
     - draw-line: p != q, and the line contains both;
     - draw-circle: the center is the input, and the radius is the recorded
@@ -271,24 +287,48 @@ def _check_step(step: TraceStep, outputs: Sequence[Primitive]) -> str | None:
     misses the center, which no builder records, is solved, and ``pick``
     indexes its crossings in the kernel's order.
 
+    The kinds that fill a construction's trace, the spanned draw-circle,
+    intersect-line-circle through the center and mark-result, read their
+    inputs' int forms and write out their incidence arithmetic here, the
+    same sums as ``Line.contains`` and ``at_taxicab_distance``, rather than
+    call a kernel predicate.  A point is compared as a Point compares: the
+    same class and the same int form.  The other kinds call the kernel.
+
     A step that cannot be carried out (a line through one point, a radius
     that is not positive, lines that do not cross, a ``pick`` outside the
     crossings) "does not replay"; any other mismatch "differs from
     replay".  A wrong number or kind of inputs, or a ``pick``, ``radius`` or
-    ``vertex`` of the wrong type, raises :class:`MalformedTraceError`.  The
-    references are already checked to be earlier steps.
+    ``vertex`` of the wrong type, raises :class:`MalformedTraceError`, and
+    the checks run in that order.  The references are already checked to
+    be earlier steps.
     """
     kind, inputs, output = step.kind, step.inputs, step.output
-    if kind is StepKind.DRAW_CIRCLE:
-        _expect(len(inputs) in (1, 3), "draw-circle takes 1 or 3 inputs")
-        center = _input(outputs, inputs[0], Point, "point")
-        if len(inputs) == 3:
-            p = _input(outputs, inputs[1], Point, "point")
-            q = _input(outputs, inputs[2], Point, "point")
-            # A circle's radius is positive, so a circle that fits has p != q.
-            fits = type(output) is TaxicabCircle and at_taxicab_distance(p, q, output.radius)
-            if fits and center == output.center:
-                return None
+    if kind is _DRAW_CIRCLE:
+        count = len(inputs)
+        if count not in (1, 3):
+            raise MalformedTraceError("draw-circle takes 1 or 3 inputs")
+        ref = inputs[0]
+        center = outputs[ref]
+        if type(center) is not Point and not isinstance(center, Point):
+            _not_a(ref, "point")
+        if count == 3:
+            ref = inputs[1]
+            p = outputs[ref]
+            if type(p) is not Point and not isinstance(p, Point):
+                _not_a(ref, "point")
+            ref = inputs[2]
+            q = outputs[ref]
+            if type(q) is not Point and not isinstance(q, Point):
+                _not_a(ref, "point")
+            # The radius is d_t(p, q), the sum below over pd*qd; a circle's
+            # radius is positive, so a circle that fits has p != q.
+            if type(output) is TaxicabCircle:
+                (px, py, pd), (qx, qy, qd) = p._ints, q._ints
+                rn, rd = output.radius.as_integer_ratio()
+                if (abs(qx * pd - px * qd) + abs(qy * pd - py * qd)) * rd == rn * pd * qd:
+                    given = output.center
+                    if type(given) is type(center) and given._ints == center._ints:
+                        return None
             return _DOES_NOT_REPLAY if p == q else _DIFFERS
         radius = step.radius
         _expect(_is_exact(radius), "draw-circle needs an integer or Fraction radius")
@@ -296,35 +336,58 @@ def _check_step(step: TraceStep, outputs: Sequence[Primitive]) -> str | None:
             return _DOES_NOT_REPLAY
         fits = type(output) is TaxicabCircle and output.radius == radius and center == output.center
         return None if fits else _DIFFERS
-    if kind is StepKind.INTERSECT_LINE_CIRCLE:
-        _expect(len(inputs) == 2, "intersect-line-circle takes 2 inputs")
-        line = _input(outputs, inputs[0], Line, "line")
-        circle = _input(outputs, inputs[1], TaxicabCircle, "circle")
+    if kind is _INTERSECT_LINE_CIRCLE:
+        if len(inputs) != 2:
+            raise MalformedTraceError("intersect-line-circle takes 2 inputs")
+        ref = inputs[0]
+        line = outputs[ref]
+        if type(line) is not Line and not isinstance(line, Line):
+            _not_a(ref, "line")
+        ref = inputs[1]
+        circle = outputs[ref]
+        if type(circle) is not TaxicabCircle and not isinstance(circle, TaxicabCircle):
+            _not_a(ref, "circle")
         pick = step.pick
-        _expect(_is_int(pick), "intersect-line-circle needs an integer pick index")
-        c = circle.center
-        if line.contains(c):
+        if type(pick) is not int and not _is_int(pick):
+            raise MalformedTraceError("intersect-line-circle needs an integer pick index")
+        a, b, c = line._ints
+        cx, cy, cd = circle.center._ints
+        if a * cx + b * cy == c * cd:
             if not -2 <= pick < 2:
                 return _DOES_NOT_REPLAY
-            if not (type(output) is Point and line.contains(output) and point_on_circle(circle, output)):
+            if type(output) is not Point:
                 return _DIFFERS
-            (ox, oy, od), (cx, cy, cd) = output._ints, c._ints
-            return None if pick % 2 == ((ox * cd, oy * cd) > (cx * od, cy * od)) else _DIFFERS
+            # On the line, then on the circle: w = (wx, wy)/(od*cd) from c
+            # has taxicab length r, and the point lies after c when w is
+            # lexicographically positive.
+            ox, oy, od = output._ints
+            if a * ox + b * oy != c * od:
+                return _DIFFERS
+            wx, wy = ox * cd - cx * od, oy * cd - cy * od
+            rn, rd = circle.radius.as_integer_ratio()
+            if (abs(wx) + abs(wy)) * rd != rn * od * cd:
+                return _DIFFERS
+            return None if pick % 2 == ((wx, wy) > (0, 0)) else _DIFFERS
         crossings = intersect_line_circle(line, circle)
         if isinstance(crossings, Segment) or not -len(crossings) <= pick < len(crossings):
             return _DOES_NOT_REPLAY
         return None if crossings[pick] == output else _DIFFERS
-    if kind is StepKind.MARK_RESULT:
-        _expect(len(inputs) == 1, "mark-result takes 1 input")
-        return None if _input(outputs, inputs[0], Point, "point") == output else _DIFFERS
-    if kind is StepKind.DRAW_LINE:
+    if kind is _MARK_RESULT:
+        if len(inputs) != 1:
+            raise MalformedTraceError("mark-result takes 1 input")
+        ref = inputs[0]
+        point = outputs[ref]
+        if type(point) is not Point and not isinstance(point, Point):
+            _not_a(ref, "point")
+        return None if type(output) is type(point) and output._ints == point._ints else _DIFFERS
+    if kind is _DRAW_LINE:
         _expect(len(inputs) == 2, "draw-line takes 2 inputs")
         p = _input(outputs, inputs[0], Point, "point")
         q = _input(outputs, inputs[1], Point, "point")
         if p == q:
             return _DOES_NOT_REPLAY
         return None if type(output) is Line and output.contains(p) and output.contains(q) else _DIFFERS
-    if kind is StepKind.INTERSECT_LINES:
+    if kind is _INTERSECT_LINES:
         _expect(len(inputs) == 2, "intersect-lines takes 2 inputs")
         m = _input(outputs, inputs[0], Line, "line")
         n = _input(outputs, inputs[1], Line, "line")
@@ -333,12 +396,12 @@ def _check_step(step: TraceStep, outputs: Sequence[Primitive]) -> str | None:
         if ma * nb == na * mb:
             return _DOES_NOT_REPLAY
         return None if type(output) is Point and m.contains(output) and n.contains(output) else _DIFFERS
-    if kind is StepKind.TAKE_CIRCLE_VERTEX:
+    if kind is _TAKE_CIRCLE_VERTEX:
         _expect(len(inputs) == 1, "take-circle-vertex takes 1 input")
         _expect(isinstance(step.vertex, CircleVertex), "take-circle-vertex needs a vertex name")
         corner = circle_vertex(_input(outputs, inputs[0], TaxicabCircle, "circle"), step.vertex)
         return None if corner == output else _DIFFERS
-    if kind is StepKind.PLACE_POINT:
+    if kind is _PLACE_POINT:
         _expect(not inputs, "place-point takes no inputs")
         return None
     raise MalformedTraceError(f"unknown step kind {kind!r}")
@@ -349,7 +412,10 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
 
     Each step is checked by :func:`_check_step`, the one definition of its
     kind: a drawn figure or a crossing by its incidences, a corner or a mark
-    by computing it.
+    by computing it.  The steps of a construction's trace cost a few int
+    products each: exact types are tested before ``isinstance``, and the
+    references of the claims are gathered only on a step that has claims,
+    which only marks do.
 
     Structural problems (a trace that is not a :class:`ConstructionTrace`,
     steps that are not a sequence of :class:`TraceStep`, forward or
@@ -368,50 +434,53 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     for index, step in enumerate(steps):
         # Raised directly, not through _expect, so that a step that passes
         # formats no message.
-        if not isinstance(step, TraceStep):
+        if type(step) is not TraceStep and not isinstance(step, TraceStep):
             raise MalformedTraceError(f"step {index} is not a TraceStep")
         kind, inputs, claims = step.kind, step.inputs, step.claims
-        if not isinstance(inputs, (tuple, list)):
+        if type(inputs) is not tuple and not isinstance(inputs, (tuple, list)):
             raise MalformedTraceError(f"step {index} inputs are not a sequence")
-        if not isinstance(claims, (tuple, list)):
+        if type(claims) is not tuple and not isinstance(claims, (tuple, list)):
             raise MalformedTraceError(f"step {index} claims are not a sequence")
-        refs = list(inputs)
-        for claim in claims:
-            if not isinstance(claim, _CLAIM_TYPES):
-                raise MalformedTraceError(f"unknown claim {claim!r}")
-            if isinstance(claim, DistanceClaim) and not _is_exact(claim.value):
-                raise MalformedTraceError(f"step {index} claims a distance that is not exact")
-            refs += claim.refs()
+        refs = inputs
+        if claims:
+            refs = list(inputs)
+            for claim in claims:
+                if not isinstance(claim, _CLAIM_TYPES):
+                    raise MalformedTraceError(f"unknown claim {claim!r}")
+                if isinstance(claim, DistanceClaim) and not _is_exact(claim.value):
+                    raise MalformedTraceError(f"step {index} claims a distance that is not exact")
+                refs += claim.refs()
         for ref in refs:
             # Nearly every reference is a plain int, which needs no isinstance test.
             if type(ref) is not int and not _is_int(ref):
                 raise MalformedTraceError(f"step {index} has a non-integer reference {ref!r}")
             if not 0 <= ref < index:
                 raise MalformedTraceError(f"step {index} references step {ref}")
-        if step.pick is not None and kind is not StepKind.INTERSECT_LINE_CIRCLE:
+        if step.pick is not None and kind is not _INTERSECT_LINE_CIRCLE:
             raise MalformedTraceError(f"step {index} has a pick, which only intersect-line-circle takes")
-        if step.vertex is not None and kind is not StepKind.TAKE_CIRCLE_VERTEX:
+        if step.vertex is not None and kind is not _TAKE_CIRCLE_VERTEX:
             raise MalformedTraceError(f"step {index} has a vertex, which only take-circle-vertex takes")
-        if step.radius is not None and (kind is not StepKind.DRAW_CIRCLE or len(inputs) != 1):
+        if step.radius is not None and (kind is not _DRAW_CIRCLE or len(inputs) != 1):
             raise MalformedTraceError(f"step {index} has a radius, which only a one-input draw-circle takes")
         failure = _check_step(step, outputs)
         if failure is not None:
             return VerificationReport(False, index, StepFailure(index, failure))
+        output = step.output
         for claim in claims:
             # Claims are only defined on points; a claim on any other output
             # is not yet reported as a malformed trace.
-            assert isinstance(step.output, Point), "claims attach to point outputs"
-            if not claim.holds(step.output, outputs):
+            assert isinstance(output, Point), "claims attach to point outputs"
+            if not claim.holds(output, outputs):
                 return VerificationReport(
                     False, index, StepFailure(index, f"claim {claim!r} does not hold")
                 )
-        outputs.append(step.output)
+        outputs.append(output)
     _expect(
         _is_int(trace.result) and 0 <= trace.result < len(steps),
         "result reference out of range",
     )
     _expect(
-        steps[trace.result].kind is StepKind.MARK_RESULT,
+        steps[trace.result].kind is _MARK_RESULT,
         "result must reference a mark-result step",
     )
     return VerificationReport(True, len(steps))
@@ -445,11 +514,11 @@ class _TraceBuilder:
         return len(self._steps) - 1
 
     def place_point(self, p: Point, label: str | None = None) -> int:
-        return self._add(TraceStep(StepKind.PLACE_POINT, (), p, (), label))
+        return self._add(TraceStep(_PLACE_POINT, (), p, (), label))
 
     def draw_line(self, p_ref: int, q_ref: int) -> int:
         line = line_through(self.output(p_ref), self.output(q_ref))
-        return self._add(TraceStep(StepKind.DRAW_LINE, (p_ref, q_ref), line))
+        return self._add(TraceStep(_DRAW_LINE, (p_ref, q_ref), line))
 
     def draw_circle(self, center_ref: int, radius: Fraction, span: tuple[int, int] | None = None) -> int:
         """The circle of this radius about a point: spanned by the two
@@ -457,12 +526,12 @@ class _TraceBuilder:
         recorded as a fixed compass opening."""
         circle = TaxicabCircle(self.output(center_ref), radius)
         if span is None:
-            return self._add(TraceStep(StepKind.DRAW_CIRCLE, (center_ref,), circle, (), None, None, None, radius))
-        return self._add(TraceStep(StepKind.DRAW_CIRCLE, (center_ref, *span), circle))
+            return self._add(TraceStep(_DRAW_CIRCLE, (center_ref,), circle, (), None, None, None, radius))
+        return self._add(TraceStep(_DRAW_CIRCLE, (center_ref, *span), circle))
 
     def take_vertex(self, circle_ref: int, which: CircleVertex) -> int:
         corner = circle_vertex(self.output(circle_ref), which)
-        return self._add(TraceStep(StepKind.TAKE_CIRCLE_VERTEX, (circle_ref,), corner, (), None, None, which))
+        return self._add(TraceStep(_TAKE_CIRCLE_VERTEX, (circle_ref,), corner, (), None, None, which))
 
     def intersect_with_circle(
         self, line_ref: int, circle_ref: int, crossing: Point, toward: tuple, label: str | None = None
@@ -472,21 +541,21 @@ class _TraceBuilder:
         the class docstring)."""
         pick = 1 if toward > (0, 0) else 0
         inputs = (line_ref, circle_ref)
-        return self._add(TraceStep(StepKind.INTERSECT_LINE_CIRCLE, inputs, crossing, (), label, pick))
+        return self._add(TraceStep(_INTERSECT_LINE_CIRCLE, inputs, crossing, (), label, pick))
 
     def cross_toward(self, line_ref: int, circle_ref: int, w: Direction, label: str | None = None) -> int:
         """The crossing of a line through the circle's center that lies in
         direction w from the center."""
         crossing = circle_point_toward(self.output(circle_ref), w)
-        return self.intersect_with_circle(line_ref, circle_ref, crossing, (w.dx, w.dy), label)
+        return self.intersect_with_circle(line_ref, circle_ref, crossing, w._ints[:2], label)
 
     def intersect_two_lines(self, first_ref: int, second_ref: int) -> int:
         # The constructions meet only lines that cross in one point.
         (crossing,) = intersect_lines(self.output(first_ref), self.output(second_ref))
-        return self._add(TraceStep(StepKind.INTERSECT_LINES, (first_ref, second_ref), crossing))
+        return self._add(TraceStep(_INTERSECT_LINES, (first_ref, second_ref), crossing))
 
     def mark_result(self, point_ref: int, claims: tuple[Claim, ...], label: str | None = None) -> int:
-        return self._add(TraceStep(StepKind.MARK_RESULT, (point_ref,), self.output(point_ref), claims, label))
+        return self._add(TraceStep(_MARK_RESULT, (point_ref,), self.output(point_ref), claims, label))
 
     def build(self) -> ConstructionTrace:
         """The trace so far, with its last step as the result."""
@@ -557,7 +626,7 @@ def _append_nsect(builder: _TraceBuilder, a_ref: int, b_ref: int, n: int, every:
         # The line from the low corner meets the circle about B first on
         # the corner's side of B: toward low - b, here scaled by cd*e > 0.
         cx, cy, cd = builder.output(low)._ints
-        toward_low = Direction(cx * e - bx * cd, cy * e - by * cd)
+        toward_low = _direction(cx * e - bx * cd, cy * e - by * cd, 1)
         p_label = None if every else "P"
         p_ref = builder.cross_toward(toward_b, circle_b, toward_low, label=p_label)
         high = builder.take_vertex(circle_a, high_corner)
@@ -664,7 +733,7 @@ def section_angle(
     # ray's direction the unit-circle point at t_k.
     first_t, part_den = start * n, den * n
     units = [param_to_ints((first_t + sweep * k) % (8 * part_den), part_den) for k in range(1, n)]
-    rays = tuple(Ray(angle.vertex, Direction(Fraction(x, u), Fraction(y, u))) for x, y, u in units)
+    rays = tuple(Ray(angle.vertex, _direction(x, y, u)) for x, y, u in units)
 
     # The sweep passes a corner when it ends past the next even parameter.
     if start + sweep > 2 * den * (start // (2 * den) + 1):

@@ -34,7 +34,6 @@ from .kernel import (
     Segment,
     TaxicabCircle,
     _circle_ints,
-    _common2,
 )
 
 Geometry = Union[Point, Segment, Line, Ray, TaxicabCircle, tuple[Point, ...]]
@@ -321,7 +320,7 @@ def _item_elements(mapper: _Mapper, item: SceneItem) -> list[str]:
             ends = _visible_span(mapper, 0, c, b, b, 0, False)
     elif isinstance(geometry, Ray):
         ox, oy, e = geometry.origin._ints
-        dx, dy, _ = _common2(geometry.direction.dx, geometry.direction.dy)
+        dx, dy, _ = geometry.direction._ints
         ends = _visible_span(mapper, ox, oy, e, dx, dy, True)
         label_at = mapper.point(geometry.origin)
     elif isinstance(geometry, tuple):

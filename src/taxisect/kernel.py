@@ -16,23 +16,26 @@ su*u >= 0, sv*v >= 0, so ``intersect_line_circle`` solves the line against
 each edge in closed form rather than building the edge lines.
 
 A point is stored once, as its int form (X, Y, D): both coordinates over
-their least common denominator D > 0.  A line is stored once too, as its
+their least common denominator D > 0.  A direction is stored the same way,
+its two components over their least common denominator, and a line as its
 primitive int form (A, B, C).  Line canonicalisation, ``line_through``,
-``intersect_lines``, ``intersect_line_circle``, ``circle_vertex`` and
-``taxicab_distance`` compute on those ints, a circle taken over one common
-denominator, and each point they return is put in its int form by one gcd
-(``_point``); ``taxicab_distance`` builds one ``Fraction``, for the
-distance.  The incidence predicates ``Line.contains``, ``point_between``,
-``at_taxicab_distance`` and ``point_on_circle`` compare ints and build no
-``Fraction`` at all.  ``circle_point_toward`` is the point c + w*r/|w| at
-which a line through the center c along w crosses the circle in direction
-w, which the trace builder records for such a crossing whose point it does
-not already know, instead of solving the line against the circle.  A
-``Fraction`` is built only at the API edge: ``Point(x, y)`` takes
-rationals, and ``x`` and ``y`` read them back.
+``intersect_lines``, ``intersect_line_circle``, ``circle_vertex``,
+``circle_point_toward`` and ``taxicab_distance`` compute on those ints, a
+circle taken over one common denominator; each point they return is put in
+its int form by one gcd (``_point``), as is each direction that the trace
+builder computes (``_direction``).  ``taxicab_distance`` builds one
+``Fraction``, for the distance.  The incidence predicates
+``Line.contains``, ``point_between``, ``at_taxicab_distance`` and
+``point_on_circle`` compare ints and build no ``Fraction`` at all.
+``circle_point_toward`` is the point c + w*r/|w| at which a line through
+the center c along w crosses the circle in direction w, which the trace
+builder records for such a crossing whose point it does not already know,
+instead of solving the line against the circle.  A ``Fraction`` is built
+only at the API edge: ``Point(x, y)`` and ``Direction(dx, dy)`` take
+rationals, and ``x``, ``y``, ``dx`` and ``dy`` read them back.
 
-The predicates exist so that a trace step can be checked by its incidences
-without solving it again; ``constructions._check_step`` is the one
+The predicates state the incidences by which a trace step is checked
+without solving it again.  ``constructions._check_step`` is the one
 definition of what each step kind checks.
 """
 
@@ -88,33 +91,64 @@ class Point:
         return f"({self.x}, {self.y})"
 
 
-def _point(x: int, y: int, d: int) -> Point:
-    """The point (x/d, y/d), for d != 0, in its int form."""
+def _lowest(x: int, y: int, d: int) -> tuple[int, int, int]:
+    """(x, y, d) over their gcd, signed so that d > 0; d != 0."""
     g = gcd(x, y, d)
     if d < 0:
         g = -g
+    return x // g, y // g, d // g
+
+
+def _point(x: int, y: int, d: int) -> Point:
+    """The point (x/d, y/d), for d != 0, in its int form."""
     point = object.__new__(Point)
-    object.__setattr__(point, "_ints", (x // g, y // g, d // g))
+    object.__setattr__(point, "_ints", _lowest(x, y, d))
     return point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Direction:
-    """A nonzero displacement; two directions are equal only componentwise."""
+    """The nonzero displacement (X/D, Y/D), stored as a Point is, as its one
+    field ``_ints`` = (X, Y, D): ints with D > 0 and gcd(X, Y, D) = 1.  Two
+    directions are equal only componentwise, not when one is a positive
+    multiple of the other.  ``dx`` and ``dy`` are X/D and Y/D: the
+    components, in Fractions.  A direction hashes as the pair (dx, dy)
+    does."""
 
-    dx: Fraction
-    dy: Fraction
+    _ints: tuple[int, int, int]
 
-    def __post_init__(self) -> None:
-        if type(self.dx) is not Fraction:
-            object.__setattr__(self, "dx", as_rational(self.dx))
-        if type(self.dy) is not Fraction:
-            object.__setattr__(self, "dy", as_rational(self.dy))
-        if not self.dx.numerator and not self.dy.numerator:
+    def __init__(self, dx: Fraction | int | str, dy: Fraction | int | str) -> None:
+        x, y, d = _common2(as_rational(dx), as_rational(dy))
+        if not x and not y:
             raise GeometryError("zero direction")
+        object.__setattr__(self, "_ints", (x, y, d))
+
+    @property
+    def dx(self) -> Fraction:
+        x, _, d = self._ints
+        return Fraction(x, d)
+
+    @property
+    def dy(self) -> Fraction:
+        _, y, d = self._ints
+        return Fraction(y, d)
+
+    def __hash__(self) -> int:
+        return hash((self.dx, self.dy))
+
+    def __repr__(self) -> str:
+        return f"Direction(dx={self.dx!r}, dy={self.dy!r})"
 
     def __str__(self) -> str:
         return f"({self.dx}, {self.dy})"
+
+
+def _direction(x: int, y: int, d: int) -> Direction:
+    """The direction (x/d, y/d), for d != 0 and (x, y) != (0, 0), in its int
+    form."""
+    direction = object.__new__(Direction)
+    object.__setattr__(direction, "_ints", _lowest(x, y, d))
+    return direction
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -169,12 +203,20 @@ class Ray:
     def param_of(self, p: Point) -> Fraction:
         """Parameter t with p == origin + t * direction; p must be on the
         supporting line."""
-        if self.direction.dx != 0:
-            return (p.x - self.origin.x) / self.direction.dx
-        return (p.y - self.origin.y) / self.direction.dy
+        # t = (p - o)/w on an axis where w is nonzero, with p over e, o
+        # over f and w over d.
+        ox, oy, f = self.origin._ints
+        wx, wy, d = self.direction._ints
+        px, py, e = p._ints
+        if wx:
+            return Fraction((px * f - ox * e) * d, e * f * wx)
+        return Fraction((py * f - oy * e) * d, e * f * wy)
 
     def supporting_line(self) -> Line:
-        return line_through(self.origin, self.point_at(1))
+        # Through the origin o and o + w, that point over f*d.
+        ox, oy, f = self.origin._ints
+        wx, wy, d = self.direction._ints
+        return line_through(self.origin, _point(ox * d + wx * f, oy * d + wy * f, f * d))
 
 
 @dataclass(frozen=True)
@@ -368,7 +410,7 @@ def circle_point_toward(circle: TaxicabCircle, w: Direction) -> Point:
     # The center and radius over one denominator m, w over another; with
     # L = |wx| + |wy| in w's numerators, the point is (c*L + w*r) / (m*L).
     cx, cy, r, m = _circle_ints(circle)
-    wx, wy, _ = _common2(w.dx, w.dy)
+    wx, wy, _ = w._ints
     length = abs(wx) + abs(wy)
     return _point(cx * length + wx * r, cy * length + wy * r, m * length)
 

@@ -2,10 +2,10 @@
 
 All kernel arithmetic is exact: values are arbitrary-precision rationals,
 the standard library ``fractions.Fraction`` at the API, and floating point
-never enters a computation.  The kernel stores each point and line in an
-int form, with a positive denominator and no common factor, and computes
-on those ints, so a Fraction is built only at the API edge: for a
-coordinate read back, a distance or a radius.
+never enters a computation.  The kernel stores each point, direction and
+line in an int form, with a positive denominator and no common factor, and
+computes on those ints, so a Fraction is built only at the API edge: for a
+coordinate or component read back, a distance or a radius.
 This module defines the accepted literal grammar ("p/q", a plain integer,
 or a decimal, which converts exactly), in one pattern that the script
 front end and the CLI both parse with, and exact conversion to Fraction:

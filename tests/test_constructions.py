@@ -550,6 +550,69 @@ def test_header_error_message(case):
     assert str(caught.value) == message
 
 
+# Step 4 of the same trace is the circle about A, after points A and B, line
+# AB and the circle about B.  Each entry changes it into a step that
+# _check_step refuses as malformed.
+_LC, _LL = StepKind.INTERSECT_LINE_CIRCLE, StepKind.INTERSECT_LINES
+_VERTEX, _MARK = StepKind.TAKE_CIRCLE_VERTEX, StepKind.MARK_RESULT
+STEP_ERRORS = {
+    "draw-circle-count": ({"inputs": (3, 0)}, "draw-circle takes 1 or 3 inputs"),
+    "draw-line-count": ({"kind": StepKind.DRAW_LINE, "inputs": (0,)}, "draw-line takes 2 inputs"),
+    "line-circle-count": ({"kind": _LC, "inputs": (2,), "pick": 0}, "intersect-line-circle takes 2 inputs"),
+    "lines-count": ({"kind": _LL, "inputs": (2, 2, 2)}, "intersect-lines takes 2 inputs"),
+    "vertex-count": (
+        {"kind": _VERTEX, "inputs": (), "vertex": CircleVertex.NORTH},
+        "take-circle-vertex takes 1 input",
+    ),
+    "mark-count": ({"kind": _MARK, "inputs": (0, 1)}, "mark-result takes 1 input"),
+    "place-count": ({"kind": StepKind.PLACE_POINT, "inputs": (0,)}, "place-point takes no inputs"),
+    "center-not-a-point": ({"inputs": (2, 0, 1)}, "step input 2 is not a point"),
+    "span-not-a-point": ({"inputs": (0, 0, 3)}, "step input 3 is not a point"),
+    "fixed-center-not-a-point": ({"inputs": (3,), "radius": F(1)}, "step input 3 is not a point"),
+    "line-end-not-a-point": ({"kind": StepKind.DRAW_LINE, "inputs": (0, 2)}, "step input 2 is not a point"),
+    "mark-not-a-point": ({"kind": _MARK, "inputs": (3,)}, "step input 3 is not a point"),
+    "crossing-line-not-a-line": ({"kind": _LC, "inputs": (0, 3), "pick": 0}, "step input 0 is not a line"),
+    "second-line-not-a-line": ({"kind": _LL, "inputs": (2, 3)}, "step input 3 is not a line"),
+    "crossing-circle-not-a-circle": (
+        {"kind": _LC, "inputs": (2, 1), "pick": 0},
+        "step input 1 is not a circle",
+    ),
+    "corner-of-a-line": (
+        {"kind": _VERTEX, "inputs": (2,), "vertex": CircleVertex.EAST},
+        "step input 2 is not a circle",
+    ),
+    "pick-as-text": (
+        {"kind": _LC, "inputs": (2, 3), "pick": "0"},
+        "intersect-line-circle needs an integer pick index",
+    ),
+    "pick-as-bool": (
+        {"kind": _LC, "inputs": (2, 3), "pick": True},
+        "intersect-line-circle needs an integer pick index",
+    ),
+    "pick-missing": ({"kind": _LC, "inputs": (2, 3)}, "intersect-line-circle needs an integer pick index"),
+    "vertex-missing": ({"kind": _VERTEX, "inputs": (3,)}, "take-circle-vertex needs a vertex name"),
+    "vertex-as-text": (
+        {"kind": _VERTEX, "inputs": (3,), "vertex": "N"},
+        "take-circle-vertex needs a vertex name",
+    ),
+    "radius-missing": ({"inputs": (0,)}, "draw-circle needs an integer or Fraction radius"),
+    "radius-as-float": ({"inputs": (0,), "radius": 0.5}, "draw-circle needs an integer or Fraction radius"),
+    "kind-unhashable": ({"kind": []}, "unknown step kind []"),
+    "kind-as-text": ({"kind": "draw-circle"}, "unknown step kind 'draw-circle'"),
+    "kind-none": ({"kind": None}, "unknown step kind None"),
+}
+
+
+@pytest.mark.parametrize("case", STEP_ERRORS)
+def test_step_error_message(case):
+    fields, message = STEP_ERRORS[case]
+    _, trace = nsect_segment(pt(0, 0), pt(3, 3), 3)
+    assert spanned_circle(trace.steps[4]) and trace.steps[4].inputs == (0, 0, 1)
+    with pytest.raises(MalformedTraceError) as caught:
+        verify_trace(_replaced(trace, 4, **fields))
+    assert str(caught.value) == message
+
+
 def test_steps_that_are_not_a_sequence_are_malformed():
     with pytest.raises(MalformedTraceError) as caught:
         verify_trace(ConstructionTrace(None, 0))
@@ -1015,16 +1078,15 @@ def test_verify_builds_no_fraction(build):
 
 
 def test_build_fraction_counts():
-    """The builder computes its points from the int forms.  An n-section
-    builds 4 Fractions: the length L, the part L/n and the two components
-    of the direction toward P.  A chord sectioning takes its sweep and
-    checks its marks in ints.  Past the 4 of its one n-section it builds
-    the radius, the doubled radius that places the helper points, the two
-    components of each of its 15 rays, and the distance claim of each
-    further mark: 4 + 2 + 30 + 14 = 50."""
+    """The builder computes its points and directions from the int forms.
+    An n-section builds 2 Fractions: the length L and the part L/n.  A
+    chord sectioning takes its sweep, its rays and its mark checks in ints.
+    Past the 2 of its one n-section it builds the radius, the doubled
+    radius that places the helper points, and the distance claim of each
+    further mark: 2 + 2 + 14 = 18."""
     a, b = pt(F(1, 3), -2), pt(5, F(7, 2))
-    assert fractions_built(lambda: nsect_segment(a, b, 12)) == 4
-    assert fractions_built(lambda: section_angle(EDGE_ANGLE, 16)) == 50
+    assert fractions_built(lambda: nsect_segment(a, b, 12)) == 2
+    assert fractions_built(lambda: section_angle(EDGE_ANGLE, 16)) == 18
 
 
 def test_chord_mark_off_its_ray_is_refused(monkeypatch):
@@ -1297,6 +1359,13 @@ def test_header_error_gets_the_replay_verdict(case):
     _, trace = nsect_segment(pt(0, 0), pt(3, 3), 3)
     subject = _replaced(trace, 3, **fields) if isinstance(fields, dict) else fields
     assert isinstance(assert_same_verdict(subject), tuple)
+
+
+@pytest.mark.parametrize("case", STEP_ERRORS)
+def test_step_error_gets_the_replay_verdict(case):
+    fields, _ = STEP_ERRORS[case]
+    _, trace = nsect_segment(pt(0, 0), pt(3, 3), 3)
+    assert isinstance(assert_same_verdict(_replaced(trace, 4, **fields)), tuple)
 
 
 def _some_claim(draw, index: int, steps) -> object:

@@ -608,16 +608,57 @@ def test_point_int_form_matches_two_fractions(xv, yv, data):
         Point(inexact, y_text) if data.draw(st.booleans()) else Point(x_text, inexact)
 
 
+# A direction as it was stored before its int form: two Fraction fields.
+FractionDirection = dataclasses.make_dataclass("Direction", [("dx", F), ("dy", F)], frozen=True)
+
+
+@settings(max_examples=300)
+@given(exact_values, exact_values, st.data())
+def test_direction_int_form_matches_two_fractions(xv, yv, data):
+    """A direction is stored as (X, Y, D) with D > 0 and gcd 1, as a point
+    is, reads back its components, and compares, hashes and prints as a
+    frozen dataclass of two Fractions does: equal only componentwise."""
+    zero = (data.draw(st.sampled_from(spellings(F(0)))) for _ in range(2))
+    with pytest.raises(GeometryError, match="^zero direction$"):
+        Direction(*zero)
+    assume(xv or yv)
+    x_text, y_text = (data.draw(st.sampled_from(spellings(v))) for v in (xv, yv))
+    w = Direction(x_text, y_text) if data.draw(st.booleans()) else Direction(dx=x_text, dy=y_text)
+    big_x, big_y, d = w._ints
+    assert d > 0 and gcd(big_x, big_y, d) == 1
+    assert type(w.dx) is F and type(w.dy) is F
+    assert (w.dx, w.dy) == (xv, yv)
+    want = FractionDirection(xv, yv)
+    assert hash(w) == hash(want)
+    assert repr(w) == repr(want)
+    assert str(w) == f"({want.dx}, {want.dy})"
+    # A second direction: often the same one written another way, or a
+    # positive multiple of it, which is a different direction.
+    scale = data.draw(st.sampled_from([1, 2, F(1, 3)]))
+    uv, vv = (data.draw(st.sampled_from([xv * scale, yv * scale]) | exact_values) for _ in range(2))
+    assume(uv or vv)
+    other = Direction(*(data.draw(st.sampled_from(spellings(v))) for v in (uv, vv)))
+    assert (w == other) == (want == FractionDirection(uv, vv))
+    for name in ("dx", "dy", "_ints"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, getattr(w, name))
+    inexact = data.draw(st.one_of(st.floats(allow_nan=False), st.booleans()))
+    with pytest.raises(TypeError):
+        Direction(inexact, y_text) if data.draw(st.booleans()) else Direction(x_text, inexact)
+
+
 @pytest.mark.parametrize(
     "build",
     [
         lambda: Point(F(1, 3), -2),
         lambda: Line(F(1, 2), 3, F(-5, 7)),
         lambda: TaxicabCircle(Point(F(-4, 9), 5), F(3, 4)),
+        lambda: Direction(F(-3, 4), 2),
+        lambda: Ray(Point(F(1, 3), -2), Direction(F(5, 6), F(-1, 4))),
         lambda: nsect_segment(Point(F(1, 3), -2), Point(5, F(7, 2)), 7)[1],
         lambda: section_angle(Angle(Point(0, 0), Direction(1, 0), Direction(1, 1)), 6)[1],
     ],
-    ids=["point", "line", "circle", "nsect-trace", "chord-trace"],
+    ids=["point", "line", "circle", "direction", "ray", "nsect-trace", "chord-trace"],
 )
 def test_copy_and_pickle_keep_the_value(build):
     value = build()
