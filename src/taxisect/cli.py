@@ -16,25 +16,22 @@ TAXISECT_NO_COLOR disables ANSI styling in reports.
 Each subcommand imports only the modules it runs, on first use: ``measure``
 loads the kernel and the angle measure, ``nsect`` and ``section`` the
 constructions, ``--svg``/``--json`` the exporter, ``run`` the script front
-end, and ``render-demo`` the built-in figures.
+end, and ``render-demo`` the built-in figures.  taxisect itself imports no
+``typing`` (on CPython 3.13 ``dataclasses`` does, through ``inspect``), and
+it loads ``pathlib`` only for a script's ``render``.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .kernel import Direction, GeometryError, Point, TaxicabCircle
 from .numeric import RationalParseError, is_digit_limit, parse_rational, too_many_digits
-
-if TYPE_CHECKING:
-    from .constructions import ConstructionTrace
-    from .export import Scene
 
 
 class UsageError(ValueError):
@@ -74,45 +71,45 @@ def _direction_arg(text: str, what: str) -> Direction:
         raise UsageError(f"bad {what}: {exc}") from exc
 
 
-def _describe_step(index: int, step) -> str:
-    from .constructions import StepKind
-
-    kind = step.kind
-    if kind is StepKind.PLACE_POINT:
-        body = f"place point {step.output}"
-    elif kind is StepKind.DRAW_CIRCLE:
-        circle = step.output
-        body = f"draw circle center {circle.center} radius {circle.radius}"
-    elif kind is StepKind.DRAW_LINE:
-        body = f"draw line through steps {step.inputs[0]} and {step.inputs[1]}"
-    elif kind is StepKind.INTERSECT_LINE_CIRCLE:
-        body = f"intersect line {step.inputs[0]} with circle {step.inputs[1]} -> {step.output}"
-    elif kind is StepKind.INTERSECT_LINES:
-        body = f"intersect lines {step.inputs[0]} and {step.inputs[1]} -> {step.output}"
-    elif kind is StepKind.TAKE_CIRCLE_VERTEX:
-        body = f"take {step.vertex.value} vertex of circle {step.inputs[0]} -> {step.output}"
-    else:
-        body = f"mark result {step.output}"
-    tag = f" [{step.label}]" if step.label else ""
-    return f"{index:3d}. {body}{tag}"
-
-
-def _print_trace(trace: ConstructionTrace) -> None:
-    from .constructions import verify_trace
+def _print_trace(trace) -> None:
+    from .constructions import (
+        _DRAW_CIRCLE, _DRAW_LINE, _INTERSECT_LINE_CIRCLE, _INTERSECT_LINES, _PLACE_POINT,
+        _TAKE_CIRCLE_VERTEX, verify_trace,
+    )
 
     report = verify_trace(trace)
     for index, step in enumerate(trace.steps):
-        print(_describe_step(index, step))
+        kind = step.kind
+        if kind is _PLACE_POINT:
+            body = f"place point {step.output}"
+        elif kind is _DRAW_CIRCLE:
+            circle = step.output
+            body = f"draw circle center {circle.center} radius {circle.radius}"
+        elif kind is _DRAW_LINE:
+            body = f"draw line through steps {step.inputs[0]} and {step.inputs[1]}"
+        elif kind is _INTERSECT_LINE_CIRCLE:
+            body = f"intersect line {step.inputs[0]} with circle {step.inputs[1]} -> {step.output}"
+        elif kind is _INTERSECT_LINES:
+            body = f"intersect lines {step.inputs[0]} and {step.inputs[1]} -> {step.output}"
+        elif kind is _TAKE_CIRCLE_VERTEX:
+            body = f"take {step.vertex.value} vertex of circle {step.inputs[0]} -> {step.output}"
+        else:
+            body = f"mark result {step.output}"
+        tag = f" [{step.label}]" if step.label else ""
+        print(f"{index:3d}. {body}{tag}")
     status = "verified" if report.ok else "FAILED VERIFICATION"
     print(f"trace {status}: {report.steps_checked} steps")
 
 
 def _write(path: str, text: str) -> None:
-    target = Path(path)
+    parent, name = os.path.split(path)
     try:
-        if target.parent != Path(""):
-            target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text, encoding="utf-8")
+        if parent and not name:  # "out/" names a directory, not a file
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -121,9 +118,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .export import emit_json, emit_svg
     from .script import ScriptError, execute, parse
 
-    source_path = Path(args.script)
     try:
-        source = source_path.read_text(encoding="utf-8")
+        with open(args.script, encoding="utf-8") as file:
+            source = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read script: {exc}") from exc
     try:
@@ -132,12 +129,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     for text in result.dumps:
         sys.stdout.write(text)
-    if args.svg:
+    if args.svg is not None:
         _write(args.svg, emit_svg(result.scene))
-    if args.json:
+    if args.json is not None:
         _write(args.json, emit_json(result.env))
     for failure in result.failures:
-        print(_maybe_color(f"FAIL {source_path.name}:{failure.line}", "31")
+        print(_maybe_color(f"FAIL {os.path.basename(args.script)}:{failure.line}", "31")
               + f": expected {failure.expected}, actual {failure.actual}")
     if result.failures:
         return 1
@@ -156,11 +153,11 @@ def _cmd_nsect(args: argparse.Namespace) -> int:
     print(f"C = {point}")
     if args.trace:
         _print_trace(trace)
-    if args.svg:
+    if args.svg is not None:
         from .export import emit_svg, scene_from_trace
 
         _write(args.svg, emit_svg(scene_from_trace(trace)))
-    if args.json:
+    if args.json is not None:
         from .export import emit_json
 
         env = {"A": a, "B": b, "C": point, "n": Fraction(args.n)}
@@ -186,19 +183,19 @@ def _cmd_section(args: argparse.Namespace) -> int:
         _print_trace(trace)
     elif args.trace:
         print("no chord trace: the sides cross different circle edges")
-    if args.svg:
+    if args.svg is not None:
         from .export import emit_svg, scene_from_trace
 
         scene = scene_from_trace(trace) if trace is not None else _ray_scene(vertex, rays, radius)
         _write(args.svg, emit_svg(scene))
-    if args.json:
+    if args.json is not None:
         from .export import emit_json
 
         _write(args.json, emit_json({"measure": total, "rays": list(rays)}))
     return 0
 
 
-def _ray_scene(vertex: Point, rays, radius: Fraction) -> Scene:
+def _ray_scene(vertex: Point, rays, radius: Fraction):
     from .export import Scene, SceneItem, Stroke
 
     items = [SceneItem(TaxicabCircle(vertex, radius), stroke=Stroke.AUX),

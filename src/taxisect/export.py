@@ -22,9 +22,10 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Union
 
-from .constructions import ConstructionTrace, StepKind, verify_trace
+from .constructions import (
+    _DRAW_CIRCLE, _DRAW_LINE, _MARK_RESULT, _PLACE_POINT, ConstructionTrace, verify_trace,
+)
 from .kernel import (
     Direction,
     GeometryError,
@@ -36,7 +37,7 @@ from .kernel import (
     _circle_ints,
 )
 
-Geometry = Union[Point, Segment, Line, Ray, TaxicabCircle, tuple[Point, ...]]
+Geometry = Point | Segment | Line | Ray | TaxicabCircle | tuple[Point, ...]
 
 
 class Stroke(Enum):
@@ -142,21 +143,22 @@ def scene_from_trace(trace: ConstructionTrace) -> Scene:
             f"(step {report.failure.step}: {report.failure.message})"
         )
     items: list[SceneItem] = []
-    for index, step in enumerate(trace.steps):
+    for step in trace.steps:
         out = step.output
-        if step.kind is StepKind.PLACE_POINT:
+        kind = step.kind
+        if kind is _PLACE_POINT:
             items.append(SceneItem(out, label=step.label, stroke=Stroke.BASE))
-        elif step.kind is StepKind.DRAW_CIRCLE:
+        elif kind is _DRAW_CIRCLE:
             items.append(SceneItem(out, stroke=Stroke.AUX))
-        elif step.kind is StepKind.DRAW_LINE:
+        elif kind is _DRAW_LINE:
             assert isinstance(out, Line)
             endpoints = tuple(trace.steps[ref] for ref in step.inputs)
-            if all(s.kind is StepKind.PLACE_POINT for s in endpoints):
+            if all(s.kind is _PLACE_POINT for s in endpoints):
                 seg = Segment(endpoints[0].output, endpoints[1].output)
                 items.append(SceneItem(seg, stroke=Stroke.BASE))
             else:
                 items.append(SceneItem(out, stroke=Stroke.AUX, dash=Dash.DASHED))
-        elif step.kind is StepKind.MARK_RESULT:
+        elif kind is _MARK_RESULT:
             items.append(SceneItem(out, label=step.label, stroke=Stroke.RESULT))
         else:
             items.append(SceneItem(out, label=step.label))

@@ -29,12 +29,14 @@ as much.
 
 from __future__ import annotations
 
+import errno
+import os
 import re
+from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from pathlib import Path
-from typing import Callable, NamedTuple, Union
 
 from . import constructions, kernel
 from .angles import Angle, direction_to_param, measure_angle
@@ -50,7 +52,7 @@ from .kernel import (
 )
 from .numeric import RationalParseError, is_digit_limit, parse_rational, too_many_digits
 
-Value = Union[Fraction, Point, Direction, Line, Ray, Segment, TaxicabCircle, tuple[Ray, ...]]
+Value = Fraction | Point | Direction | Line | Ray | Segment | TaxicabCircle | tuple[Ray, ...]
 
 
 class ScriptError(Exception):
@@ -74,11 +76,8 @@ class TaxiRuntimeError(ScriptError):
 # ---------------------------------------------------------------------------
 # Lexer
 
-class _Token(NamedTuple):
-    kind: str  # NUMBER, IDENT, STRING, or a literal symbol
-    text: str
-    line: int
-    col: int
+# A token's kind is NUMBER, IDENT, STRING, or a literal symbol.
+_Token = namedtuple("_Token", "kind text line col")
 
 
 _TOKEN_RE = re.compile(
@@ -98,7 +97,7 @@ _KIND = {"comment": None, "number": "NUMBER", "ident": "IDENT", "string": "STRIN
 # What may stand between two tokens.
 _BLANK = " \t\r\n"
 
-# A token built straight from its fields, without NamedTuple's Python-level
+# A token built straight from its fields, without namedtuple's Python-level
 # __new__.
 _make_token = partial(tuple.__new__, _Token)
 
@@ -141,9 +140,7 @@ def _tokenize(source: str) -> list[_Token]:
 # laid out differently in the source parse to equal trees.  Nothing changes a
 # node once it is built.
 
-class Loc(NamedTuple):
-    line: int
-    col: int
+Loc = namedtuple("Loc", "line col")
 
 
 _make_loc = partial(tuple.__new__, Loc)
@@ -185,7 +182,7 @@ class Call:
     loc: Loc = field(compare=False)
 
 
-Expr = Union[RationalLit, PointLit, StringLit, NameRef, Call]
+Expr = RationalLit | PointLit | StringLit | NameRef | Call
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -213,7 +210,7 @@ class Dump:
     loc: Loc = field(compare=False)
 
 
-Statement = Union[Binding, AssertEq, Render, Dump]
+Statement = Binding | AssertEq | Render | Dump
 
 
 @dataclass(frozen=True)
@@ -415,7 +412,7 @@ def _printable(show: Callable[[object], str], value: object, loc: Loc) -> str:
 
 
 class _Executor:
-    def __init__(self, output_root: Path | None) -> None:
+    def __init__(self, output_root: os.PathLike[str] | None) -> None:
         self.output_root = output_root
         self.env: dict[str, Value] = {}
         self.items: list[SceneItem] = []
@@ -455,11 +452,15 @@ class _Executor:
                 actual = _printable(_format_value, lhs, stmt.loc)
                 self.failures.append(AssertionFailure(stmt.loc.line, stmt.loc.col, expected, actual))
         elif isinstance(stmt, Render):
+            from pathlib import Path
+
             path = Path(stmt.path)
             if not path.is_absolute():
                 path = (self.output_root or Path.cwd()) / path
             svg = _printable(emit_svg, Scene(tuple(self.items)), stmt.loc)
             try:
+                if not os.path.basename(stmt.path):  # "figs/" names a directory, not a file
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), stmt.path)
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(svg, encoding="utf-8")
             except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
@@ -560,14 +561,10 @@ def _intersect(first: Line | Ray, second: Line | TaxicabCircle, index: int | Non
 _REQUIRED = object()
 
 
-class _Param(NamedTuple):
-    """One builtin parameter.  ``kind`` is a value type or a tuple of them,
-    ``int`` for a rational that must be an integer, or ``CircleVertex`` for
-    a quoted vertex name; ``what`` names the parameter in error messages."""
-
-    kind: type | tuple[type, ...]
-    what: str
-    default: object = _REQUIRED
+# One builtin parameter.  ``kind`` is a value type or a tuple of them, ``int``
+# for a rational that must be an integer, or ``CircleVertex`` for a quoted
+# vertex name; ``what`` names the parameter in error messages.
+_Param = namedtuple("_Param", "kind what default", defaults=(_REQUIRED,))
 
 
 class _Builtin:
@@ -613,7 +610,7 @@ _BUILTINS = {
 }
 
 
-def execute(script: Script, output_root: Path | None = None) -> ExecutionResult:
+def execute(script: Script, output_root: os.PathLike[str] | None = None) -> ExecutionResult:
     """Run a parsed script.
 
     ``render`` paths resolve against ``output_root`` (default: the current
@@ -623,5 +620,5 @@ def execute(script: Script, output_root: Path | None = None) -> ExecutionResult:
     return _Executor(output_root).run(script)
 
 
-def run_source(source: str, output_root: Path | None = None) -> ExecutionResult:
+def run_source(source: str, output_root: os.PathLike[str] | None = None) -> ExecutionResult:
     return execute(parse(source), output_root)

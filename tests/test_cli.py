@@ -264,6 +264,39 @@ def test_nsect_unwritable_output_exits_two(tmp_path, option, capsys):
     assert capsys.readouterr().err.startswith("error: cannot write afile/x.out")
 
 
+@pytest.mark.parametrize("option", ["--svg", "--json"])
+def test_output_path_naming_a_directory_exits_two_and_writes_nothing(tmp_path, option, capsys):
+    assert main(["nsect", "--a", "0,0", "--b", "3,3", "--n", "3", option, "out/"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write out/: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nsect_writes_a_bare_file_name_into_the_working_directory(tmp_path, capsys):
+    assert main(["nsect", "--a", "0,0", "--b", "3,3", "--n", "3", "--json", "n.json"]) == 0
+    assert json.loads((tmp_path / "n.json").read_text())["C"] == ["1", "1"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*command, option, ""]
+        for command in (
+            ["run", "case.taxi"],
+            ["nsect", "--a", "0,0", "--b", "3,3", "--n", "3"],
+            ["section", "--d1", "1,0", "--d2", "1,1", "--n", "3"],
+        )
+        for option in ("--svg", "--json")
+    ]
+    + [["render-demo", "--figure", "circle", "--out", ""]],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_empty_output_path_exits_two(tmp_path, argv, capsys):
+    write_script(tmp_path, "A = point(0, 0)\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write : ")
+
+
 # ------------------------------------------------------------------ measure
 
 

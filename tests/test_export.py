@@ -234,14 +234,14 @@ def test_group_id_with_a_quote_stays_one_attribute():
     assert 'say "M1"</text>' in svg
 
 
-def loaded_after(code: str, prefix: str) -> list[str]:
-    """Modules under ``prefix`` that a fresh interpreter has loaded once it
-    has run ``code``."""
+def loaded_after(code: str, prefix: str | tuple[str, ...], *flags: str) -> list[str]:
+    """Modules under ``prefix`` that a fresh interpreter, started with
+    ``flags``, has loaded once it has run ``code``."""
     source_root = Path(taxisect.__file__).resolve().parents[1]
     probe = (f"{code}\nimport json, sys\n"
              f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))")
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, *flags, "-c", probe],
         capture_output=True,
         text=True,
         check=True,
@@ -271,6 +271,43 @@ def test_nsect_trace_command_loads_no_exporter_script_or_figures():
     loaded = loaded_after(code, "taxisect")
     assert "taxisect.constructions" in loaded
     assert not {"taxisect.export", "taxisect.script", "taxisect.figures"} & set(loaded)
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+# The standard library modules that taxisect imports.  What they load by
+# themselves is not taxisect's doing: on CPython 3.13, dataclasses imports
+# inspect, which imports typing.
+STDLIB = ("import argparse, collections.abc, dataclasses, decimal, enum, errno, fractions, functools, json,"
+          " math, os, re")
+
+
+def top_level_after(code: str) -> set[str]:
+    """``typing`` and ``pathlib``, if a fresh interpreter started with -S has
+    loaded them once it has run ``code``.  A site .pth may itself import
+    either, so site stays off."""
+    return {m.split(".")[0] for m in loaded_after(code, ("pathlib", "typing"), "-S")} & {"pathlib", "typing"}
+
+
+@pytest.fixture(scope="module")
+def stdlib_loads():
+    return top_level_after(STDLIB)
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["measure", "--d1", "1,0", "--d2", "0,1"], []),
+        (["nsect", "--a", "0,0", "--b", "3,3", "--n", "3", "--trace"], []),
+        (["section", "--d1", "1,0", "--d2", "1,1", "--n", "3", "--svg", "s.svg", "--json", "s.json"], []),
+        (["render-demo", "--figure", "circle", "--out", "c.svg"], []),
+        (["run", str(CORPUS / "construction_n3.taxi")], []),
+        (["run", str(CORPUS / "render_figure.taxi")], ["pathlib"]),
+    ],
+    ids=["measure", "nsect", "section", "render-demo", "run", "run-render"],
+)
+def test_commands_load_no_typing_and_pathlib_only_to_render(tmp_path, stdlib_loads, argv, loaded):
+    code = f"import os\nos.chdir({str(tmp_path)!r})\nfrom taxisect.cli import main\nmain({argv!r})"
+    assert sorted(top_level_after(code) - stdlib_loads) == loaded
 
 
 def test_every_public_name_is_its_modules_own_object():

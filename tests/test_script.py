@@ -224,7 +224,7 @@ def test_a_bound_direction_is_not_drawn(tmp_path):
     assert (tmp_path / "out.svg").read_text().count("<circle ") == 1
 
 
-@pytest.mark.parametrize("target", ["afile/out.svg", "adir", "a\0b.svg"])
+@pytest.mark.parametrize("target", ["afile/out.svg", "adir", "a\0b.svg", "figs/"])
 def test_render_to_unwritable_path_is_located(tmp_path, target):
     (tmp_path / "afile").write_text("a regular file\n")
     (tmp_path / "adir").mkdir()
@@ -232,6 +232,7 @@ def test_render_to_unwritable_path_is_located(tmp_path, target):
         run_source(f'A = point(0, 0)\n\nrender "{target}"\n', output_root=tmp_path)
     assert (err.value.line, err.value.col) == (3, 1)
     assert err.value.message.startswith(f"cannot write {target}: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["adir", "afile"]
 
 
 @pytest.mark.parametrize(
