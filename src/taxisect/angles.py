@@ -54,9 +54,22 @@ def param_to_ints(n: int, d: int) -> tuple[int, int, int]:
     return x, abs(x) - den, den
 
 
+def _sweep_ints(d1: Direction, d2: Direction) -> tuple[int, int, int, bool]:
+    """The non-reflex sweep between d1 and d2 as (start, sweep, D, swapped):
+    counterclockwise from t = start/D through sweep/D <= 4, starting at d2
+    when swapped.  A straight angle starts at d1."""
+    (t1, l1), (t2, l2) = _param_ints(d1), _param_ints(d2)
+    den = l1 * l2
+    start, turn = t1 * l2, 8 * den
+    sweep = (t2 * l1 - start) % turn
+    if 2 * sweep > turn:
+        return (start + sweep) % turn, turn - sweep, den, True
+    return start, sweep, den, False
+
+
 def measure_between(d1: Direction, d2: Direction) -> Fraction:
-    delta = abs(direction_to_param(d1) - direction_to_param(d2))
-    return min(delta, 8 - delta)
+    _, sweep, den, _ = _sweep_ints(d1, d2)
+    return Fraction(sweep, den)
 
 
 def measure_angle(angle: Angle) -> Fraction:

@@ -16,15 +16,14 @@ TAXISECT_NO_COLOR disables ANSI styling in reports.
 Each subcommand imports only the modules it runs, on first use: ``measure``
 loads the kernel and the angle measure, ``nsect`` and ``section`` the
 constructions, ``--svg``/``--json`` the exporter, ``run`` the script front
-end, and ``render-demo`` the built-in figures.  taxisect itself imports no
-``typing`` (on CPython 3.13 ``dataclasses`` does, through ``inspect``), and
-it loads ``pathlib`` only for a script's ``render``.
+end, and ``render-demo`` the built-in figures.  taxisect itself imports
+neither ``typing`` nor ``pathlib`` (on CPython 3.13 ``dataclasses`` imports
+``typing``, through ``inspect``).
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
 import os
 import re
 import sys
@@ -71,6 +70,14 @@ def _direction_arg(text: str, what: str) -> Direction:
         raise UsageError(f"bad {what}: {exc}") from exc
 
 
+def _angle_arg(args: argparse.Namespace):
+    """The angle of ``--vertex``, ``--d1`` and ``--d2``, read in that order."""
+    from .angles import Angle
+
+    return Angle(_point_arg(args.vertex, "--vertex"), _direction_arg(args.d1, "--d1"),
+                 _direction_arg(args.d2, "--d2"))
+
+
 def _print_trace(trace) -> None:
     from .constructions import (
         _DRAW_CIRCLE, _DRAW_LINE, _INTERSECT_LINE_CIRCLE, _INTERSECT_LINES, _PLACE_POINT,
@@ -102,15 +109,11 @@ def _print_trace(trace) -> None:
 
 
 def _write(path: str, text: str) -> None:
-    parent, name = os.path.split(path)
+    from .export import write_text
+
     try:
-        if parent and not name:  # "out/" names a directory, not a file
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as out:
-            out.write(text)
-    except OSError as exc:
+        write_text(path, text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
@@ -166,14 +169,11 @@ def _cmd_nsect(args: argparse.Namespace) -> int:
 
 
 def _cmd_section(args: argparse.Namespace) -> int:
-    from .angles import Angle, measure_angle
+    from .angles import measure_angle
     from .constructions import section_angle
 
-    vertex = _point_arg(args.vertex, "--vertex")
-    d1 = _direction_arg(args.d1, "--d1")
-    d2 = _direction_arg(args.d2, "--d2")
+    angle = _angle_arg(args)
     radius = _rational_arg(args.radius, "--radius")
-    angle = Angle(vertex, d1, d2)
     rays, trace = section_angle(angle, args.n, radius)
     total = measure_angle(angle)
     print(f"measure = {total}, each part = {total / args.n}")
@@ -186,7 +186,7 @@ def _cmd_section(args: argparse.Namespace) -> int:
     if args.svg is not None:
         from .export import emit_svg, scene_from_trace
 
-        scene = scene_from_trace(trace) if trace is not None else _ray_scene(vertex, rays, radius)
+        scene = scene_from_trace(trace) if trace is not None else _ray_scene(angle.vertex, rays, radius)
         _write(args.svg, emit_svg(scene))
     if args.json is not None:
         from .export import emit_json
@@ -205,12 +205,9 @@ def _ray_scene(vertex: Point, rays, radius: Fraction):
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    from .angles import Angle, measure_angle
+    from .angles import measure_angle
 
-    vertex = _point_arg(args.vertex, "--vertex")
-    d1 = _direction_arg(args.d1, "--d1")
-    d2 = _direction_arg(args.d2, "--d2")
-    print(measure_angle(Angle(vertex, d1, d2)))
+    print(measure_angle(_angle_arg(args)))
     return 0
 
 
@@ -251,10 +248,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_nsect.add_argument("--trace", action="store_true", help="print the verified step list")
     p_nsect.set_defaults(func=_cmd_nsect)
 
-    p_section = sub.add_parser("section", help="divide an angle into n equal parts")
-    p_section.add_argument("--vertex", default="0,0", metavar="X,Y", help="angle vertex (default 0,0)")
-    p_section.add_argument("--d1", required=True, metavar="X,Y", help="first side direction")
-    p_section.add_argument("--d2", required=True, metavar="X,Y", help="second side direction")
+    angle_options = argparse.ArgumentParser(add_help=False)
+    angle_options.add_argument("--vertex", default="0,0", metavar="X,Y", help="angle vertex (default 0,0)")
+    angle_options.add_argument("--d1", required=True, metavar="X,Y", help="first side direction")
+    angle_options.add_argument("--d2", required=True, metavar="X,Y", help="second side direction")
+
+    p_section = sub.add_parser("section", help="divide an angle into n equal parts", parents=[angle_options])
     p_section.add_argument("--n", required=True, type=int, help="number of parts (>= 2)")
     p_section.add_argument("--radius", default="1", metavar="R", help="construction circle radius")
     p_section.add_argument("--svg", metavar="PATH", help="render the construction or rays")
@@ -262,10 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_section.add_argument("--trace", action="store_true", help="print the verified step list")
     p_section.set_defaults(func=_cmd_section)
 
-    p_measure = sub.add_parser("measure", help="t-radian measure of an angle")
-    p_measure.add_argument("--vertex", default="0,0", metavar="X,Y", help="angle vertex (default 0,0)")
-    p_measure.add_argument("--d1", required=True, metavar="X,Y", help="first side direction")
-    p_measure.add_argument("--d2", required=True, metavar="X,Y", help="second side direction")
+    p_measure = sub.add_parser("measure", help="t-radian measure of an angle", parents=[angle_options])
     p_measure.set_defaults(func=_cmd_measure)
 
     p_demo = sub.add_parser("render-demo", help="write a built-in demonstration figure")
@@ -281,21 +277,11 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     # tokens onto the preceding long option with "=", which argparse always
     # accepts, so coordinates with negative components work.
     merged: list[str] = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            token.startswith("--")
-            and "=" not in token
-            and nxt is not None
-            and re.match(r"-\d", nxt)
-        ):
-            merged.append(f"{token}={nxt}")
-            i += 2
+    for token in argv:
+        if merged and re.match(r"-\d", token) and merged[-1].startswith("--") and "=" not in merged[-1]:
+            merged[-1] += f"={token}"
         else:
             merged.append(token)
-            i += 1
     return merged
 
 

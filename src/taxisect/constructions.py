@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .angles import Angle, _param_ints, param_to_ints
+from .angles import Angle, _sweep_ints, param_to_ints
 from .kernel import (
     CircleVertex,
     Direction,
@@ -698,7 +698,7 @@ def section_angle(
     :class:`PostconditionError` with the trace attached.
 
     The sweep, its reflex swap, the corner test and the mark checks run in
-    ints over one denominator (see :func:`angles._param_ints`), and build
+    ints over one denominator (see :func:`angles._sweep_ints`), and build
     no ``Fraction``.
     """
     _check_part_count(n, "angle sectioning")
@@ -713,19 +713,10 @@ def section_angle(
     if radius <= 0:
         raise ConstructionError("sectioning circle radius must be positive")
 
-    # Both side parameters over D = L1*L2: start/D, sweep/D and a turn 8D.
-    first, second = angle.side1, angle.side2
-    (t1, l1), (t2, l2) = _param_ints(first), _param_ints(second)
-    den = l1 * l2
-    turn = 8 * den
-    start = t1 * l2
-    sweep = (t2 * l1 - start) % turn
+    start, sweep, den, swapped = _sweep_ints(angle.side1, angle.side2)
     if sweep == 0:
         raise ConstructionError("cannot section a zero angle")
-    if 2 * sweep > turn:
-        # Sweep the other way round, from where the forward sweep ended.
-        first, second = second, first
-        start, sweep = (start + sweep) % turn, turn - sweep
+    first, second = (angle.side2, angle.side1) if swapped else (angle.side1, angle.side2)
 
     # t_k = (start + sweep*k/n)/D mod 8, every t_k an int over nD, and each
     # ray's direction the unit-circle point at t_k.

@@ -11,12 +11,15 @@ bounds of the view box become Fractions.  Each SVG number is printed from
 its pair, expanded to at most 12 significant decimal digits with half-even
 rounding by one exact Decimal division.  Two emissions of the same scene
 are byte-identical.  JSON takes values only: rationals, kernel primitives
-and containers of them, such as bindings.
+and containers of them, such as bindings.  ``write_text`` is the one way
+both front ends write an output file.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from enum import Enum
@@ -416,3 +419,17 @@ def encode_value(value: object) -> object:
 def emit_json(value: object) -> str:
     """Canonical JSON text: sorted keys, no whitespace, exact rationals."""
     return json.dumps(encode_value(value), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text to path as UTF-8, making its parent directory first.  A
+    path ending in a separator, such as "out/", names a directory: it raises
+    IsADirectoryError before anything is made.  Raises OSError, or
+    ValueError for a NUL byte in the path."""
+    parent, name = os.path.split(path)
+    if parent and not name:
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(text)

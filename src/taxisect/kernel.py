@@ -197,6 +197,10 @@ class Ray:
     origin: Point
     direction: Direction
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.origin, Point) and isinstance(self.direction, Direction)):
+            raise GeometryError("a ray needs a point origin and a direction")
+
     def point_at(self, t: Fraction | int) -> Point:
         return Point(self.origin.x + self.direction.dx * t, self.origin.y + self.direction.dy * t)
 
@@ -225,6 +229,8 @@ class Segment:
     q: Point
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.p, Point) and isinstance(self.q, Point)):
+            raise GeometryError("segment endpoints must be points")
         if self.p == self.q:
             raise GeometryError("degenerate segment")
 

@@ -29,7 +29,6 @@ as much.
 
 from __future__ import annotations
 
-import errno
 import os
 import re
 from collections import namedtuple
@@ -40,7 +39,7 @@ from functools import partial
 
 from . import constructions, kernel
 from .angles import Angle, direction_to_param, measure_angle
-from .export import Scene, SceneItem, Stroke, emit_json, emit_svg
+from .export import Scene, SceneItem, Stroke, emit_json, emit_svg, write_text
 from .kernel import (
     CircleVertex,
     Direction,
@@ -412,7 +411,7 @@ def _printable(show: Callable[[object], str], value: object, loc: Loc) -> str:
 
 
 class _Executor:
-    def __init__(self, output_root: os.PathLike[str] | None) -> None:
+    def __init__(self, output_root: str | os.PathLike[str] | None) -> None:
         self.output_root = output_root
         self.env: dict[str, Value] = {}
         self.items: list[SceneItem] = []
@@ -452,20 +451,13 @@ class _Executor:
                 actual = _printable(_format_value, lhs, stmt.loc)
                 self.failures.append(AssertionFailure(stmt.loc.line, stmt.loc.col, expected, actual))
         elif isinstance(stmt, Render):
-            from pathlib import Path
-
-            path = Path(stmt.path)
-            if not path.is_absolute():
-                path = (self.output_root or Path.cwd()) / path
+            path = os.path.join(self.output_root or os.getcwd(), stmt.path)
             svg = _printable(emit_svg, Scene(tuple(self.items)), stmt.loc)
             try:
-                if not os.path.basename(stmt.path):  # "figs/" names a directory, not a file
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), stmt.path)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(svg, encoding="utf-8")
+                write_text(path, svg)
             except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
                 raise TaxiRuntimeError(f"cannot write {stmt.path}: {exc}", stmt.loc.line, stmt.loc.col) from exc
-            self.rendered.append(str(path))
+            self.rendered.append(path)
         elif isinstance(stmt, Dump):
             self.dumps.append(_printable(emit_json, self.env, stmt.loc))
         else:
@@ -610,7 +602,7 @@ _BUILTINS = {
 }
 
 
-def execute(script: Script, output_root: os.PathLike[str] | None = None) -> ExecutionResult:
+def execute(script: Script, output_root: str | os.PathLike[str] | None = None) -> ExecutionResult:
     """Run a parsed script.
 
     ``render`` paths resolve against ``output_root`` (default: the current
@@ -620,5 +612,5 @@ def execute(script: Script, output_root: os.PathLike[str] | None = None) -> Exec
     return _Executor(output_root).run(script)
 
 
-def run_source(source: str, output_root: os.PathLike[str] | None = None) -> ExecutionResult:
+def run_source(source: str, output_root: str | os.PathLike[str] | None = None) -> ExecutionResult:
     return execute(parse(source), output_root)

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from taxisect.angles import (
     Angle,
@@ -12,6 +12,7 @@ from taxisect.angles import (
 )
 from taxisect.kernel import CircleVertex, Direction, Point, TaxicabCircle, circle_vertex, taxicab_distance
 from taxisect.numeric import as_rational
+from test_kernel import wide_directions
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=48)
 directions = (
@@ -162,6 +163,20 @@ def test_measure_range_and_symmetry(d1, d2):
     m = measure_between(d1, d2)
     assert 0 <= m <= 4
     assert m == measure_between(d2, d1)
+
+
+def _reference_param(w: Direction) -> F:
+    """Arc parameter of w in Fractions: t = 2 - 2x above the x axis and
+    6 + 2x below it, for x = dx / (|dx| + |dy|)."""
+    x = w.dx / (abs(w.dx) + abs(w.dy))
+    return 2 - 2 * x if w.dy >= 0 else 6 + 2 * x
+
+
+@settings(max_examples=300)
+@given(wide_directions, wide_directions)
+def test_measure_matches_fraction_reference(d1, d2):
+    delta = abs(_reference_param(d1) - _reference_param(d2))
+    assert measure_between(d1, d2) == min(delta, 8 - delta)
 
 
 @given(directions, positive)

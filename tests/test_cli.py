@@ -271,6 +271,24 @@ def test_output_path_naming_a_directory_exits_two_and_writes_nothing(tmp_path, o
     assert list(tmp_path.iterdir()) == []
 
 
+def test_output_path_with_a_nul_byte_exits_two(tmp_path, capsys):
+    assert main(["nsect", "--a", "0,0", "--b", "3,3", "--n", "3", "--svg", "a\0b.svg"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["nsect", "--a", "0,0", "--b", "3,3", "--n", "3", "--svg", "out/"], ["run", "case.taxi"]],
+    ids=["cli", "script"],
+)
+def test_both_front_ends_refuse_a_path_ending_in_a_separator(tmp_path, argv, capsys):
+    write_script(tmp_path, 'A = point(0, 0)\nrender "out/"\n')
+    assert main(argv) == 2
+    assert "[Errno 21] Is a directory" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["case.taxi"]
+
+
 def test_nsect_writes_a_bare_file_name_into_the_working_directory(tmp_path, capsys):
     assert main(["nsect", "--a", "0,0", "--b", "3,3", "--n", "3", "--json", "n.json"]) == 0
     assert json.loads((tmp_path / "n.json").read_text())["C"] == ["1", "1"]

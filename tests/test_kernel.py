@@ -147,6 +147,21 @@ def test_circle_center_must_be_a_point(center):
         TaxicabCircle(center, F(1))
 
 
+@pytest.mark.parametrize("p, q", [(0.5, 1.5), (pt(0, 0), (1, 1)), ((0, 0), pt(1, 1)), (pt(0, 0), None)])
+def test_segment_endpoints_must_be_points(p, q):
+    with pytest.raises(GeometryError, match="endpoints must be points"):
+        Segment(p, q)
+
+
+@pytest.mark.parametrize(
+    "origin, direction",
+    [((0.5, 0), Direction(F(1), F(0))), (pt(0, 0), (1, 0)), (pt(0, 0), pt(1, 0)), (None, Direction(F(1), F(0)))],
+)
+def test_ray_needs_a_point_origin_and_a_direction(origin, direction):
+    with pytest.raises(GeometryError, match="point origin and a direction"):
+        Ray(origin, direction)
+
+
 # The constructors coerce exactly what ``as_rational`` accepts, and keep a
 # Fraction as it is.
 _BUILDERS = {

@@ -224,6 +224,17 @@ def test_a_bound_direction_is_not_drawn(tmp_path):
     assert (tmp_path / "out.svg").read_text().count("<circle ") == 1
 
 
+@pytest.mark.parametrize("as_root", [str, Path], ids=["str-root", "Path-root"])
+@pytest.mark.parametrize("target", ["out.svg", "figs/deep/out.svg", None], ids=["relative", "nested", "absolute"])
+def test_rendered_names_each_written_path(tmp_path, as_root, target):
+    root = tmp_path / "root"
+    path = target or str(tmp_path / "abs" / "out.svg")
+    result = run_source(f'A = point(0, 0)\nrender "{path}"\n', output_root=as_root(root))
+    want = path if target is None else f"{root}/{target}"
+    assert result.rendered == (want,)
+    assert Path(want).read_text().startswith("<svg")
+
+
 @pytest.mark.parametrize("target", ["afile/out.svg", "adir", "a\0b.svg", "figs/"])
 def test_render_to_unwritable_path_is_located(tmp_path, target):
     (tmp_path / "afile").write_text("a regular file\n")
