@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import Direction, Point
+from .kernel import Direction, GeometryError, Point
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,11 @@ class Angle:
     vertex: Point
     side1: Direction
     side2: Direction
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.vertex, Point) and isinstance(self.side1, Direction)
+                and isinstance(self.side2, Direction)):
+            raise GeometryError("an angle needs a point vertex and two directions")
 
 
 def _param_ints(d: Direction) -> tuple[int, int]:

@@ -31,7 +31,8 @@ checks each step against one definition of its kind, a drawn figure or a
 crossing by its incidences in exact int arithmetic and a corner or a mark by
 computing it, and checks every claim, so a trace is a machine-checkable
 certificate independent of the choices that built it: which corner, which
-crossing, how far the chain walks.
+crossing, how far the chain walks.  It solves nothing: a line may meet a
+circle only through the circle's center, as every construction's lines do.
 """
 
 from __future__ import annotations
@@ -49,14 +50,12 @@ from .kernel import (
     Line,
     Point,
     Ray,
-    Segment,
     TaxicabCircle,
     _direction,
     _point,
     at_taxicab_distance,
     circle_point_toward,
     circle_vertex,
-    intersect_line_circle,
     intersect_lines,
     line_through,
     point_between,
@@ -177,10 +176,10 @@ class TraceStep:
 
     ``inputs`` reference earlier steps by index.  ``claims`` state facts
     about a point output that its step does not imply; the builder writes
-    them only on marks.  ``pick`` selects one point of a two-point
-    intersection (index into the kernel's canonical ordering),
-    ``vertex`` names a circle corner, and ``radius`` records a literal compass
-    opening for circles not spanned between two drawn points.  Each of these
+    them only on marks.  ``pick`` chooses c - w or c + w where a line meets
+    a circle through its center c (see :class:`_TraceBuilder`), ``vertex``
+    names a circle corner, and ``radius`` records a literal compass opening
+    for circles not spanned between two drawn points.  Each of these
     three belongs to one kind of step, and is None on every other:
     ``pick`` to intersect-line-circle, ``vertex`` to take-circle-vertex, and
     ``radius`` to a draw-circle with one input.  ``label`` only names the
@@ -274,31 +273,29 @@ def _check_step(step: TraceStep, outputs: Sequence[Primitive]) -> str | None:
       radius or the spanned distance;
     - intersect-lines: the normals (A, B) are not parallel, and both lines
       contain the point, which is then their one crossing;
-    - intersect-line-circle, when the line contains the circle's center c:
+    - intersect-line-circle: the line contains the circle's center c, and
       the point is on the line and the circle, so it is c + w or c - w for
       w along the line (see :class:`_TraceBuilder`).  The kernel orders the
       two by (x, y), so the point is crossing ``pick`` exactly when ``pick``
       is in ``range(-2, 2)`` and ``pick % 2`` says whether the point lies
       after c.
 
-    A corner and a mark are computed.  Only a crossing of a line that
-    misses the center, which no builder records, is solved, and ``pick``
-    indexes its crossings in the kernel's order.
+    A corner and a mark are computed.  No step is solved.
 
     The kinds that fill a construction's trace, the spanned draw-circle,
-    intersect-line-circle through the center and mark-result, read their
-    inputs' int forms and write out their incidence arithmetic here, the
-    same sums as ``Line.contains`` and ``at_taxicab_distance``, rather than
-    call a kernel predicate.  A point is compared as a Point compares: the
+    intersect-line-circle and mark-result, read their inputs' int forms
+    and write out their incidence arithmetic here, the same sums as
+    ``Line.contains`` and ``at_taxicab_distance``, rather than call a
+    kernel predicate.  A point is compared as a Point compares: the
     same class and the same int form.  The other kinds call the kernel.
 
     A step that cannot be carried out (a line through one point, a radius
-    that is not positive, lines that do not cross, a ``pick`` outside the
-    crossings) "does not replay"; any other mismatch "differs from
-    replay".  A wrong number or kind of inputs, or a ``pick``, ``radius`` or
-    ``vertex`` of the wrong type, raises :class:`MalformedTraceError`, and
-    the checks run in that order.  The references are already checked to
-    be earlier steps.
+    that is not positive, lines that do not cross, a line that misses the
+    circle's center, a ``pick`` outside ``range(-2, 2)``) "does not
+    replay"; any other mismatch "differs from replay".  A wrong number or
+    kind of inputs, or a ``pick``, ``radius`` or ``vertex`` of the wrong
+    type, raises :class:`MalformedTraceError`, and the checks run in that
+    order.  The references are already checked to be earlier steps.
     """
     kind, inputs, output = step.kind, step.inputs, step.output
     if kind is _DRAW_CIRCLE:
@@ -350,26 +347,21 @@ def _check_step(step: TraceStep, outputs: Sequence[Primitive]) -> str | None:
             raise MalformedTraceError("intersect-line-circle needs an integer pick index")
         a, b, c = line._ints
         cx, cy, cd = circle.center._ints
-        if a * cx + b * cy == c * cd:
-            if not -2 <= pick < 2:
-                return _DOES_NOT_REPLAY
-            if type(output) is not Point:
-                return _DIFFERS
-            # On the line, then on the circle: w = (wx, wy)/(od*cd) from c
-            # has taxicab length r, and the point lies after c when w is
-            # lexicographically positive.
-            ox, oy, od = output._ints
-            if a * ox + b * oy != c * od:
-                return _DIFFERS
-            wx, wy = ox * cd - cx * od, oy * cd - cy * od
-            rn, rd = circle.radius.as_integer_ratio()
-            if (abs(wx) + abs(wy)) * rd != rn * od * cd:
-                return _DIFFERS
-            return None if pick % 2 == ((wx, wy) > (0, 0)) else _DIFFERS
-        crossings = intersect_line_circle(line, circle)
-        if isinstance(crossings, Segment) or not -len(crossings) <= pick < len(crossings):
+        if a * cx + b * cy != c * cd or not -2 <= pick < 2:
             return _DOES_NOT_REPLAY
-        return None if crossings[pick] == output else _DIFFERS
+        if type(output) is not Point:
+            return _DIFFERS
+        # On the line, then on the circle: w = (wx, wy)/(od*cd) from c has
+        # taxicab length r, and the point lies after c when w is
+        # lexicographically positive.
+        ox, oy, od = output._ints
+        if a * ox + b * oy != c * od:
+            return _DIFFERS
+        wx, wy = ox * cd - cx * od, oy * cd - cy * od
+        rn, rd = circle.radius.as_integer_ratio()
+        if (abs(wx) + abs(wy)) * rd != rn * od * cd:
+            return _DIFFERS
+        return None if pick % 2 == ((wx, wy) > (0, 0)) else _DIFFERS
     if kind is _MARK_RESULT:
         if len(inputs) != 1:
             raise MalformedTraceError("mark-result takes 1 input")
@@ -410,10 +402,10 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
 
     Each step is checked by :func:`_check_step`, the one definition of its
     kind: a drawn figure or a crossing by its incidences, a corner or a mark
-    by computing it.  The steps of a construction's trace cost a few int
-    products each: exact types are tested before ``isinstance``, and the
-    references of the claims are gathered only on a step that has claims,
-    which only marks do.
+    by computing it, and no step by solving an intersection.  The steps of
+    a construction's trace cost a few int products each: exact types are
+    tested before ``isinstance``, and the references of the claims are
+    gathered only on a step that has claims, which only marks do.
 
     Structural problems (a trace that is not a :class:`ConstructionTrace`,
     steps that are not a sequence of :class:`TraceStep`, forward or
@@ -702,12 +694,7 @@ def section_angle(
     no ``Fraction``.
     """
     _check_part_count(n, "angle sectioning")
-    if not (
-        isinstance(angle, Angle)
-        and isinstance(angle.vertex, Point)
-        and isinstance(angle.side1, Direction)
-        and isinstance(angle.side2, Direction)
-    ):
+    if not isinstance(angle, Angle):
         raise ConstructionError(f"angle sectioning needs an Angle of a Point and two Directions, got {angle!r}")
     radius = as_rational(radius)
     if radius <= 0:

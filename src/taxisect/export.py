@@ -81,10 +81,11 @@ class Scene:
     items: tuple[SceneItem, ...]
 
 
-def _bounds(values: list[tuple[int, int]]) -> tuple[Fraction, Fraction]:
+def _bounds(values: list[tuple[int, int]]) -> tuple[int, int, int]:
     """The least and greatest of some (numerator, denominator) pairs with
     positive denominators, moved 1 apart when they are equal, then each
-    moved out by a tenth of the distance between them."""
+    moved out by a tenth of the distance between them: two numerators over
+    one positive denominator."""
     (lo_n, lo_d) = (hi_n, hi_d) = values[0]
     for n, d in values:
         if n * lo_d < lo_n * d:
@@ -94,12 +95,12 @@ def _bounds(values: list[tuple[int, int]]) -> tuple[Fraction, Fraction]:
     if lo_n * hi_d == hi_n * lo_d:
         lo_n, hi_n = lo_n - lo_d, hi_n + hi_d
     # lo - (hi - lo)/10 and hi + (hi - lo)/10, over 10 * lo_d * hi_d
-    den = 10 * lo_d * hi_d
-    return Fraction(11 * lo_n * hi_d - hi_n * lo_d, den), Fraction(11 * hi_n * lo_d - lo_n * hi_d, den)
+    return 11 * lo_n * hi_d - hi_n * lo_d, 11 * hi_n * lo_d - lo_n * hi_d, 10 * lo_d * hi_d
 
 
 def compute_viewbox(scene: Scene) -> ViewBox:
-    """Bounding box of all finite geometry, padded by 10% on each side."""
+    """Bounding box of all finite geometry, padded by 10% on each side,
+    then evenly on the narrower axis so that height / width is in [1/4, 4]."""
     xs: list[tuple[int, int]] = []
     ys: list[tuple[int, int]] = []
     for item in scene.items:
@@ -125,9 +126,15 @@ def compute_viewbox(scene: Scene) -> ViewBox:
             ys.append((y, d))
     if not xs:
         return ViewBox(Fraction(-1), Fraction(-1), Fraction(1), Fraction(1))
-    min_x, max_x = _bounds(xs)
-    min_y, max_y = _bounds(ys)
-    return ViewBox(min_x, min_y, max_x, max_y)
+    x0, x1, xd = _bounds(xs)
+    y0, y1, yd = _bounds(ys)
+    # w and h over xd*yd; for h > 4w each x bound moves out (h - 4w)/8, to a width h/4.
+    w, h = (x1 - x0) * yd, (y1 - y0) * xd
+    if h > 4 * w:
+        x0, x1, xd = 8 * yd * x0 - (h - 4 * w), 8 * yd * x1 + (h - 4 * w), 8 * xd * yd
+    elif w > 4 * h:
+        y0, y1, yd = 8 * xd * y0 - (w - 4 * h), 8 * xd * y1 + (w - 4 * h), 8 * xd * yd
+    return ViewBox(Fraction(x0, xd), Fraction(y0, yd), Fraction(x1, xd), Fraction(y1, yd))
 
 
 def scene_from_trace(trace: ConstructionTrace) -> Scene:

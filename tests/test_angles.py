@@ -10,7 +10,15 @@ from taxisect.angles import (
     measure_between,
     param_to_ints,
 )
-from taxisect.kernel import CircleVertex, Direction, Point, TaxicabCircle, circle_vertex, taxicab_distance
+from taxisect.kernel import (
+    CircleVertex,
+    Direction,
+    GeometryError,
+    Point,
+    TaxicabCircle,
+    circle_vertex,
+    taxicab_distance,
+)
 from taxisect.numeric import as_rational
 from test_kernel import wide_directions
 
@@ -156,6 +164,16 @@ def test_measure_skew_angle():
 
 def test_measure_degenerate():
     assert measure_angle(Angle(ORIGIN, d(2, 3), d(4, 6))) == 0
+
+
+@pytest.mark.parametrize(
+    "vertex, side1, side2",
+    [(ORIGIN, (1, 0), d(1, 1)), (ORIGIN, d(1, 0), (1, 1)), ((0, 0), d(1, 0), d(1, 1)), (0.5, (1, 0), (0, 1))],
+    ids=["tuple-side1", "tuple-side2", "tuple-vertex", "float-vertex"],
+)
+def test_angle_needs_a_point_vertex_and_two_directions(vertex, side1, side2):
+    with pytest.raises(GeometryError, match="^an angle needs a point vertex and two directions$"):
+        Angle(vertex, side1, side2)
 
 
 @given(directions, directions)

@@ -167,6 +167,25 @@ def test_viewbox_margin_contains_items():
     assert box.min_y == F(-12, 5) and box.max_y == F(12, 5)
 
 
+@pytest.mark.parametrize(
+    "ends, height",
+    [
+        (((F(1, 10**20), 0), (F(1, 10**20 + 1), 0)), "2240"),
+        (((0, F(1, 10**20)), (0, F(1, 10**20 + 1))), "140"),
+    ],
+    ids=["tall", "wide"],
+)
+def test_svg_height_stays_within_a_factor_four_of_the_width(ends, height):
+    """Two points 10^-40 apart on one axis: the other axis is padded, so
+    the height is at its bound and not 2 * 10^43."""
+    scene = Scene(tuple(SceneItem(pt(*end)) for end in ends))
+    box = compute_viewbox(scene)
+    assert sorted((box.max_x - box.min_x, box.max_y - box.min_y)) == [F(6, 10), F(24, 10)]
+    assert emit_svg(scene).startswith(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="560" height="{height}" viewBox="0 0 560 {height}">\n'
+    )
+
+
 def test_regroup_tags_every_item():
     scene = Scene((SceneItem(pt(0, 0)), SceneItem(pt(1, 1))))
     for item in regroup(scene, "left"):
@@ -475,6 +494,9 @@ def reference_viewbox(scene: Scene) -> ViewBox:
     if min_y == max_y:
         min_y, max_y = min_y - 1, max_y + 1
     pad_x, pad_y = (max_x - min_x) / 10, (max_y - min_y) / 10
+    min_x, min_y, max_x, max_y = min_x - pad_x, min_y - pad_y, max_x + pad_x, max_y + pad_y
+    width, height = max_x - min_x, max_y - min_y
+    pad_x, pad_y = max(F(0), height / 4 - width) / 2, max(F(0), width / 4 - height) / 2
     return ViewBox(min_x - pad_x, min_y - pad_y, max_x + pad_x, max_y + pad_y)
 
 

@@ -342,13 +342,25 @@ def past_int_limit_source(statement: str) -> str:
 
 
 @pytest.mark.skipif(not INT_DIGITS, reason="str() converts any number of digits")
-@pytest.mark.parametrize("statement", ["dump", "assert_eq d 0", "assert_eq 0 d", 'render "d.svg"'])
+@pytest.mark.parametrize("statement", ["dump", "assert_eq d 0", "assert_eq 0 d"])
 def test_a_result_past_the_int_limit_is_located(tmp_path, statement):
-    """Each statement prints d, or an SVG coordinate as long, in full."""
+    """Each statement prints d in full."""
     with pytest.raises(TaxiRuntimeError) as err:
         run_source(past_int_limit_source(statement), output_root=tmp_path)
     message = f"value has an integer of more than {INT_DIGITS} digits"
     assert (err.value.message, (err.value.line, err.value.col)) == (message, (4, 1))
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="str() converts any number of digits")
+def test_a_scene_past_the_int_limit_renders_at_the_height_bound(tmp_path):
+    """P and Q are about 10^-2k apart on the x axis.  The view is padded in
+    x until its height is 4 widths, so the SVG is 2240 high, not a number
+    with more digits than str() converts."""
+    result = run_source(past_int_limit_source('render "d.svg"'), output_root=tmp_path)
+    svg = (tmp_path / "d.svg").read_text(encoding="utf-8")
+    assert result.rendered == (str(tmp_path / "d.svg"),)
+    assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="560" height="2240" viewBox="0 0 560 2240">')
+    assert '<circle cx="280" cy="1120" r="4.5"' in svg
 
 
 # ----------------------------------------------------------- layout, rerun
