@@ -6,13 +6,16 @@ computes in ints: the view box is found by comparing coordinates as
 numerator and denominator pairs, read off each point's int form, the view
 is then taken over one common denominator, and each point, circle corner,
 label anchor and clipped end of a line or ray maps to an exact SVG
-coordinate kept as an int pair (numerator, denominator).  Only the four
-bounds of the view box become Fractions.  Each SVG number is printed from
-its pair, expanded to at most 12 significant decimal digits with half-even
-rounding by one exact Decimal division.  Two emissions of the same scene
-are byte-identical.  JSON takes values only: rationals, kernel primitives
-and containers of them, such as bindings.  ``write_text`` is the one way
-both front ends write an output file.
+coordinate kept as an int pair (numerator, denominator).  Each SVG number
+is printed from its pair, expanded to at most 12 significant decimal digits
+with half-even rounding by one exact Decimal division.  Two emissions of
+the same scene are byte-identical.  JSON takes values only: rationals,
+kernel primitives and containers of them, such as bindings; each
+coordinate, component and line coefficient is written from its int form by
+``numeric.ratio_text``.  Neither emission builds a Fraction; only
+``compute_viewbox``, which returns the public ``ViewBox``, turns the view's
+int bounds into Fractions.  ``write_text`` is the one way both front ends
+write an output file.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .constructions import (
     _DRAW_CIRCLE, _DRAW_LINE, _MARK_RESULT, _PLACE_POINT, ConstructionTrace, verify_trace,
@@ -39,6 +42,7 @@ from .kernel import (
     TaxicabCircle,
     _circle_ints,
 )
+from .numeric import ratio_text
 
 Geometry = Point | Segment | Line | Ray | TaxicabCircle | tuple[Point, ...]
 
@@ -98,9 +102,9 @@ def _bounds(values: list[tuple[int, int]]) -> tuple[int, int, int]:
     return 11 * lo_n * hi_d - hi_n * lo_d, 11 * hi_n * lo_d - lo_n * hi_d, 10 * lo_d * hi_d
 
 
-def compute_viewbox(scene: Scene) -> ViewBox:
-    """Bounding box of all finite geometry, padded by 10% on each side,
-    then evenly on the narrower axis so that height / width is in [1/4, 4]."""
+def _view(scene: Scene) -> tuple[int, int, int, int, int]:
+    """The view box's bounds (min_x, min_y, max_x, max_y) as numerators over
+    their least common denominator, which is last."""
     xs: list[tuple[int, int]] = []
     ys: list[tuple[int, int]] = []
     for item in scene.items:
@@ -125,7 +129,7 @@ def compute_viewbox(scene: Scene) -> ViewBox:
             xs.append((x, d))
             ys.append((y, d))
     if not xs:
-        return ViewBox(Fraction(-1), Fraction(-1), Fraction(1), Fraction(1))
+        return -1, -1, 1, 1, 1
     x0, x1, xd = _bounds(xs)
     y0, y1, yd = _bounds(ys)
     # w and h over xd*yd; for h > 4w each x bound moves out (h - 4w)/8, to a width h/4.
@@ -134,7 +138,18 @@ def compute_viewbox(scene: Scene) -> ViewBox:
         x0, x1, xd = 8 * yd * x0 - (h - 4 * w), 8 * yd * x1 + (h - 4 * w), 8 * xd * yd
     elif w > 4 * h:
         y0, y1, yd = 8 * xd * y0 - (w - 4 * h), 8 * xd * y1 + (w - 4 * h), 8 * xd * yd
-    return ViewBox(Fraction(x0, xd), Fraction(y0, yd), Fraction(x1, xd), Fraction(y1, yd))
+    # Over lcm(xd, yd), then over the gcd of all five: the least common denominator.
+    d = lcm(xd, yd)
+    x0, x1, y0, y1 = x0 * (d // xd), x1 * (d // xd), y0 * (d // yd), y1 * (d // yd)
+    g = gcd(x0, y0, x1, y1, d)
+    return x0 // g, y0 // g, x1 // g, y1 // g, d // g
+
+
+def compute_viewbox(scene: Scene) -> ViewBox:
+    """Bounding box of all finite geometry, padded by 10% on each side,
+    then evenly on the narrower axis so that height / width is in [1/4, 4]."""
+    x0, y0, x1, y1, d = _view(scene)
+    return ViewBox(Fraction(x0, d), Fraction(y0, d), Fraction(x1, d), Fraction(y1, d))
 
 
 def scene_from_trace(trace: ConstructionTrace) -> Scene:
@@ -227,18 +242,16 @@ def _decimal_text(num: int, den: int) -> str:
 class _Mapper:
     """Affine map from math coordinates to SVG user units (y flipped), in ints.
 
-    The view is taken over one common denominator d once, as the corners
+    The view is given over one common denominator d > 0, as the corners
     (x0, y0)/d and (x1, y1)/d.  With w = x1 - x0, a math x = n/e lands at
     (n*d - x0*e) * 560 / (e*w) and a math y = n/e at
     (y1*e - n*d) * 560 / (e*w); both are kept as int pairs.
     """
 
-    def __init__(self, view: ViewBox) -> None:
-        ratios = [v.as_integer_ratio() for v in (view.min_x, view.min_y, view.max_x, view.max_y)]
-        self.d = d = lcm(*(den for _, den in ratios))
-        self.x0, self.y0, self.x1, self.y1 = (n * (d // den) for n, den in ratios)
-        self.w = self.x1 - self.x0
-        self.height = ((self.y1 - self.y0) * _CANVAS_WIDTH, self.w)
+    def __init__(self, x0: int, y0: int, x1: int, y1: int, d: int) -> None:
+        self.x0, self.y0, self.x1, self.y1, self.d = x0, y0, x1, y1, d
+        self.w = x1 - x0
+        self.height = ((y1 - y0) * _CANVAS_WIDTH, self.w)
 
     def x(self, n: int, e: int) -> _Pair:
         return (n * self.d - self.x0 * e) * _CANVAS_WIDTH, e * self.w
@@ -362,7 +375,7 @@ def _item_elements(mapper: _Mapper, item: SceneItem) -> list[str]:
 
 def emit_svg(scene: Scene) -> str:
     """Serialize a scene to standalone SVG 1.1 text, byte-stable per scene."""
-    mapper = _Mapper(compute_viewbox(scene))
+    mapper = _Mapper(*_view(scene))
     w = str(_CANVAS_WIDTH)
     h = _decimal_text(*mapper.height)
     lines = [
@@ -401,18 +414,21 @@ def encode_value(value: object) -> object:
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, Point):
-        return [str(value.x), str(value.y)]
+        return _pair_text(value._ints)
     if isinstance(value, Direction):
-        return {"direction": [str(value.dx), str(value.dy)]}
+        return {"direction": _pair_text(value._ints)}
     if isinstance(value, Line):
-        return {"line": [str(value.a), str(value.b), str(value.c)]}
+        # Each coefficient over the first nonzero of A, B, which is positive.
+        a, b, c = value._ints
+        first = a or b
+        return {"line": [ratio_text(a, first), ratio_text(b, first), ratio_text(c, first)]}
     if isinstance(value, Segment):
-        return {"segment": [encode_value(value.p), encode_value(value.q)]}
+        return {"segment": [_pair_text(value.p._ints), _pair_text(value.q._ints)]}
     if isinstance(value, Ray):
-        return {"ray": {"direction": [str(value.direction.dx), str(value.direction.dy)],
-                        "origin": encode_value(value.origin)}}
+        return {"ray": {"direction": _pair_text(value.direction._ints),
+                        "origin": _pair_text(value.origin._ints)}}
     if isinstance(value, TaxicabCircle):
-        return {"circle": {"center": encode_value(value.center), "radius": str(value.radius)}}
+        return {"circle": {"center": _pair_text(value.center._ints), "radius": str(value.radius)}}
     if isinstance(value, (tuple, list)):
         return [encode_value(v) for v in value]
     if isinstance(value, dict):
@@ -421,6 +437,13 @@ def encode_value(value: object) -> object:
                 raise GeometryError(f"JSON keys must be strings, got {key!r}")
         return {key: encode_value(v) for key, v in value.items()}
     raise GeometryError(f"cannot encode {type(value).__name__} as JSON")
+
+
+def _pair_text(ints: tuple[int, int, int]) -> list[str]:
+    """A point's coordinates or a direction's components, (X/D, Y/D), as
+    text."""
+    x, y, d = ints
+    return [ratio_text(x, d), ratio_text(y, d)]
 
 
 def emit_json(value: object) -> str:

@@ -20,11 +20,12 @@ their least common denominator D > 0.  A direction is stored the same way,
 its two components over their least common denominator, and a line as its
 primitive int form (A, B, C).  Line canonicalisation, ``line_through``,
 ``intersect_lines``, ``intersect_line_circle``, ``circle_vertex``,
-``circle_point_toward`` and ``taxicab_distance`` compute on those ints, a
-circle taken over one common denominator; each point they return is put in
-its int form by one gcd (``_point``), as is each direction that the trace
-builder computes (``_direction``).  ``taxicab_distance`` builds one
-``Fraction``, for the distance.  The incidence predicates
+``circle_point_toward``, ``Ray.point_at`` and both distances compute on
+those ints, a circle taken over one common denominator; each point they
+return is put in its int form by one gcd (``_point``), as is each direction
+that the trace builder computes (``_direction``).  ``taxicab_distance``,
+``euclidean_distance_squared`` and ``Ray.param_of`` each build one
+``Fraction``, their result.  The incidence predicates
 ``Line.contains``, ``point_between``, ``at_taxicab_distance`` and
 ``point_on_circle`` compare ints and build no ``Fraction`` at all.
 ``circle_point_toward`` is the point c + w*r/|w| at which a line through
@@ -32,7 +33,10 @@ the center c along w crosses the circle in direction w, which the trace
 builder records for such a crossing whose point it does not already know,
 instead of solving the line against the circle.  A ``Fraction`` is built
 only at the API edge: ``Point(x, y)`` and ``Direction(dx, dy)`` take
-rationals, and ``x``, ``y``, ``dx`` and ``dy`` read them back.
+rationals, ``x``, ``y``, ``dx``, ``dy`` and a line's ``a``, ``b``, ``c``
+read them back, and a distance or a ray parameter is returned as one.
+``str`` of a point or a direction writes each coordinate or component
+from the ints with ``numeric.ratio_text`` and builds no ``Fraction``.
 
 The predicates state the incidences by which a trace step is checked
 without solving it again.  ``constructions._check_step`` is the one
@@ -46,7 +50,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 
-from .numeric import as_rational
+from .numeric import as_rational, ratio_text
 
 
 class GeometryError(ValueError):
@@ -88,7 +92,8 @@ class Point:
         return f"Point(x={self.x!r}, y={self.y!r})"
 
     def __str__(self) -> str:
-        return f"({self.x}, {self.y})"
+        x, y, d = self._ints
+        return f"({ratio_text(x, d)}, {ratio_text(y, d)})"
 
 
 def _lowest(x: int, y: int, d: int) -> tuple[int, int, int]:
@@ -140,7 +145,8 @@ class Direction:
         return f"Direction(dx={self.dx!r}, dy={self.dy!r})"
 
     def __str__(self) -> str:
-        return f"({self.dx}, {self.dy})"
+        x, y, d = self._ints
+        return f"({ratio_text(x, d)}, {ratio_text(y, d)})"
 
 
 def _direction(x: int, y: int, d: int) -> Direction:
@@ -202,7 +208,11 @@ class Ray:
             raise GeometryError("a ray needs a point origin and a direction")
 
     def point_at(self, t: Fraction | int) -> Point:
-        return Point(self.origin.x + self.direction.dx * t, self.origin.y + self.direction.dy * t)
+        # o + w*t, with o over f, w over d and t = tn/td, over f*d*td.
+        ox, oy, f = self.origin._ints
+        wx, wy, d = self.direction._ints
+        tn, td = as_rational(t).as_integer_ratio()
+        return _point(ox * d * td + wx * f * tn, oy * d * td + wy * f * tn, f * d * td)
 
     def param_of(self, p: Point) -> Fraction:
         """Parameter t with p == origin + t * direction; p must be on the
@@ -295,7 +305,11 @@ def taxicab_distance(p: Point, q: Point) -> Fraction:
 
 
 def euclidean_distance_squared(p: Point, q: Point) -> Fraction:
-    return (q.x - p.x) ** 2 + (q.y - p.y) ** 2
+    # q - p over pd*qd, squared.
+    px, py, pd = p._ints
+    qx, qy, qd = q._ints
+    dx, dy = qx * pd - px * qd, qy * pd - py * qd
+    return Fraction(dx * dx + dy * dy, (pd * qd) ** 2)
 
 
 def _primitive(a: int, b: int, c: int) -> tuple[int, int, int]:

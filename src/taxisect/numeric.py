@@ -10,10 +10,13 @@ This module defines the accepted literal grammar ("p/q", a plain integer,
 or a decimal, which converts exactly), in one pattern that the script
 front end and the CLI both parse with, and exact conversion to Fraction:
 the Fraction is built from the literal's ints, not by parsing the text
-again.  Values are written back as ``str(Fraction)``: "p/q", or "p" for an
-integer.  Both ways go through CPython's limit on int-string conversion,
-``sys.get_int_max_str_digits()``, so an exact result past it cannot be
-printed, and the CLI and the script front end report that as an error.
+again.  Values are written back as ``str(Fraction)`` writes them: "p/q",
+or "p" for an integer.  ``ratio_text`` writes that text straight from a
+numerator and a denominator, so a value held in an int form is printed
+without building a Fraction.  Both ways go through CPython's limit on
+int-string conversion, ``sys.get_int_max_str_digits()``, so an exact result
+past it cannot be printed, and the CLI and the script front end report that
+as an error.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 # "p", "p/q" or "p.f": a signed integer p, then a denominator q or digits f.
 _LITERAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+)|\.(\d+))?")
@@ -50,6 +54,16 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(whole))
     except ValueError:  # int() converts at most sys.get_int_max_str_digits() digits
         raise RationalParseError(too_many_digits("rational literal")) from None
+
+
+def ratio_text(n: int, d: int) -> str:
+    """The text of n/d, for d > 0, as ``str(Fraction(n, d))`` prints it: "p/q"
+    in lowest terms, or "p" when d divides n.  Raises the same ValueError
+    past the int-string limit."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // d)
+    return f"{n // g}/{d // g}"
 
 
 def too_many_digits(what: str) -> str:

@@ -7,12 +7,13 @@ import subprocess
 import sys
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape as sax_escape
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from taxisect.constructions import (
     BetweenClaim,
@@ -55,7 +56,7 @@ from taxisect.kernel import (
 )
 from taxisect.numeric import parse_rational
 from taxisect.script import run_source
-from test_kernel import along
+from test_kernel import along, wide_directions, wide_points, wide_radii, wide_rationals
 
 
 def pt(x, y) -> Point:
@@ -407,6 +408,14 @@ def reference_ends(geometry, view: ViewBox):
     return geometry.point_at(lo), geometry.point_at(span[1])
 
 
+def int_view(view: ViewBox) -> tuple[int, int, int, int, int]:
+    """A view's bounds as numerators over their least common denominator,
+    which is last: the form ``_Mapper`` takes."""
+    bounds = (view.min_x, view.min_y, view.max_x, view.max_y)
+    d = lcm(*(v.denominator for v in bounds))
+    return (*(v.numerator * (d // v.denominator) for v in bounds), d)
+
+
 box_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 extents = st.fractions(min_value=F(1, 10), max_value=30, max_denominator=12)
 # Where the anchor sits, as a fraction of the box's width or height: on an
@@ -430,7 +439,7 @@ def test_lines_and_rays_draw_the_reference_endpoints(x, y, w, h, s, t, direction
     anchor = Point(x + s * w, y + t * h)
     geometry = Ray(anchor, direction) if as_ray else line_through(anchor, along(anchor, direction))
     drawn = [re.search(r'x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)"', piece).groups()
-             for piece in _item_elements(_Mapper(view), SceneItem(geometry)) if piece.startswith("<line ")]
+             for piece in _item_elements(_Mapper(*int_view(view)), SceneItem(geometry)) if piece.startswith("<line ")]
     ends = reference_ends(geometry, view)
     mapper = ReferenceMapper(view)
     expected = [] if ends is None else [(*mapper.svg_xy(ends[0]), *mapper.svg_xy(ends[1]))]
@@ -617,7 +626,7 @@ def views_and_items(draw):
 @settings(max_examples=500, deadline=None)
 def test_int_mapper_prints_what_the_fraction_mapper_printed(view_and_item):
     view, item = view_and_item
-    assert _item_elements(_Mapper(view), item) == reference_item_elements(ReferenceMapper(view), item)
+    assert _item_elements(_Mapper(*int_view(view)), item) == reference_item_elements(ReferenceMapper(view), item)
 
 
 @given(st.lists(views_and_items().map(lambda pair: pair[1]), max_size=5))
@@ -626,6 +635,7 @@ def test_viewbox_and_height_match_the_fraction_exporter(items):
     scene = Scene(tuple(items))
     view = reference_viewbox(scene)
     assert compute_viewbox(scene) == view
+    assert export._view(scene) == int_view(view)
     height = reference_decimal_text(ReferenceMapper(view).height)
     assert emit_svg(scene).startswith(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="560" height="{height}" viewBox="0 0 560 {height}">\n'
@@ -655,9 +665,9 @@ def fractions_built(action) -> int:
     return built
 
 
-def test_emit_svg_builds_only_the_view_box_fractions():
+def test_emit_svg_builds_no_fraction():
     """Points, circles, clipped lines and rays, labels and polylines are
-    mapped in ints: the four bounds of the view box are the only Fractions."""
+    mapped in ints, over the view box's int bounds."""
     _, trace = nsect_segment(pt(F(1, 3), -2), pt(5, F(7, 2)), 5)
     items = scene_from_trace(trace).items + (
         SceneItem(Ray(pt(0, 0), Direction(F(1), F(2, 3))), label="r"),
@@ -665,7 +675,31 @@ def test_emit_svg_builds_only_the_view_box_fractions():
     )
     assert any(isinstance(item.geometry, Line) for item in items)
     scene = Scene(items)
-    assert fractions_built(lambda: emit_svg(scene)) == 4
+    assert fractions_built(lambda: emit_svg(scene)) == 0
+
+
+def every_kernel_type() -> dict:
+    """An env binding a value of each kind that JSON takes."""
+    p, q = pt(F(1, 3), -2), pt(5, F(7, 2))
+    return {
+        "r": F(-8, 7), "P": p, "w": Direction(F(-1, 2), 3), "m": line_through(p, q),
+        "v": line_through(p, pt(F(1, 3), 1)), "h": line_through(p, pt(0, -2)),
+        "s": Segment(p, q), "R": Ray(q, Direction(0, F(2, 9))), "c": TaxicabCircle(p, F(5, 4)),
+        "t": (p, [q, F(1, 2)], {"k": p}),
+    }
+
+
+def test_emit_json_builds_no_fraction():
+    """Rationals already held as Fractions are printed as they are; every
+    other number is written from its int form."""
+    env = every_kernel_type()
+    assert fractions_built(lambda: emit_json(env)) == 0
+
+
+def test_str_of_a_point_or_direction_builds_no_fraction():
+    p, w = pt(F(-1, 3), F(5, 2)), Direction(F(2, 9), -4)
+    assert fractions_built(lambda: (str(p), str(w))) == 0
+    assert (str(p), str(w)) == ("(-1/3, 5/2)", "(2/9, -4)")
 
 
 def test_svg_deterministic_across_fresh_builds():
@@ -705,6 +739,68 @@ def test_json_keys_sorted_and_stable():
     text = emit_json(env)
     assert text == emit_json(dict(reversed(list(env.items()))))
     assert list(json.loads(text)) == ["a", "b", "c"]
+
+
+def reference_encode_value(value: object) -> object:
+    """``encode_value`` as it was when every number was printed as
+    ``str(Fraction)`` of a Fraction view."""
+    if isinstance(value, F):
+        return str(value)
+    if isinstance(value, Point):
+        return [str(value.x), str(value.y)]
+    if isinstance(value, Direction):
+        return {"direction": [str(value.dx), str(value.dy)]}
+    if isinstance(value, Line):
+        return {"line": [str(value.a), str(value.b), str(value.c)]}
+    if isinstance(value, Segment):
+        return {"segment": [reference_encode_value(value.p), reference_encode_value(value.q)]}
+    if isinstance(value, Ray):
+        return {"ray": {"direction": [str(value.direction.dx), str(value.direction.dy)],
+                        "origin": reference_encode_value(value.origin)}}
+    if isinstance(value, TaxicabCircle):
+        return {"circle": {"center": reference_encode_value(value.center), "radius": str(value.radius)}}
+    if isinstance(value, (tuple, list)):
+        return [reference_encode_value(v) for v in value]
+    if isinstance(value, dict):
+        return {key: reference_encode_value(v) for key, v in value.items()}
+    raise GeometryError(f"cannot encode {type(value).__name__} as JSON")
+
+
+@st.composite
+def json_lines(draw):
+    """Lines of any slope, vertical (b = 0), horizontal (a = 0, so the first
+    nonzero is b), and of slope +1 or -1."""
+    a, b = draw(wide_rationals.filter(bool)), draw(wide_rationals.filter(bool))
+    a, b = draw(st.sampled_from([(a, b), (a, 0), (0, b), (a, -a), (a, a)]))
+    return Line(a, b, draw(wide_rationals))
+
+
+json_leaves = st.one_of(
+    wide_rationals,
+    wide_points,
+    wide_directions,
+    json_lines(),
+    st.tuples(wide_points, wide_points).filter(lambda pq: pq[0] != pq[1]).map(lambda pq: Segment(*pq)),
+    st.builds(Ray, wide_points, wide_directions),
+    st.builds(TaxicabCircle, wide_points, wide_radii),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(json_values)
+@example(every_kernel_type())
+def test_emit_json_writes_what_the_fraction_encoder_wrote(value):
+    want = json.dumps(reference_encode_value(value), sort_keys=True, separators=(",", ":")) + "\n"
+    assert emit_json(value) == want
 
 
 def test_json_rationals_round_trip():

@@ -913,6 +913,26 @@ def test_circle_point_toward_matches_fraction_formula(center, radius, w, scale):
     assert_same(crossings[1 if (w.dx, w.dy) > (0, 0) else 0], want)
 
 
+
+@settings(max_examples=300)
+@given(point_pairs())
+def test_euclidean_distance_squared_matches_fraction_formula(pair):
+    p, q = pair
+    want = (q.x - p.x) ** 2 + (q.y - p.y) ** 2
+    assert_same(euclidean_distance_squared(p, q), want)
+    assert_same(euclidean_distance_squared(q, p), want)
+
+
+@settings(max_examples=300)
+@given(wide_points, wide_directions, st.one_of(wide_params, st.integers(-5, 5)))
+def test_ray_point_at_matches_fraction_formula(origin, w, t):
+    ray = Ray(origin, w)
+    assert_same(ray.point_at(t), along(origin, w, t))
+    assert_same(ray.point_at(ray.param_of(along(origin, w, t))), along(origin, w, t))
+    with pytest.raises(TypeError):
+        ray.point_at(float(t))
+
+
 _AXIS_VERTICES = {
     (1, 0): CircleVertex.EAST,
     (0, 1): CircleVertex.NORTH,

@@ -4,9 +4,9 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from taxisect.numeric import RationalParseError, as_rational, parse_rational
+from taxisect.numeric import RationalParseError, as_rational, is_digit_limit, parse_rational, ratio_text
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 
@@ -156,3 +156,47 @@ def test_as_rational_rejects_inexact_types():
         as_rational(True)
     assert as_rational(3) == Fraction(3)
     assert as_rational("2/6") == Fraction(1, 3)
+
+
+# Numerators and denominators from small to about 600 bits, with zero, one
+# and denominators both below and above the numerator's size.
+wide_ints = st.one_of(
+    st.integers(-10, 10),
+    st.integers(-(2**64), 2**64),
+    st.integers(-(2**600), 2**600),
+)
+wide_denominators = st.one_of(
+    st.just(1),
+    st.integers(1, 12),
+    st.integers(1, 2**64),
+    st.integers(2**500, 2**600),
+)
+
+
+@settings(max_examples=500)
+@given(wide_ints, wide_denominators, st.integers(1, 2**40))
+def test_ratio_text_prints_what_fraction_prints(n, d, k):
+    """Also over a common factor k, and when d divides n."""
+    assert ratio_text(n, d) == str(Fraction(n, d))
+    assert ratio_text(n * k, d * k) == str(Fraction(n, d))
+    assert ratio_text(n * d, d) == str(n)
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="str() converts any number of digits")
+@pytest.mark.parametrize(
+    "ratio",
+    [lambda big: (big, 3), lambda big: (-big, 7), lambda big: (3, big + 1), lambda big: (6 * big, 2)],
+    ids=["numerator", "negative", "denominator", "reduced"],
+)
+def test_ratio_text_refuses_past_the_int_limit_as_fraction_does(ratio):
+    """An integer in lowest terms one digit past the limit; at the limit,
+    both print."""
+    for big, past in ((10**INT_DIGITS, True), (10 ** (INT_DIGITS - 1), False)):
+        n, d = ratio(big)
+        if not past:
+            assert ratio_text(n, d) == str(Fraction(n, d))
+            continue
+        for text in (lambda: ratio_text(n, d), lambda: str(Fraction(n, d))):
+            with pytest.raises(ValueError) as err:
+                text()
+            assert is_digit_limit(err.value)
