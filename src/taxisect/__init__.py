@@ -25,7 +25,7 @@ _EXPORTS = {
         "section_angle",
         "verify_trace",
     ),
-    "export": ("Scene", "SceneItem", "ViewBox", "emit_json", "emit_svg", "scene_from_trace"),
+    "export": ("Scene", "SceneItem", "emit_json", "emit_svg", "scene_from_trace"),
     "kernel": (
         "CircleVertex",
         "CoincidentLinesError",
@@ -43,7 +43,6 @@ _EXPORTS = {
         "intersect_lines",
         "intersect_ray_circle",
         "line_through",
-        "point_on_circle",
         "taxicab_distance",
     ),
     "numeric": ("parse_rational",),

@@ -59,7 +59,6 @@ from .kernel import (
     intersect_lines,
     line_through,
     point_between,
-    point_on_circle,
     taxicab_distance,
 )
 from .numeric import as_rational
@@ -124,18 +123,6 @@ class OnLineClaim:
 
 
 @dataclass(frozen=True)
-class OnCircleClaim:
-    circle_step: int
-
-    def refs(self) -> tuple[int, ...]:
-        return (self.circle_step,)
-
-    def holds(self, subject: Point, outputs: Sequence[Primitive]) -> bool:
-        circle = outputs[self.circle_step]
-        return isinstance(circle, TaxicabCircle) and point_on_circle(circle, subject)
-
-
-@dataclass(frozen=True)
 class BetweenClaim:
     p_step: int
     q_step: int
@@ -164,7 +151,7 @@ class DistanceClaim:
         return isinstance(anchor, Point) and at_taxicab_distance(anchor, subject, self.value)
 
 
-Claim = OnLineClaim | OnCircleClaim | BetweenClaim | DistanceClaim
+Claim = OnLineClaim | BetweenClaim | DistanceClaim
 _CLAIM_TYPES = Claim.__args__
 
 Primitive = Point | Line | TaxicabCircle

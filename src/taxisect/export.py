@@ -12,10 +12,8 @@ with half-even rounding by one exact Decimal division.  Two emissions of
 the same scene are byte-identical.  JSON takes values only: rationals,
 kernel primitives and containers of them, such as bindings; each
 coordinate, component and line coefficient is written from its int form by
-``numeric.ratio_text``.  Neither emission builds a Fraction; only
-``compute_viewbox``, which returns the public ``ViewBox``, turns the view's
-int bounds into Fractions.  ``write_text`` is the one way both front ends
-write an output file.
+``numeric.ratio_text``.  Neither emission builds a Fraction.
+``write_text`` is the one way both front ends write an output file.
 """
 
 from __future__ import annotations
@@ -69,18 +67,6 @@ class SceneItem:
 
 
 @dataclass(frozen=True)
-class ViewBox:
-    min_x: Fraction
-    min_y: Fraction
-    max_x: Fraction
-    max_y: Fraction
-
-    def __post_init__(self) -> None:
-        if self.max_x <= self.min_x or self.max_y <= self.min_y:
-            raise GeometryError("viewbox must have positive extent")
-
-
-@dataclass(frozen=True)
 class Scene:
     items: tuple[SceneItem, ...]
 
@@ -104,7 +90,9 @@ def _bounds(values: list[tuple[int, int]]) -> tuple[int, int, int]:
 
 def _view(scene: Scene) -> tuple[int, int, int, int, int]:
     """The view box's bounds (min_x, min_y, max_x, max_y) as numerators over
-    their least common denominator, which is last."""
+    their least common denominator, which is last: the bounding box of all
+    finite geometry, padded by 10% on each side, then evenly on the narrower
+    axis so that height / width is in [1/4, 4]; (-1, -1, 1, 1) when empty."""
     xs: list[tuple[int, int]] = []
     ys: list[tuple[int, int]] = []
     for item in scene.items:
@@ -143,13 +131,6 @@ def _view(scene: Scene) -> tuple[int, int, int, int, int]:
     x0, x1, y0, y1 = x0 * (d // xd), x1 * (d // xd), y0 * (d // yd), y1 * (d // yd)
     g = gcd(x0, y0, x1, y1, d)
     return x0 // g, y0 // g, x1 // g, y1 // g, d // g
-
-
-def compute_viewbox(scene: Scene) -> ViewBox:
-    """Bounding box of all finite geometry, padded by 10% on each side,
-    then evenly on the narrower axis so that height / width is in [1/4, 4]."""
-    x0, y0, x1, y1, d = _view(scene)
-    return ViewBox(Fraction(x0, d), Fraction(y0, d), Fraction(x1, d), Fraction(y1, d))
 
 
 def scene_from_trace(trace: ConstructionTrace) -> Scene:

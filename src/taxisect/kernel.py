@@ -26,8 +26,8 @@ return is put in its int form by one gcd (``_point``), as is each direction
 that the trace builder computes (``_direction``).  ``taxicab_distance``,
 ``euclidean_distance_squared`` and ``Ray.param_of`` each build one
 ``Fraction``, their result.  The incidence predicates
-``Line.contains``, ``point_between``, ``at_taxicab_distance`` and
-``point_on_circle`` compare ints and build no ``Fraction`` at all.
+``Line.contains``, ``point_between`` and ``at_taxicab_distance``
+compare ints and build no ``Fraction`` at all.
 ``circle_point_toward`` is the point c + w*r/|w| at which a line through
 the center c along w crosses the circle in direction w, which the trace
 builder records for such a crossing whose point it does not already know,
@@ -440,10 +440,6 @@ def at_taxicab_distance(p: Point, q: Point, r: Fraction | int) -> bool:
     distance, den = _distance_ints(p, q)
     rn, rd = r.as_integer_ratio()
     return distance * rd == rn * den
-
-
-def point_on_circle(circle: TaxicabCircle, p: Point) -> bool:
-    return at_taxicab_distance(circle.center, p, circle.radius)
 
 
 def point_between(p: Point, q: Point, x: Point) -> bool:

@@ -29,10 +29,9 @@ from taxisect.kernel import (
     euclidean_distance_squared,
     intersect_line_circle,
     line_through,
-    point_on_circle,
     taxicab_distance,
 )
-from test_kernel import along, outcome, slope
+from test_kernel import _reference_point_on_circle, along, outcome, slope
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -224,11 +223,11 @@ def test_criterion_7_degenerate_intersections():
                     assert isinstance(got, Segment)
                     assert taxicab_distance(got.p, got.q) == 4
                     for e in (got.p, got.q):
-                        assert point_on_circle(circle, e) and line.contains(e)
+                        assert _reference_point_on_circle(circle, e) and line.contains(e)
                 else:
                     assert outcome(got) == "two points"
                     for p in got:
-                        assert point_on_circle(circle, p) and line.contains(p)
+                        assert _reference_point_on_circle(circle, p) and line.contains(p)
         assert outcomes["overlap"] == 4  # c = -2 and c = +2 for each slope
         assert outcomes["two points"] == 2 * 31
         assert outcomes["empty"] == 100 - 4 - 62

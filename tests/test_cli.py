@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -358,6 +359,32 @@ def test_section_same_edge_writes_trace_svg(tmp_path, capsys):
     svg = tmp_path / "s.svg"
     assert main(["section", "--d1", "1,0", "--d2", "1,1", "--n", "2", "--svg", str(svg)]) == 0
     assert svg.read_text().startswith("<svg")
+    capsys.readouterr()
+
+
+CROSSING_SIDES = ["section", "--d1", "1,-1", "--d2", "-1,-1", "--n", "3"]
+
+
+def test_section_across_circle_edges_has_no_chord_trace(capsys):
+    """The sides cross the circle on different edges, so only the rays are
+    drawn: the trace listing says there is no chord trace."""
+    assert main([*CROSSING_SIDES, "--trace"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "measure = 2, each part = 2/3",
+        "ray 1: direction (-1/6, -5/6)",
+        "ray 2: direction (1/6, -5/6)",
+        "no chord trace: the sides cross different circle edges",
+    ]
+
+
+def test_section_across_circle_edges_draws_the_rays(tmp_path, capsys):
+    svg = tmp_path / "cross.svg"
+    assert main([*CROSSING_SIDES, "--svg", str(svg)]) == 0
+    text = svg.read_text()
+    assert text.count("<polygon") == 1
+    assert re.findall(r">([^<]*)</text>", text) == ["A"]
+    lines = re.findall(r"<line [^>]*>", text)
+    assert len(lines) == 2 and all('stroke="#bb2200"' in line for line in lines)
     capsys.readouterr()
 
 

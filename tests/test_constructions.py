@@ -14,7 +14,6 @@ from taxisect.constructions import (
     ConstructionTrace,
     DistanceClaim,
     MalformedTraceError,
-    OnCircleClaim,
     OnLineClaim,
     PostconditionError,
     StepFailure,
@@ -38,7 +37,6 @@ from taxisect.kernel import (
     intersect_line_circle,
     intersect_lines,
     line_through,
-    point_on_circle,
     taxicab_distance,
 )
 from test_export import fractions_built
@@ -508,6 +506,14 @@ def test_open_forgery_is_caught(trace_name, tamper):
     _assert_tamper_caught(TAMPER_TRACES[trace_name], *OPEN_FORGERIES[tamper])
 
 
+@dataclasses.dataclass(frozen=True)
+class CircleClaim:
+    """The shape of an on-circle claim, which no builder writes and the
+    checker does not take."""
+
+    circle_step: int
+
+
 # Step 3 of this trace is the circle about B, spanned by A and B.  Fields
 # that are not a dict are passed to verify_trace in place of the trace.
 HEADER_ERRORS = {
@@ -517,6 +523,7 @@ HEADER_ERRORS = {
     "inputs-not-sequence": ({"inputs": 5}, "step 3 inputs are not a sequence"),
     "claims-not-sequence": ({"claims": None}, "step 3 claims are not a sequence"),
     "unknown-claim": ({"claims": ("on",)}, "unknown claim 'on'"),
+    "circle-claim": ({"claims": (CircleClaim(0),)}, "unknown claim CircleClaim(circle_step=0)"),
     "inexact-distance": (
         {"claims": (DistanceClaim(0, 0.5),)},
         "step 3 claims a distance that is not exact",
@@ -1161,9 +1168,6 @@ def _fraction_claim_holds(claim, subject: Point, outputs) -> bool:
     if isinstance(claim, OnLineClaim):
         line = outputs[claim.line_step]
         return isinstance(line, Line) and line.a * subject.x + line.b * subject.y == line.c
-    if isinstance(claim, OnCircleClaim):
-        circle = outputs[claim.circle_step]
-        return isinstance(circle, TaxicabCircle) and taxicab_distance(circle.center, subject) == circle.radius
     if isinstance(claim, BetweenClaim):
         p, q = outputs[claim.p_step], outputs[claim.q_step]
         if not (isinstance(p, Point) and isinstance(q, Point)):
@@ -1362,12 +1366,12 @@ def test_step_error_gets_the_replay_verdict(case):
 
 
 def _some_claim(draw, index: int, steps) -> object:
-    make = draw(st.sampled_from([OnLineClaim, OnCircleClaim, BetweenClaim, DistanceClaim]))
+    make = draw(st.sampled_from([OnLineClaim, BetweenClaim, DistanceClaim]))
     ref = st.integers(0, index - 1)
     if make is BetweenClaim:
         return BetweenClaim(draw(ref), draw(ref))
-    if make is not DistanceClaim:
-        return make(draw(ref))
+    if make is OnLineClaim:
+        return OnLineClaim(draw(ref))
     anchor = draw(ref)
     anchor_out, subject = steps[anchor].output, steps[index].output
     if isinstance(anchor_out, Point) and isinstance(subject, Point) and draw(st.booleans()):
@@ -1659,12 +1663,12 @@ def test_output_of_the_wrong_type_differs_from_the_replay(kind):
 
 
 def _with_incidence_claims(trace: ConstructionTrace) -> ConstructionTrace:
-    """The trace as builders wrote it before: each crossing claims to lie on
-    the figures it crosses, and each corner on its circle."""
+    """The trace as builders wrote it before, without the on-circle claims
+    no checker takes any more: each crossing claims to lie on the lines it
+    crosses."""
     claims_of = {
-        StepKind.INTERSECT_LINE_CIRCLE: lambda line, circle: (OnLineClaim(line), OnCircleClaim(circle)),
+        StepKind.INTERSECT_LINE_CIRCLE: lambda line, circle: (OnLineClaim(line),),
         StepKind.INTERSECT_LINES: lambda first, second: (OnLineClaim(first), OnLineClaim(second)),
-        StepKind.TAKE_CIRCLE_VERTEX: lambda circle: (OnCircleClaim(circle),),
     }
     steps = tuple(
         dataclasses.replace(step, claims=claims_of[step.kind](*step.inputs)) if step.kind in claims_of else step
@@ -1681,12 +1685,12 @@ def test_trace_with_incidence_claims_still_verifies(trace_name):
 
 
 def test_false_incidence_claim_fails_as_before():
-    """The corner of the circle about B claims to lie on the circle about A."""
+    """The north corner of the circle about A claims to lie on line AB."""
     trace = _with_incidence_claims(TAMPER_TRACES["nsect3"])
     index = next(i for i, step in enumerate(trace.steps) if step.kind is StepKind.TAKE_CIRCLE_VERTEX)
-    assert trace.steps[index].claims == (OnCircleClaim(4),)
-    report = assert_same_verdict(_replaced(trace, index, claims=(OnCircleClaim(3),)))
-    assert report.failure == StepFailure(index, "claim OnCircleClaim(circle_step=3) does not hold")
+    assert trace.steps[index].claims == () and trace.steps[2].kind is StepKind.DRAW_LINE
+    report = assert_same_verdict(_replaced(trace, index, claims=(OnLineClaim(2),)))
+    assert report.failure == StepFailure(index, "claim OnLineClaim(line_step=2) does not hold")
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from taxisect.constructions import (
     BetweenClaim,
     DistanceClaim,
-    OnCircleClaim,
     OnLineClaim,
     nsect_segment,
 )
@@ -30,8 +29,6 @@ from taxisect.export import (
     Scene,
     SceneItem,
     Stroke,
-    ViewBox,
-    compute_viewbox,
     emit_json,
     emit_svg,
     encode_value,
@@ -51,7 +48,6 @@ from taxisect.kernel import (
     circle_vertex,
     line_through,
     point_between,
-    point_on_circle,
     taxicab_distance,
 )
 from taxisect.numeric import parse_rational
@@ -133,8 +129,6 @@ def test_labeled_points_satisfy_their_step_claims():
             for claim in step.claims:
                 if isinstance(claim, OnLineClaim):
                     assert outputs[claim.line_step].contains(subject)
-                elif isinstance(claim, OnCircleClaim):
-                    assert point_on_circle(outputs[claim.circle_step], subject)
                 elif isinstance(claim, BetweenClaim):
                     p, q = outputs[claim.p_step], outputs[claim.q_step]
                     assert point_between(p, q, subject)
@@ -145,27 +139,18 @@ def test_labeled_points_satisfy_their_step_claims():
 # ---------------------------------------------------------------- viewboxes
 
 
-def test_viewbox_needs_positive_extent():
-    with pytest.raises(GeometryError):
-        ViewBox(F(0), F(0), F(0), F(1))
-
-
 def test_empty_scene_gets_default_viewbox():
-    box = compute_viewbox(Scene(()))
-    assert (box.min_x, box.min_y, box.max_x, box.max_y) == (-1, -1, 1, 1)
+    assert export._view(Scene(())) == (-1, -1, 1, 1, 1)
 
 
 def test_single_point_scene_is_padded():
-    box = compute_viewbox(Scene((SceneItem(pt(5, 5)),)))
-    assert box.min_x < 5 < box.max_x
-    assert box.min_y < 5 < box.max_y
+    # The point (5, 5) moved 1 each way, then a tenth of 2 more: 19/5 to 31/5.
+    assert export._view(Scene((SceneItem(pt(5, 5)),))) == (19, 19, 31, 31, 5)
 
 
 def test_viewbox_margin_contains_items():
     scene = Scene((SceneItem(TaxicabCircle(pt(0, 0), F(2))),))
-    box = compute_viewbox(scene)
-    assert box.min_x == F(-12, 5) and box.max_x == F(12, 5)
-    assert box.min_y == F(-12, 5) and box.max_y == F(12, 5)
+    assert export._view(scene) == (-12, -12, 12, 12, 5)
 
 
 @pytest.mark.parametrize(
@@ -180,8 +165,9 @@ def test_svg_height_stays_within_a_factor_four_of_the_width(ends, height):
     """Two points 10^-40 apart on one axis: the other axis is padded, so
     the height is at its bound and not 2 * 10^43."""
     scene = Scene(tuple(SceneItem(pt(*end)) for end in ends))
-    box = compute_viewbox(scene)
-    assert sorted((box.max_x - box.min_x, box.max_y - box.min_y)) == [F(6, 10), F(24, 10)]
+    x0, y0, x1, y1, d = export._view(scene)
+    # The extents are 3/5 and 12/5 of the unit.
+    assert sorted((5 * (x1 - x0), 5 * (y1 - y0))) == [3 * d, 12 * d]
     assert emit_svg(scene).startswith(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="560" height="{height}" viewBox="0 0 560 {height}">\n'
     )
@@ -352,7 +338,18 @@ def test_unknown_package_attribute_raises_attribute_error():
     assert not hasattr(taxisect, "_private")
 
 
-def reference_clip(anchor: Point, direction: Direction, view: ViewBox):
+@dataclasses.dataclass(frozen=True)
+class ReferenceView:
+    """A view box's bounds as four Fractions, which the Fraction references
+    below take."""
+
+    min_x: F
+    min_y: F
+    max_x: F
+    max_y: F
+
+
+def reference_clip(anchor: Point, direction: Direction, view: ReferenceView):
     """Parameter range of anchor + t * direction inside the view, as the
     exporter computed it before lines and rays shared one clipper."""
     lo = hi = None
@@ -388,7 +385,7 @@ def reference_anchor(line: Line) -> tuple[Point, Direction]:
     return anchor, Direction(line.b, -line.a)
 
 
-def reference_ends(geometry, view: ViewBox):
+def reference_ends(geometry, view: ReferenceView):
     """Endpoints of the drawn piece of a line or ray under the reference
     rules, or None when nothing is drawn."""
     if isinstance(geometry, Line):
@@ -408,7 +405,7 @@ def reference_ends(geometry, view: ViewBox):
     return geometry.point_at(lo), geometry.point_at(span[1])
 
 
-def int_view(view: ViewBox) -> tuple[int, int, int, int, int]:
+def int_view(view: ReferenceView) -> tuple[int, int, int, int, int]:
     """A view's bounds as numerators over their least common denominator,
     which is last: the form ``_Mapper`` takes."""
     bounds = (view.min_x, view.min_y, view.max_x, view.max_y)
@@ -435,7 +432,7 @@ clip_directions = st.one_of(
 @given(box_rationals, box_rationals, extents, extents, relative, relative, clip_directions, st.booleans())
 @settings(max_examples=400, deadline=None)
 def test_lines_and_rays_draw_the_reference_endpoints(x, y, w, h, s, t, direction, as_ray):
-    view = ViewBox(x, y, x + w, y + h)
+    view = ReferenceView(x, y, x + w, y + h)
     anchor = Point(x + s * w, y + t * h)
     geometry = Ray(anchor, direction) if as_ray else line_through(anchor, along(anchor, direction))
     drawn = [re.search(r'x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)"', piece).groups()
@@ -464,7 +461,7 @@ def reference_decimal_text(value: F) -> str:
 
 
 class ReferenceMapper:
-    def __init__(self, view: ViewBox) -> None:
+    def __init__(self, view: ReferenceView) -> None:
         self.view = view
         self.scale = F(560) / (view.max_x - view.min_x)
         self.height = (view.max_y - view.min_y) * self.scale
@@ -477,7 +474,7 @@ class ReferenceMapper:
         return (reference_decimal_text(x), reference_decimal_text(y))
 
 
-def reference_viewbox(scene: Scene) -> ViewBox:
+def reference_viewbox(scene: Scene) -> ReferenceView:
     xs, ys = [], []
     for item in scene.items:
         geometry = item.geometry
@@ -496,7 +493,7 @@ def reference_viewbox(scene: Scene) -> ViewBox:
         xs += [p.x for p in points]
         ys += [p.y for p in points]
     if not xs:
-        return ViewBox(F(-1), F(-1), F(1), F(1))
+        return ReferenceView(F(-1), F(-1), F(1), F(1))
     min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
     if min_x == max_x:
         min_x, max_x = min_x - 1, max_x + 1
@@ -506,10 +503,10 @@ def reference_viewbox(scene: Scene) -> ViewBox:
     min_x, min_y, max_x, max_y = min_x - pad_x, min_y - pad_y, max_x + pad_x, max_y + pad_y
     width, height = max_x - min_x, max_y - min_y
     pad_x, pad_y = max(F(0), height / 4 - width) / 2, max(F(0), width / 4 - height) / 2
-    return ViewBox(min_x - pad_x, min_y - pad_y, max_x + pad_x, max_y + pad_y)
+    return ReferenceView(min_x - pad_x, min_y - pad_y, max_x + pad_x, max_y + pad_y)
 
 
-def reference_visible_span(ray: Ray, view: ViewBox, lo=None):
+def reference_visible_span(ray: Ray, view: ReferenceView, lo=None):
     hi = None
     for coord, delta, low, high in (
         (ray.origin.x, ray.direction.dx, view.min_x, view.max_x),
@@ -575,7 +572,7 @@ huge = st.integers(-10**20, 10**20)
 huge_positive = st.integers(1, 10**20)
 huge_rationals = st.builds(F, huge, huge_positive)
 huge_extents = st.builds(F, huge_positive, huge_positive)
-huge_views = st.builds(lambda x, y, w, h: ViewBox(x, y, x + w, y + h),
+huge_views = st.builds(lambda x, y, w, h: ReferenceView(x, y, x + w, y + h),
                        huge_rationals, huge_rationals, huge_extents, huge_extents)
 # Where a point sits in a view, as a fraction of its width or height: often
 # inside, so that lines through it cross the view.
@@ -634,7 +631,6 @@ def test_int_mapper_prints_what_the_fraction_mapper_printed(view_and_item):
 def test_viewbox_and_height_match_the_fraction_exporter(items):
     scene = Scene(tuple(items))
     view = reference_viewbox(scene)
-    assert compute_viewbox(scene) == view
     assert export._view(scene) == int_view(view)
     height = reference_decimal_text(ReferenceMapper(view).height)
     assert emit_svg(scene).startswith(

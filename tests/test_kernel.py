@@ -19,6 +19,7 @@ from taxisect.kernel import (
     Ray,
     Segment,
     TaxicabCircle,
+    at_taxicab_distance,
     circle_point_toward,
     circle_vertex,
     euclidean_distance_squared,
@@ -27,7 +28,6 @@ from taxisect.kernel import (
     intersect_ray_circle,
     line_through,
     point_between,
-    point_on_circle,
     taxicab_distance,
 )
 from taxisect.angles import Angle
@@ -292,7 +292,7 @@ def test_line_circle_edge_overlap():
     ends = {got.p, got.q}
     assert ends == {pt(0, -2), pt(2, 0)}
     for e in ends:
-        assert point_on_circle(circle, e)
+        assert _reference_point_on_circle(circle, e)
 
 
 def test_line_circle_proof_point():
@@ -346,7 +346,7 @@ def test_line_circle_points_on_both_loci(a, b, center, radius):
     got = intersect_line_circle(m, circle)
     for p in points_of(got):
         assert on_line(m, p)
-        assert point_on_circle(circle, p)
+        assert _reference_point_on_circle(circle, p)
     # Crossings are distinct, in strictly increasing (x, y) order.
     keys = [(p.x, p.y) for p in points_of(got)]
     assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
@@ -356,7 +356,7 @@ def test_line_circle_points_on_both_loci(a, b, center, radius):
         for e in (got.p, got.q):
             assert e in corners
             assert on_line(m, e)
-            assert point_on_circle(circle, e)
+            assert _reference_point_on_circle(circle, e)
 
 
 def _reference_line_contains(a: F, b: F, c: F, p: Point) -> bool:
@@ -807,14 +807,17 @@ def test_segment_contains_matches_fraction_formula(pair, x, t):
     st.sampled_from([(1, 1), (-1, 1), (-1, -1), (1, -1)]),
 )
 def test_point_on_circle_matches_fraction_formula(center, radius, x, t, signs):
+    """A point is on a circle when it is at the radius from the center:
+    ``at_taxicab_distance`` against the Fraction formula."""
     circle = TaxicabCircle(center, radius)
     su, sv = signs
     on_edge = Point(center.x + su * t * radius, center.y + sv * (1 - t) * radius)
     corners = [_reference_circle_vertex(circle, which) for which in CircleVertex]
     for candidate in (x, center, on_edge, *corners):
-        assert point_on_circle(circle, candidate) == _reference_point_on_circle(circle, candidate)
+        expected = _reference_point_on_circle(circle, candidate)
+        assert at_taxicab_distance(center, candidate, radius) == expected
     for on in (on_edge, *corners):
-        assert point_on_circle(circle, on)
+        assert at_taxicab_distance(center, on, radius)
 
 
 @settings(max_examples=300)
@@ -1004,13 +1007,13 @@ def test_ray_circle_hits_are_forward_and_ordered(origin, direction, center, radi
     params = [ray.param_of(p) for p in hits]
     for p, t in zip(hits, params):
         assert t >= 0
-        assert point_on_circle(circle, p)
+        assert _reference_point_on_circle(circle, p)
         assert_on_ray(ray, p)
     assert params == sorted(params)
     if isinstance(got, Segment):
         for e in (got.p, got.q):
             assert_on_ray(ray, e)
-            assert point_on_circle(circle, e)
+            assert _reference_point_on_circle(circle, e)
 
 
 def _reference_ray_circle(ray: Ray, circle: TaxicabCircle):
@@ -1089,10 +1092,10 @@ def test_circle_vertex_chained_case():
 def test_all_vertices_lie_on_circle(center, radius):
     circle = TaxicabCircle(center, radius)
     for which in CircleVertex:
-        assert point_on_circle(circle, circle_vertex(circle, which))
+        assert _reference_point_on_circle(circle, circle_vertex(circle, which))
 
 
 def test_point_on_circle_examples():
-    assert point_on_circle(TaxicabCircle(pt(0, 0), F(2)), pt(1, 1))
-    assert not point_on_circle(TaxicabCircle(pt(0, 0), F(2)), pt(0, 0))
-    assert point_on_circle(TaxicabCircle(pt(1, 1), F(2)), pt(F(1, 2), F(-1, 2)))
+    assert at_taxicab_distance(pt(0, 0), pt(1, 1), F(2))
+    assert not at_taxicab_distance(pt(0, 0), pt(0, 0), F(2))
+    assert at_taxicab_distance(pt(1, 1), pt(F(1, 2), F(-1, 2)), F(2))

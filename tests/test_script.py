@@ -381,6 +381,9 @@ dump
 def test_layout_does_not_change_the_tree():
     relaid = "\n\n".join("   " + line.replace(", ", " ,  ") for line in SAMPLE_SOURCE.splitlines())
     assert parse(relaid) == parse(SAMPLE_SOURCE)
+    # Without its comment, the whole script fits on one line.
+    one_line = " ".join(SAMPLE_SOURCE.splitlines()[1:])
+    assert parse(one_line) == parse(SAMPLE_SOURCE)
     assert parse(relaid).statements[1].loc != parse(SAMPLE_SOURCE).statements[1].loc
 
 
